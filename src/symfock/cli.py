@@ -2,8 +2,10 @@
 
 Machine-readable output is line-delimited JSON on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 success/verified, 1 mathematical
-counterexample, 2 usage or input error.  SF_THREADS caps the worker pool
-used by `verify` (default: available parallelism).
+counterexample, 2 usage or input error.  A `verify` window that is
+negative or yields no identities is a usage error, never "verified".
+SF_THREADS caps the worker pool used by `verify` (default: available
+parallelism).
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ def _cmd_verify(args) -> int:
         betas=tuple(_parse_fraction(b) for b in args.beta) if args.beta else base.betas,
         corrupt=args.corrupt,
     )
+    if opts.max_degree < 0 or opts.max_mode < 0:
+        raise UsageError("--max-degree and --max-mode must be nonnegative")
     total = 0
     for result in run_suite(suite, opts):
         total += 1
@@ -162,6 +166,8 @@ def _cmd_verify(args) -> int:
             )
             _note(f"FAIL {result.suite}:{result.name}")
             return 1
+    if total == 0:
+        raise UsageError(f"the window of suite {suite!r} yields no identities to verify")
     _note(f"{suite}: {total} identities verified")
     return 0
 

@@ -16,6 +16,17 @@ with A_k the modes of the multiplication exponential and C_r the modes of
 the derivation exponential.  C_r lowers degree by r, so the sum is finite
 and K[j] v = 0 exactly when j + eps*m + 1 > deg f.
 
+The derivation exponential is a translation (the translation identity):
+exp(sum_n c_n d/dp_n u**n) sends p_n to p_n + c_n u**n, so
+
+    exp(...) p_la = prod_i (p_{la_i} + c_{la_i} u**la_i),
+
+and C_r p_la is a sum over the sub-multisets S of la of weight r: with
+k_v of the m_v parts equal to v taken into S, the term is
+prod_v binom(m_v, k_v) c_v**k_v times p_{la minus S}.  Each kernel keeps
+that table once per la, and memoises mode actions under the key
+(shift, la) with shift = j + eps*m + 1, the only way j and m enter.
+
 Kernel instances:
 
 * fermion+ / fermion-   (a_n, c_n) = (1, -1) and (-1, +1): classical
@@ -36,15 +47,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable, Iterable
 
-from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import RF_ONE, RF_ZERO, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .partitions import Partition, multiplicities, partitions_up_to
+from .ratfun import RF_ONE, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import (
     SymFunc,
     linear_combination,
     perp_apply,
-    scalar_product,
     symfunc_to_json,
 )
 
@@ -101,9 +112,6 @@ def fock_to_json(v: FockVector) -> dict:
     return {"charge": v.charge, "body": symfunc_to_json(v.body)}
 
 
-DerivOp = tuple[tuple[RatFun, Partition], ...]
-
-
 class VertexKernel:
     """One charge-shifting vertex operator in the uniform exponential form."""
 
@@ -115,15 +123,17 @@ class VertexKernel:
         self.a = a
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
-        self._deriv: list[DerivOp] = [((RF_ONE, ()),)]
-        self._modes: dict[tuple[int, int, Partition], FockVector] = {}
+        self._tables: dict[Partition, dict[int, list[tuple[RatFun, Partition]]]] = {}
+        # keyed by (shift, la); an entry keeps the charge of its first request
+        # and is re-wrapped for other charges
+        self._modes: dict[tuple[int, Partition], FockVector] = {}
 
     def __repr__(self) -> str:
         return f"VertexKernel({self.name})"
 
     def clear_caches(self) -> None:
         self._mult = self._mult[:1]
-        self._deriv = self._deriv[:1]
+        self._tables.clear()
         self._modes.clear()
 
     def mult_coefficient(self, k: int) -> SymFunc:
@@ -138,74 +148,48 @@ class VertexKernel:
             self._mult.append(acc.scaled(Fraction(1, m)).map_coeffs(lambda r: r.slim()))
         return self._mult[k]
 
-    def deriv_coefficient(self, r: int) -> DerivOp:
-        """C_r: coefficient of u**r in exp(sum c_n d/dp_n u**n), as sum of d_mu terms."""
-        if r < 0:
-            return ()
-        while len(self._deriv) <= r:
-            m = len(self._deriv)
-            terms = []
-            for mu in partitions_of(m):
-                coeff = RF_ONE
-                for value, mult in multiplicities(mu).items():
-                    base = self.c(value)
-                    for _ in range(mult):
-                        coeff = coeff * base
-                    coeff = coeff.scale(Fraction(1, _factorial(mult)))
-                if not coeff.is_zero():
-                    terms.append((coeff.slim(), mu))
-            self._deriv.append(tuple(terms))
-        return self._deriv[r]
+    def translation_table(self, la: Partition) -> dict[int, list[tuple[RatFun, Partition]]]:
+        """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
 
-    def vanishes_above(self, m: int, degree: int) -> int:
-        """Largest j with K[j] possibly nonzero on charge m, degree <= degree."""
-        return degree - self.eps * m - 1
+        Taking k_v of the m_v parts equal to v contributes
+        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.
+        """
+        table = self._tables.get(la)
+        if table is not None:
+            return table
+        terms: list[tuple[int, RatFun, Partition]] = [(0, RF_ONE, ())]
+        for v, mult in multiplicities(la).items():
+            grown = []
+            power = RF_ONE
+            for k in range(mult + 1):
+                coeff = power.scale(comb(mult, k))
+                for r, c, rest in terms:
+                    grown.append((r + v * k, c * coeff, rest + (v,) * (mult - k)))
+                power = power * self.c(v)
+            terms = grown
+        table = {}
+        for r, c, rest in terms:
+            table.setdefault(r, []).append((c.slim(), rest))
+        self._tables[la] = table
+        return table
 
     def mode_on_basis(self, j: int, m: int, la: Partition) -> FockVector:
-        key = (j, m, la)
-        cached = self._modes.get(key)
-        if cached is not None:
-            return cached
+        """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1."""
         shift = j + self.eps * m + 1
-        deg = weight(la)
-        body = SymFunc.zero()
-        for r in range(max(0, shift), deg + 1):
-            df = apply_deriv_op(self.deriv_coefficient(r), SymFunc.monomial(la))
-            if df.is_zero():
-                continue
-            body = body + self.mult_coefficient(r - shift) * df
-        out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))
-        self._modes[key] = out
+        key = (shift, la)
+        out = self._modes.get(key)
+        if out is None:
+            pieces = [
+                (c, self.mult_coefficient(r - shift).times_monomial(rest))
+                for r, terms in self.translation_table(la).items()
+                if r >= shift
+                for c, rest in terms
+            ]
+            body = linear_combination(pieces).map_coeffs(lambda c: c.slim())
+            out = self._modes[key] = FockVector(m + self.eps, body)
+        elif out.charge != m + self.eps:
+            out = FockVector(m + self.eps, out.body)
         return out
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
-
-
-def apply_deriv_op(op: DerivOp, f: SymFunc) -> SymFunc:
-    """Apply a sum of coeff * prod d/dp_{mu_i} terms to f."""
-    from .symfunc import _apply_monomial_derivative
-
-    pieces = []
-    for coeff, mu in op:
-        out = {}
-        for nu, d in f.terms.items():
-            scalar, key = _apply_monomial_derivative(mu, nu)
-            if scalar == 0:
-                continue
-            contrib = d.scale(scalar)
-            acc = out.get(key)
-            s = contrib if acc is None else acc + contrib
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        pieces.append((coeff, SymFunc(out, _clean=True)))
-    return linear_combination(pieces)
 
 
 def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:

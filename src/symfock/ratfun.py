@@ -13,9 +13,10 @@ a point is a ring homomorphism, addition and multiplication of packed
 polynomials are single bigint operations; coefficients are only unpacked
 at boundaries (normalisation, division, printing, JSON).  Packing is
 faithful while every true coefficient stays below 2**(LIMB_BITS-1) in
-absolute value; ``from_coeffs`` rejects inputs anywhere near the bound
-and ``coeff_vector`` re-verifies on unpacking, so desk-scale data keeps
-a margin of dozens of orders of magnitude.
+absolute value; ``from_coeffs`` rejects outside data anywhere near the
+bound (2**64 per coefficient), the gcd and division rebuilds inside
+normalisation are checked against the bound itself, and
+``coeff_vector`` re-verifies on unpacking.
 
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
@@ -40,7 +41,7 @@ LIMB_BITS = 192
 _BASE = 1 << LIMB_BITS
 _MASK = _BASE - 1
 _HALF = _BASE >> 1
-# from_coeffs cap; keeps all internal arithmetic far from _HALF
+# from_coeffs cap on outside data; internal rebuilds are checked against _HALF
 _INPUT_BOUND = 1 << 64
 
 
@@ -89,19 +90,15 @@ class TPoly:
 
     @classmethod
     def from_coeffs(cls, coeffs: Iterable[Fraction | int]) -> "TPoly":
-        """Build from coefficients ascending in t; trailing zeros are dropped."""
-        fracs = [Fraction(c) for c in coeffs]
-        while fracs and fracs[-1] == 0:
-            fracs.pop()
-        if not fracs:
-            return ZERO
-        den = 1
-        for c in fracs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in fracs]
-        if any(abs(v) >= _INPUT_BOUND for v in ints) or den >= _INPUT_BOUND:
+        """Build from coefficients ascending in t; trailing zeros are dropped.
+
+        This is the checked entry for outside data: integer coefficients
+        and the common denominator are capped at _INPUT_BOUND.
+        """
+        out = _pack_fractions(coeffs, _INPUT_BOUND)
+        if out.den >= _INPUT_BOUND:
             raise PackingOverflow("coefficient too large for packed representation")
-        return cls(_encode(ints), den, len(ints) - 1)
+        return out
 
     @classmethod
     def from_int(cls, v: int) -> "TPoly":
@@ -211,6 +208,22 @@ class TPoly:
         return "TPoly(" + " + ".join(parts) + ")"
 
 
+def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> TPoly:
+    """Pack coefficients ascending in t, each integer coefficient below bound in size."""
+    fracs = [Fraction(c) for c in coeffs]
+    while fracs and fracs[-1] == 0:
+        fracs.pop()
+    if not fracs:
+        return ZERO
+    den = 1
+    for c in fracs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in fracs]
+    if any(abs(v) >= bound for v in ints):
+        raise PackingOverflow("coefficient too large for packed representation")
+    return TPoly(_encode(ints), den, len(ints) - 1)
+
+
 ZERO = TPoly(_Z(0), 1, -1)
 ONE = TPoly(_Z(1), 1, 0)
 T = TPoly(_Z(_BASE), 1, 1)
@@ -243,7 +256,7 @@ def poly_divmod(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
             quot[i] = c
             for j, bc in enumerate(rb):
                 ra[i + j] -= c * bc
-    return TPoly.from_coeffs(quot), TPoly.from_coeffs(ra[: len(rb) - 1])
+    return _pack_fractions(quot, _HALF), _pack_fractions(ra[: len(rb) - 1], _HALF)
 
 
 def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
@@ -263,7 +276,7 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
     if not ca:
         return ZERO
     lead = ca[-1]
-    return TPoly.from_coeffs([c / lead for c in ca])
+    return _pack_fractions([c / lead for c in ca], _HALF)
 
 
 class RatFun:
@@ -520,7 +533,10 @@ def _fraction_to_str(c: Fraction) -> str:
 def _fraction_from_str(s: str) -> Fraction:
     if not isinstance(s, str) or not _FRACTION_RE.match(s.strip()):
         raise ValueError(f"malformed rational literal: {s!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {s!r}") from None
 
 
 def rat_to_json(r: RatFun) -> dict:
@@ -532,13 +548,17 @@ def rat_to_json(r: RatFun) -> dict:
 
 
 def rat_from_json(obj: object) -> RatFun:
-    if not isinstance(obj, dict) or set(obj) - {"num", "den"}:
+    """Parse {"num": [...], "den": [...]}; "den" defaults to ["1"]."""
+    if not isinstance(obj, dict) or "num" not in obj or set(obj) - {"num", "den"}:
         raise ValueError("rational function JSON must be {'num': [...], 'den': [...]}")
+    num_strs, den_strs = obj["num"], obj.get("den", ["1"])
+    if not isinstance(num_strs, list) or not isinstance(den_strs, list):
+        raise ValueError("rational function 'num' and 'den' must be lists of rational strings")
     try:
-        num = TPoly.from_coeffs(_fraction_from_str(s) for s in obj["num"])
-        den = TPoly.from_coeffs(_fraction_from_str(s) for s in obj.get("den", ["1"]))
-    except TypeError as exc:
-        raise ValueError(f"malformed rational function JSON: {exc}") from exc
+        num = TPoly.from_coeffs(_fraction_from_str(s) for s in num_strs)
+        den = TPoly.from_coeffs(_fraction_from_str(s) for s in den_strs)
+    except PackingOverflow as exc:
+        raise ValueError(f"rational function JSON out of range: {exc}") from None
     if den.is_zero():
         raise ValueError("zero denominator in rational function JSON")
     r = RatFun(num, den)

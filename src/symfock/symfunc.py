@@ -158,10 +158,13 @@ class SymFunc:
 
     def times_p(self, n: int) -> "SymFunc":
         """Multiplication by the generator p_n (cheap monomial prefixing)."""
-        out: dict[Partition, RatFun] = {}
-        for la, c in self.terms.items():
-            out[_merge(la, (n,))] = c
-        return SymFunc(out, _clean=True)
+        return self.times_monomial((n,))
+
+    def times_monomial(self, mu: Partition) -> "SymFunc":
+        """Multiplication by p_mu: monomial merging with unchanged coefficients."""
+        if not mu:
+            return self
+        return SymFunc({_merge(la, mu): c for la, c in self.terms.items()}, _clean=True)
 
     def diff_p(self, n: int) -> "SymFunc":
         """Formal partial derivative with respect to p_n."""

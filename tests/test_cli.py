@@ -108,6 +108,20 @@ def test_verify_bad_arguments(capsys):
     assert code == 2 and "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fermion", "--max-degree", "-3"),
+        ("kernel-factorization", "--max-mode", "-1"),
+        ("twisted-heisenberg", "--max-mode", "0"),  # no nonzero mode pair
+    ],
+)
+def test_verify_rejects_empty_window(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and "error" in err and out == ""
+    assert "verified" not in err
+
+
 def test_kp_schur_and_dualschur(capsys):
     code, out, _ = run_cli(capsys, "kp", "--schur", "3,1")
     assert code == 0 and json.loads(out.strip())["tau"] is True
@@ -132,6 +146,23 @@ def test_kp_malformed_file(tmp_path, capsys):
     schema_bad.write_text(json.dumps({"terms": [{"p": [1, 2]}]}))
     code, _, err = run_cli(capsys, "kp", "--file", str(schema_bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        {"den": ["1"]},  # no numerator
+        {"num": "12"},  # a string, not a list of coefficients
+        {"num": ["1"], "den": "2"},
+        {"num": [str(10**27)]},  # above the 2**64 input cap
+        {"num": ["1/0"]},
+    ],
+)
+def test_kp_file_rejects_malformed_coefficient(tmp_path, capsys, coeff):
+    path = tmp_path / "coeff.json"
+    path.write_text(json.dumps({"terms": [{"p": [1], "coeff": coeff}]}))
+    code, out, err = run_cli(capsys, "kp", "--file", str(path))
+    assert code == 2 and "malformed" in err and out == ""
 
 
 def test_kp_negative_control_file(tmp_path, capsys):

@@ -12,6 +12,7 @@ from symfock.fock import (
     FERMION_PLUS,
     TWISTED_MINUS,
     TWISTED_PLUS,
+    KERNELS,
     FockVector,
     ModeExpression,
     check_mode_identity,
@@ -21,8 +22,9 @@ from symfock.fock import (
     twisted_heisenberg_mode,
     virasoro_mode,
 )
-from symfock.ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from symfock.symfunc import SymFunc
+from symfock.partitions import partitions_up_to, weight
+from symfock.ratfun import RF_ONE, RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.symfunc import SymFunc, linear_combination
 
 ME = ModeExpression
 RF_T = RatFun(TPoly.from_coeffs([0, 1]))
@@ -58,17 +60,62 @@ def test_mult_coefficients_match_bases():
         assert DEFORMED_PLUS.mult_coefficient(k) == q_coefficient(k)
 
 
-def test_deriv_coefficient_examples():
-    # mode 1 of exp(sum d/dp_n u^n) is d/dp_1
-    ((c, mu),) = FERMION_MINUS.deriv_coefficient(1)
-    assert (c, mu) == (RatFun.from_int(1), (1,))
-    # mode 2 of exp(-sum d/dp_n u^n) is (1/2) d^2/dp_1^2 - d/dp_2
-    terms = dict((mu, c) for c, mu in FERMION_PLUS.deriv_coefficient(2))
-    assert terms[(1, 1)] == RatFun.from_fraction(Fraction(1, 2))
-    assert terms[(2,)] == RatFun.from_int(-1)
-    # single term -1/(1-t) d/dp_1 for the deformed kernel
-    ((c, mu),) = DEFORMED_PLUS.deriv_coefficient(1)
-    assert mu == (1,) and c == -rf_inv_one_minus_t_pow(1)
+def _translation_oracle(kernel, f):
+    """{r: C_r f} by expanding exp(D) f = sum_k D**k f / k!, D = sum_n c_n u**n d/dp_n."""
+    out = {0: f}
+    term = {0: f}
+    k = 0
+    while term:
+        k += 1
+        nxt = {}
+        for r, g in term.items():
+            for n in range(1, g.degree() + 1):
+                piece = g.diff_p(n).scaled(kernel.c(n).scale(Fraction(1, k)))
+                nxt[r + n] = nxt.get(r + n, SymFunc.zero()) + piece
+        term = {r: g for r, g in nxt.items() if not g.is_zero()}
+        for r, g in term.items():
+            out[r] = out.get(r, SymFunc.zero()) + g
+    return out
+
+
+def _table_action(kernel, la, r):
+    """C_r p_la read off the kernel's sub-multiset table."""
+    return linear_combination(
+        (c, SymFunc.monomial(rest)) for c, rest in kernel.translation_table(la).get(r, ())
+    )
+
+
+def test_translation_table_examples():
+    for la in partitions_up_to(4):
+        f = SymFunc.monomial(la)
+        # mode 1 of exp(sum d/dp_n u^n) is d/dp_1
+        assert _table_action(FERMION_MINUS, la, 1) == f.diff_p(1)
+        # mode 2 of exp(-sum d/dp_n u^n) is (1/2) d^2/dp_1^2 - d/dp_2
+        want = f.diff_p(1).diff_p(1).scaled(Fraction(1, 2)) - f.diff_p(2)
+        assert _table_action(FERMION_PLUS, la, 2) == want
+        # single term -1/(1-t) d/dp_1 for the deformed kernel
+        want = f.diff_p(1).scaled(-rf_inv_one_minus_t_pow(1))
+        assert _table_action(DEFORMED_PLUS, la, 1) == want
+        for kernel in (FERMION_MINUS, FERMION_PLUS, DEFORMED_PLUS):
+            assert _table_action(kernel, la, 0) == f
+
+
+@pytest.mark.parametrize(
+    "kernel", [*KERNELS.values(), corrupted_kernel(FERMION_PLUS)], ids=lambda k: k.name
+)
+def test_modes_match_translation_oracle(kernel):
+    for la in partitions_up_to(5):
+        cr = _translation_oracle(kernel, SymFunc.monomial(la))
+        for shift in range(-2, weight(la) + 2):
+            want = linear_combination(
+                (RF_ONE, kernel.mult_coefficient(r - shift) * f)
+                for r, f in cr.items()
+                if r >= shift
+            )
+            for m in (-1, 0, 1):
+                got = kernel.mode_on_basis(shift - 1 - kernel.eps * m, m, la)
+                assert got.charge == m + kernel.eps
+                assert got.body == want
 
 
 def test_heisenberg_action_examples():
@@ -80,8 +127,6 @@ def test_heisenberg_action_examples():
 
 
 def test_heisenberg_matches_multiplication_and_derivation():
-    from symfock.partitions import partitions_up_to
-
     for m in (-2, 0, 1):
         for la in partitions_up_to(4):
             v = FockVector(m, SymFunc.monomial(la))

@@ -1,0 +1,45 @@
+"""Golden stdout: verdict lines, witnesses and expansions stay byte-identical.
+
+The hashes are sha256 digests of the stdout of each command, recorded
+before the kernel modes moved to the translation identity.  A refactor
+that keeps them keeps every verdict, every failure witness and every
+vertex-route expansion, and the two thread counts check that output does
+not depend on the worker count.
+"""
+
+import hashlib
+
+import pytest
+
+from symfock.cli import main
+
+WINDOW = ("--max-degree", "3", "--max-mode", "2")
+
+GOLDEN = {
+    ("verify", "commutation", *WINDOW): (0, "e84ce5dd5a611241b81deb7f6f8f99b9d2ceb582440aaf1e8747a72077b68804"),
+    ("verify", "fermion", *WINDOW): (0, "b929c745aaa9fc3d101149c2037a7b0c43bf1f2ff60297fc3689c50dcc2d6996"),
+    ("verify", "twisted-fermion", *WINDOW): (0, "7309adc1355f2481e62ca25b81a33e37f7d953b6a3259697e139b05a78cdd4d3"),
+    ("verify", "heisenberg", *WINDOW): (0, "4aac11e8821d5783ebc211501e0759125267b32fda383d31e13aa3ca9dbf925b"),
+    ("verify", "twisted-heisenberg", *WINDOW): (0, "a5aa7681b164b0a874d24003c755532a1132b9b10b5f623c83c3fb8c83432f97"),
+    ("verify", "virasoro", *WINDOW): (0, "f74097dab22c562655cd16f2de30203d573c356ac7ae9778d18bfcdf7b46ca99"),
+    ("verify", "kernel-factorization", *WINDOW): (0, "cafb919a03ba28b3a13bfeefd198200ac4327facee94422242d104dec0283019"),
+    ("verify", "duality", *WINDOW): (0, "213f7dca1d76ba35329d95f8341a40b40b1449198bd77b6c93a48d292656d659"),
+    ("verify", "bases-agreement", *WINDOW): (0, "0a650e0bc4b7cacaf961a5644754d09c2ea4aec81f7516413a7ba3f7252a84bd"),
+    ("verify", "corollaries", *WINDOW): (0, "1883896893fec43cf56f582db53e888283281b6b9514e5fd4d9cc60152141e41"),
+    # the failure witness carries kernel-built bodies
+    ("verify", "fermion", *WINDOW, "--corrupt"): (1, "0b5641945909bec491dc4a85d12d38e9a267389b9a59ab9df49823cc63afda2b"),
+    ("expand", "schur", "3,2,1", "--route", "vertex"): (0, "fb983ca9b21132db292fc1a87c29e2386a86b8b53400c19256eabc8200949a60"),
+    ("expand", "hl", "3,2,1", "--route", "vertex"): (0, "4ae67d166d6530821fd71989a79dd8b30f3c46f3e5bb3bd6e3e6acb35037f5ad"),
+    ("expand", "dualschur", "3,2,1", "--route", "vertex"): (0, "c0a8b2e98b820908bc948ac8fb9116c79c59ff5b72b5886776b48941944fb357"),
+    ("expand", "dualschur", "2,2", "--route", "vertex"): (0, "530ea74b245a61901cab2535b557ea69d38f20c12552b4d643bb944c14e91e43"),
+    ("kp", "--schur", "3,2,1"): (0, "6aa5630107a3e4357746f96e965f9d6b7cb19e109796849a5e3ecd93827fb1c7"),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_golden_stdout(monkeypatch, capsys, threads, argv):
+    monkeypatch.setenv("SF_THREADS", threads)
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]

@@ -83,6 +83,22 @@ def test_packing_overflow_rejected():
         TPoly.from_coeffs([Fraction(1 << 200)])
 
 
+def test_input_cap_is_2_pow_64():
+    TPoly.from_coeffs([(1 << 64) - 1])
+    with pytest.raises(PackingOverflow):
+        TPoly.from_coeffs([1 << 64])
+    with pytest.raises(PackingOverflow):
+        TPoly.from_coeffs([Fraction(1, 1 << 64)])
+
+
+def test_reduce_rebuilds_past_input_cap():
+    # the quotient by the common factor t + 1 has a coefficient of 2**100,
+    # above the input cap but far inside the packing bound
+    big = mk([1 << 50, 3])
+    r = RatFun(big * big * mk([1, 1]), mk([1, 1]))
+    assert r.num == big * big and r.den == ONE
+
+
 def test_poly_divmod_exact():
     p = mk([-1, 0, 1])  # t^2 - 1
     q, r = poly_divmod(p, mk([-1, 1]))  # by t - 1

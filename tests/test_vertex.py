@@ -13,7 +13,7 @@ from symfock.bases import (
 )
 from symfock.partitions import partitions_up_to
 from symfock.ratfun import RatFun, rf_one_minus_t_pow
-from symfock.symfunc import SymFunc, scalar_product
+from symfock.symfunc import SymFunc, scalar_product, symfunc_to_json
 from symfock.vertex import (
     basis_via_vertex,
     crosscheck_corollaries,
@@ -98,3 +98,10 @@ def test_unknown_kind_rejected():
         basis_via_vertex("nope", (1,))
     with pytest.raises(ValueError):
         generating_coefficient_direct("nope", (1,))
+
+
+@pytest.mark.parametrize("la", [(5, 2, 2, 1), (4, 4, 1, 1)])
+def test_dual_schur_vertex_route_matches_det(la):
+    # serialising reduces every coefficient; on these partitions the
+    # quotients by the gcds exceed the 2**64 input cap
+    assert symfunc_to_json(basis_via_vertex("dual_schur", la)) == symfunc_to_json(dual_schur(la))
