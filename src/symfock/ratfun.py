@@ -209,7 +209,11 @@ class TPoly:
 
 
 def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> TPoly:
-    """Pack coefficients ascending in t, each integer coefficient below bound in size."""
+    """Pack coefficients ascending in t, trailing zeros dropped.
+
+    After clearing the common denominator, every integer coefficient must
+    be below bound in absolute value.
+    """
     fracs = [Fraction(c) for c in coeffs]
     while fracs and fracs[-1] == 0:
         fracs.pop()
