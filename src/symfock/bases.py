@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .partitions import Partition, as_partition, multiplicities
-from .ratfun import RF_ONE, RF_ZERO, RatFun, TPoly, one_minus_t_pow, rat_to_json
+from .ratfun import RF_ONE, RatFun, TPoly, one_minus_t_pow, rat_to_json
 from .symfunc import SymFunc
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,6 @@ def hl_norm_factor(la: Partition) -> RatFun:
 # finite-variable polynomials (exponent vector -> coefficient)
 
 VarPoly = dict
-
-
-def var_zero() -> VarPoly:
-    return {}
 
 
 def var_const(n: int, c: RatFun) -> VarPoly:

@@ -3,9 +3,13 @@
 Machine-readable output is line-delimited JSON on stdout; human-readable
 summaries go to stderr.  Exit codes: 0 success/verified, 1 mathematical
 counterexample, 2 usage or input error.  A `verify` window that is
-negative or yields no identities is a usage error, never "verified".
-SF_THREADS caps the worker pool used by `verify` (default: available
-parallelism).
+negative or yields no identities is a usage error, never "verified", and
+so are negative counts (`expand -n`, `kp-search --degree-bound`).
+`verify --corrupt` swaps in a corrupted plus kernel as a negative
+control; only the anticommutator suites `fermion` and `twisted-fermion`
+accept it, and any other suite exits 2.  SF_THREADS caps the worker pool
+used by `verify` (default: available parallelism); it must be a positive
+integer, otherwise `verify` exits 2.
 """
 
 from __future__ import annotations
@@ -20,17 +24,23 @@ from .bases import (
     dual_schur,
     elementary_e,
     hall_littlewood_oracle,
-    hall_littlewood_row,
     q_coefficient,
     schur,
     schur_oracle,
     expand_in_variables,
     varpoly_to_json,
 )
-from .kp import is_tau, omega_apply, search_negative_control, tensor_to_json
+from .kp import omega_apply, search_negative_control, tensor_to_json
 from .partitions import as_partition
-from .symfunc import SymFunc, symfunc_from_json, symfunc_to_json
-from .verify import DEFAULT_OPTIONS, SUITE_NAMES, SweepOptions, run_suite
+from .symfunc import symfunc_from_json, symfunc_to_json
+from .verify import (
+    ANTICOMMUTATOR_KERNELS,
+    DEFAULT_OPTIONS,
+    SUITE_NAMES,
+    SweepOptions,
+    run_suite,
+    thread_count,
+)
 from .vertex import basis_via_vertex, generating_coefficient_direct
 
 ROW_BASES = ("h", "e", "q")
@@ -88,6 +98,8 @@ def _cmd_expand(args) -> int:
     basis = args.basis
     la = _parse_partition(args.partition)
     route = args.route
+    if args.n is not None and args.n < 0:
+        raise UsageError("-n must be nonnegative")
     if basis in ROW_BASES:
         if len(la) > 1:
             raise UsageError(f"basis {basis!r} takes a single index k, got {list(la)}")
@@ -96,8 +108,10 @@ def _cmd_expand(args) -> int:
             raise UsageError(f"basis {basis!r} supports routes det, oracle")
         f = {"h": complete_h, "e": elementary_e, "q": q_coefficient}[basis](k)
         if route == "oracle":
-            return _emit_varpoly(f, args, la=(k,) if k else ())
-        _emit(symfunc_to_json(f))
+            n = args.n if args.n is not None else max(f.degree(), 1)
+            _emit(varpoly_to_json(expand_in_variables(f, n), n))
+        else:
+            _emit(symfunc_to_json(f))
         return 0
     if basis not in PARTITION_BASES:
         raise UsageError(f"unknown basis {basis!r}")
@@ -126,12 +140,6 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _emit_varpoly(f: SymFunc, args, la) -> int:
-    n = args.n if args.n is not None else max(f.degree(), 1)
-    _emit(varpoly_to_json(expand_in_variables(f, n), n))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # verify
 
@@ -140,6 +148,12 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    if args.corrupt and suite not in ANTICOMMUTATOR_KERNELS:
+        raise UsageError(f"--corrupt applies only to {', '.join(ANTICOMMUTATOR_KERNELS)}")
+    try:
+        threads = thread_count()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     base = DEFAULT_OPTIONS[suite]
     opts = SweepOptions(
         max_degree=args.max_degree if args.max_degree is not None else base.max_degree,
@@ -151,7 +165,7 @@ def _cmd_verify(args) -> int:
     if opts.max_degree < 0 or opts.max_mode < 0:
         raise UsageError("--max-degree and --max-mode must be nonnegative")
     total = 0
-    for result in run_suite(suite, opts):
+    for result in run_suite(suite, opts, threads=threads):
         total += 1
         if result.ok:
             _emit({"suite": result.suite, "identity": result.name, "status": "ok"})
@@ -207,6 +221,8 @@ def _cmd_kp(args) -> int:
 
 
 def _cmd_kp_search(args) -> int:
+    if args.degree_bound < 0:
+        raise UsageError("--degree-bound must be nonnegative")
     found = search_negative_control(args.degree_bound)
     if found is None:
         _emit({"found": False})

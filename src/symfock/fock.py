@@ -291,22 +291,28 @@ _heis_cache: dict[tuple[int, int, Partition], FockVector] = {}
 _vir_cache: dict[tuple[Fraction, int, int, Partition], FockVector] = {}
 
 
+def _bilinear_mode(cache: dict, key: tuple, k: int, v: FockVector, weight_fn) -> FockVector:
+    """Mode k of a weighted fermion bilinear on v, memoised per basis vector
+    under key + (charge, la)."""
+    pieces = []
+    for la, c in v.body.terms.items():
+        full_key = (*key, v.charge, la)
+        cached = cache.get(full_key)
+        if cached is None:
+            basis = FockVector(v.charge, SymFunc.monomial(la))
+            cached = cache[full_key] = _normal_ordered_pair(k - 1, basis, weight_fn)
+        if not cached.is_zero():
+            pieces.append((c, cached.body))
+    return FockVector(v.charge, linear_combination(pieces))
+
+
 def heisenberg_mode(k: int, v: FockVector) -> FockVector:
     """alpha_k with alpha_{-n} = p_n, alpha_n = n d/dp_n (n > 0), alpha_0 = charge.
 
     Realised as the coefficient of u**(k-1) of the normal-ordered product
     :fermion+(u) fermion-(u): .
     """
-    pieces = []
-    for la, c in v.body.terms.items():
-        key = (k, v.charge, la)
-        cached = _heis_cache.get(key)
-        if cached is None:
-            cached = _normal_ordered_pair(k - 1, FockVector(v.charge, SymFunc.monomial(la)), None)
-            _heis_cache[key] = cached
-        if not cached.is_zero():
-            pieces.append((c, cached.body))
-    return FockVector(v.charge, linear_combination(pieces))
+    return _bilinear_mode(_heis_cache, (k,), k, v, None)
 
 
 def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
@@ -337,18 +343,7 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     def w(a: int, b: int) -> Fraction:
         return (1 - beta) * b - beta * a
 
-    pieces = []
-    for la, c in v.body.terms.items():
-        key = (beta, k, v.charge, la)
-        cached = _vir_cache.get(key)
-        if cached is None:
-            cached = _normal_ordered_pair(
-                k - 1, FockVector(v.charge, SymFunc.monomial(la)), w
-            )
-            _vir_cache[key] = cached
-        if not cached.is_zero():
-            pieces.append((c, cached.body))
-    return FockVector(v.charge, linear_combination(pieces))
+    return _bilinear_mode(_vir_cache, (beta, k), k, v, w)
 
 
 def clear_mode_caches() -> None:
@@ -422,39 +417,6 @@ class ModeExpression:
         if len(nonzero) > 1:
             raise ValueError("expression result mixes charges")
         return nonzero[0]
-
-    def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"coeff": _atom_coeff_json(t.coeff), "ops": [_atom_json(a) for a in t.atoms]}
-                for t in self.terms
-            ]
-        }
-
-
-def _atom_coeff_json(c: RatFun):
-    from .ratfun import rat_to_json
-
-    return rat_to_json(c)
-
-
-def _atom_json(atom: tuple):
-    kind = atom[0]
-    if kind == "kernel":
-        return {"op": "kernel", "kernel": atom[1].name, "mode": atom[2]}
-    if kind == "mul":
-        return {"op": "mul", "value": symfunc_to_json(atom[1])}
-    if kind == "perp":
-        return {"op": "perp", "value": symfunc_to_json(atom[1])}
-    if kind == "heis":
-        return {"op": "heisenberg", "mode": atom[1]}
-    if kind == "twisted":
-        return {"op": "twisted-heisenberg", "mode": atom[1]}
-    if kind == "virasoro":
-        return {"op": "virasoro", "beta": str(atom[1]), "mode": atom[2]}
-    if kind == "scale_p":
-        return {"op": "scale_p"}
-    return {"op": "id"}
 
 
 def _apply_atom(atom: tuple, v: FockVector) -> FockVector:

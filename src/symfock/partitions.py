@@ -94,10 +94,6 @@ def revlex_key(la: Partition):
     return tuple(-p for p in la)
 
 
-def partition_to_json(la: Partition) -> list[int]:
-    return list(la)
-
-
 def partition_from_json(obj: object) -> Partition:
     if not isinstance(obj, list):
         raise ValueError(f"partition JSON must be a list of ints, got {obj!r}")

@@ -31,12 +31,6 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-try:  # GMP-backed ints are several times faster at packed-polynomial sizes
-    from gmpy2 import mpz as _Z
-except ImportError:  # pragma: no cover
-    def _Z(x):
-        return x
-
 LIMB_BITS = 192
 _BASE = 1 << LIMB_BITS
 _MASK = _BASE - 1
@@ -56,13 +50,13 @@ def _digits(n: int) -> list[int]:
         d = n & _MASK
         if d >= _HALF:
             d -= _BASE
-        out.append(int(d))
+        out.append(d)
         n = (n - d) >> LIMB_BITS
     return out
 
 
 def _encode(digits: Sequence[int]) -> int:
-    n = _Z(0)
+    n = 0
     for d in reversed(digits):
         n = (n << LIMB_BITS) + d
     return n
@@ -228,9 +222,9 @@ def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> TPoly:
     return TPoly(_encode(ints), den, len(ints) - 1)
 
 
-ZERO = TPoly(_Z(0), 1, -1)
-ONE = TPoly(_Z(1), 1, 0)
-T = TPoly(_Z(_BASE), 1, 1)
+ZERO = TPoly(0, 1, -1)
+ONE = TPoly(1, 1, 0)
+T = TPoly(_BASE, 1, 1)
 
 _omtp_cache: dict[int, TPoly] = {}
 
@@ -239,7 +233,7 @@ def one_minus_t_pow(n: int) -> TPoly:
     """The polynomial 1 - t**n."""
     p = _omtp_cache.get(n)
     if p is None:
-        p = TPoly(_Z(1 - (1 << (LIMB_BITS * n))), 1, n)
+        p = TPoly(1 - (1 << (LIMB_BITS * n)), 1, n)
         _omtp_cache[n] = p
     return p
 
@@ -475,17 +469,6 @@ class RatFun:
             raise ZeroDivisionError(f"pole at t = {t0}")
         return TPoly(self.ne, self.nd).eval_at(t0) / dv
 
-    def as_fraction(self) -> Fraction:
-        """The constant value, if this rational function is constant."""
-        self._reduce()
-        num = TPoly(self.ne, self.nd)
-        den = TPoly(self.de, self.dd)
-        if num.degree > 0 or den.degree > 0:
-            raise ValueError("not a constant rational function")
-        if num.is_zero():
-            return Fraction(0)
-        return num.leading_coeff() / den.leading_coeff()
-
     def slim(self) -> "RatFun":
         """Content-normalised copy (cheap; no polynomial gcd)."""
         n = TPoly(self.ne, self.nd).content_normalized()
@@ -530,10 +513,6 @@ def rf_inv_one_minus_t_pow(n: int) -> RatFun:
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
-def _fraction_to_str(c: Fraction) -> str:
-    return str(c)
-
-
 def _fraction_from_str(s: str) -> Fraction:
     if not isinstance(s, str) or not _FRACTION_RE.match(s.strip()):
         raise ValueError(f"malformed rational literal: {s!r}")
@@ -546,8 +525,8 @@ def _fraction_from_str(s: str) -> Fraction:
 def rat_to_json(r: RatFun) -> dict:
     """Canonical JSON form {"num": [...], "den": [...]}, coefficients ascending in t."""
     return {
-        "num": [_fraction_to_str(c) for c in r.num.coeff_vector()],
-        "den": [_fraction_to_str(c) for c in r.den.coeff_vector()],
+        "num": [str(c) for c in r.num.coeff_vector()],
+        "den": [str(c) for c in r.den.coeff_vector()],
     }
 
 

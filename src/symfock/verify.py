@@ -6,14 +6,26 @@ over the requested window of basis vectors and reports ok/fail with a
 JSON witness on failure.  Items are self-contained and picklable, so
 sweeps parallelise over processes; results are always reduced in the
 fixed submission order, making output independent of worker count.
+
+The classical fermion suite is the t = 0 case of the twisted one: at
+t = 0 the twisted kernels are the classical ones, and both suites check,
+for a kernel pair (K+, K-) and a parameter t,
+
+    {K[a], K[b]} - t K[a-1] K[b+1] - t K[b-1] K[a+1] = 0            (pp, mm)
+    {K+[a], K-[b]} - t K+[a+1] K-[b-1] - t K-[b+1] K+[a-1]
+        = (1-t)**2 delta_{a+b,-1}                                      (pm)
+
+with (fermion+, fermion-, 0) and (twisted+, twisted-, t).  At t = 0 these
+are the classical anticommutators and the t-shifted terms are never built.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from functools import cache, partial
+from typing import Callable, Iterator
 
 from .bases import (
     complete_h,
@@ -33,19 +45,25 @@ from .fock import (
     DEFORMED_PLUS,
     FockVector,
     ModeExpression,
-    VertexKernel,
+    Verdict,
     check_mode_identity,
     corrupted_kernel,
     heisenberg_mode,
     mode_apply,
 )
-from .partitions import Partition, partitions_up_to, weight
-from .ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .partitions import partitions_up_to, weight
+from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, scalar_product
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
-RF_T = RatFun(TPoly.from_coeffs([0, 1]))
-RF_ONE_MINUS_T_SQ = rf_one_minus_t_pow(1) * rf_one_minus_t_pow(1)
+# (plus, minus, t) of the anticommutator suites, the only ones --corrupt applies to
+ANTICOMMUTATOR_KERNELS = {
+    "fermion": (FERMION_PLUS, FERMION_MINUS, RF_ZERO),
+    "twisted-fermion": (TWISTED_PLUS, TWISTED_MINUS, RF_T),
+}
+
+# one corrupted copy per kernel, so its mode cache survives across items
+_corrupted = cache(corrupted_kernel)
 
 
 @dataclass(frozen=True)
@@ -68,28 +86,6 @@ class CheckResult:
 Item = tuple  # (suite, params, opts)
 
 
-def _me(*atoms, coeff: RatFun | None = None) -> ModeExpression:
-    if coeff is None:
-        return ModeExpression.single(*atoms)
-    return ModeExpression.single(*atoms, coeff=coeff)
-
-
-def _kernel_atom(kernel: VertexKernel, j: int) -> tuple:
-    return ("kernel", kernel, j)
-
-
-_corrupt_plus: VertexKernel | None = None
-
-
-def _fermion_plus(corrupt: bool) -> VertexKernel:
-    global _corrupt_plus
-    if not corrupt:
-        return FERMION_PLUS
-    if _corrupt_plus is None:
-        _corrupt_plus = corrupted_kernel(FERMION_PLUS)
-    return _corrupt_plus
-
-
 # ---------------------------------------------------------------------------
 # item executors, one per suite
 
@@ -104,148 +100,69 @@ def _run_commutation(params, opts: SweepOptions) -> CheckResult:
         "eh": (e, h),
     }
     low, up = pairs[rel]
-    lhs = _me(("perp", low(a)), ("mul", up(b)))
+    lhs = ModeExpression.single(("perp", low(a)), ("mul", up(b)))
     if rel in ("ee", "hh"):
         if a >= 1 and b >= 1:
-            lhs = lhs - _me(("perp", low(a - 1)), ("mul", up(b - 1)))
-        rhs = _me(("mul", up(b)), ("perp", low(a)))
+            lhs = lhs - ModeExpression.single(("perp", low(a - 1)), ("mul", up(b - 1)))
+        rhs = ModeExpression.single(("mul", up(b)), ("perp", low(a)))
     else:
-        rhs = _me(("mul", up(b)), ("perp", low(a)))
+        rhs = ModeExpression.single(("mul", up(b)), ("perp", low(a)))
         if a >= 1 and b >= 1:
-            rhs = rhs + _me(("mul", up(b - 1)), ("perp", low(a - 1)))
+            rhs = rhs + ModeExpression.single(("mul", up(b - 1)), ("perp", low(a - 1)))
     verdict = check_mode_identity(lhs, rhs, opts.max_degree, (0,))
     return CheckResult(
         "commutation", f"{rel}[a={a},b={b}]", verdict.equal, verdict.witness_json()
     )
 
 
-def _fermion_witness(suite, rel, a, b, m, la, lhs: FockVector, rhs: FockVector) -> dict:
-    from .fock import fock_to_json
+def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
+    """All anticommutators of one relation with a+b = d at once.
 
-    return {
-        "relation": rel,
-        "a": a,
-        "b": b,
-        "charge": m,
-        "p": list(la),
-        "lhs": fock_to_json(lhs),
-        "rhs": fock_to_json(rhs),
-    }
-
-
-def _run_fermion(params, opts: SweepOptions) -> CheckResult:
-    """All anticommutators with a+b = d at once, sharing compositions.
-
-    Within one antidiagonal every pair relation is a signed sum of the
-    compositions K1[x] K2[d-x], so computing those once per basis vector
-    covers the whole mode window.
+    With X[x] = K1[x] K2[d-x] v and Y[y] = K2[y] K1[d-y] v, the pair (a, b)
+    reads {K1[a], K2[b]} = X[a] + Y[b] and its t-terms are X[a+e] + Y[b+e],
+    so the compositions are built once per basis vector for the whole
+    window, and their t-shifted neighbours only when t != 0.
     """
     rel, d = params
-    plus = _fermion_plus(opts.corrupt)
-    minus = FERMION_MINUS
+    plus, minus, t = ANTICOMMUTATOR_KERNELS[suite]
+    if opts.corrupt:
+        plus = _corrupted(plus)
+    K1, K2, e = {"pp": (plus, plus, -1), "mm": (minus, minus, -1), "pm": (plus, minus, 1)}[rel]
     W = opts.max_mode
+    window = range(max(-W, d - W), min(W, d + W) + 1)
+    pairs = [(a, d - a) for a in window if rel == "pm" or a <= d - a]
+    reach = 1 if t else 0
+    shifts = range(window.start - reach, window.stop + reach)
+    delta = (RF_ONE - t) * (RF_ONE - t) if rel == "pm" and d == -1 else RF_ZERO
     name = f"{rel}[a+b={d}]"
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
             v = FockVector(m, SymFunc.monomial(la))
-            if rel in ("pp", "mm"):
-                K = plus if rel == "pp" else minus
-                comp: dict[int, FockVector] = {}
-                for x in range(max(-W, d - W), min(W, d + W) + 1):
-                    comp[x] = mode_apply(K, x, mode_apply(K, d - x, v))
-                for a in range(max(-W, d - W), min(W, d + W) + 1):
-                    b = d - a
-                    if b < a:
-                        continue
-                    got = comp[a] + comp[b]
-                    if not got.is_zero():
-                        return CheckResult(
-                            "fermion",
-                            name,
-                            False,
-                            _fermion_witness("fermion", rel, a, b, m, la, got, FockVector.zero(m)),
-                        )
-            else:
-                for a in range(max(-W, d - W), min(W, d + W) + 1):
-                    b = d - a
-                    got = mode_apply(plus, a, mode_apply(minus, b, v)) + mode_apply(
-                        minus, b, mode_apply(plus, a, v)
-                    )
-                    want = v if d == -1 else FockVector.zero(m)
-                    if got != want:
-                        return CheckResult(
-                            "fermion",
-                            name,
-                            False,
-                            _fermion_witness("fermion", rel, a, b, m, la, got, want),
-                        )
-    return CheckResult("fermion", name, True, None)
-
-
-def _run_twisted_fermion(params, opts: SweepOptions) -> CheckResult:
-    """Twisted anticommutators along one antidiagonal a+b = d.
-
-    The t-shifted terms reuse neighbouring compositions on the same
-    diagonal, so each composition is built exactly once per basis vector.
-    """
-    rel, d = params
-    tp, tm = TWISTED_PLUS, TWISTED_MINUS
-    W = opts.max_mode
-    name = f"{rel}[a+b={d}]"
-    lo, hi = max(-W - 1, d - W - 1), min(W + 1, d + W + 1)
-    for m in sorted(opts.charges):
-        for la in partitions_up_to(opts.max_degree):
-            v = FockVector(m, SymFunc.monomial(la))
-            if rel in ("pp", "mm"):
-                K = tp if rel == "pp" else tm
-                comp = {x: mode_apply(K, x, mode_apply(K, d - x, v)) for x in range(lo, hi + 1)}
-                for a in range(max(-W, d - W), min(W, d + W) + 1):
-                    b = d - a
-                    if b < a:
-                        continue
-                    got = (
-                        comp[a]
-                        + comp[a - 1].scaled(-RF_T)
-                        + comp[b]
-                        + comp[b - 1].scaled(-RF_T)
-                    )
-                    if not got.is_zero():
-                        return CheckResult(
-                            "twisted-fermion",
-                            name,
-                            False,
-                            _fermion_witness("twisted-fermion", rel, a, b, m, la, got, FockVector.zero(m)),
-                        )
-            else:
-                comp1 = {x: mode_apply(tp, x, mode_apply(tm, d - x, v)) for x in range(lo, hi + 1)}
-                comp2 = {x: mode_apply(tm, d - x, mode_apply(tp, x, v)) for x in range(lo, hi + 1)}
-                for a in range(max(-W, d - W), min(W, d + W) + 1):
-                    b = d - a
-                    got = (
-                        comp1[a]
-                        + comp1[a + 1].scaled(-RF_T)
-                        + comp2[a]
-                        + comp2[a - 1].scaled(-RF_T)
-                    )
-                    want = v.scaled(RF_ONE_MINUS_T_SQ) if d == -1 else FockVector.zero(m)
-                    if got != want:
-                        return CheckResult(
-                            "twisted-fermion",
-                            name,
-                            False,
-                            _fermion_witness("twisted-fermion", rel, a, b, m, la, got, want),
-                        )
-    return CheckResult("twisted-fermion", name, True, None)
+            X = {x: mode_apply(K1, x, mode_apply(K2, d - x, v)) for x in shifts}
+            Y = X if K1 is K2 else {y: mode_apply(K2, y, mode_apply(K1, d - y, v)) for y in shifts}
+            want = v.scaled(delta)
+            for a, b in pairs:
+                got = X[a] + Y[b]
+                if t:
+                    got = got + (X[a + e] + Y[b + e]).scaled(-t)
+                if got != want:
+                    witness = Verdict(False, m, la, got, want).witness_json()
+                    witness = {"relation": rel, "a": a, "b": b, **witness}
+                    return CheckResult(suite, name, False, witness)
+    return CheckResult(suite, name, True, None)
 
 
 def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
     kind = params[0]
     if kind == "comm":
         _, j, k = params
-        lhs = _me(("heis", j), ("heis", k)) - _me(("heis", k), ("heis", j))
-        rhs = (
-            _me(("id",), coeff=RatFun.from_int(j)) if j == -k else ModeExpression.zero()
+        lhs = ModeExpression.single(("heis", j), ("heis", k)) - ModeExpression.single(
+            ("heis", k), ("heis", j)
         )
+        if j == -k:
+            rhs = ModeExpression.single(("id",), coeff=RatFun.from_int(j))
+        else:
+            rhs = ModeExpression.zero()
         verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
         return CheckResult("heisenberg", f"comm[j={j},k={k}]", verdict.equal, verdict.witness_json())
     _, k = params
@@ -261,22 +178,19 @@ def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
             else:
                 want = v.scaled(Fraction(m))
             if got != want:
-                from .fock import fock_to_json
-
-                return CheckResult(
-                    "heisenberg",
-                    f"action[k={k}]",
-                    False,
-                    {"charge": m, "p": list(la), "lhs": fock_to_json(got), "rhs": fock_to_json(want)},
-                )
+                witness = Verdict(False, m, la, got, want).witness_json()
+                return CheckResult("heisenberg", f"action[k={k}]", False, witness)
     return CheckResult("heisenberg", f"action[k={k}]", True, None)
 
 
 def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
     _, j, k = params
-    lhs = _me(("twisted", j), ("twisted", k)) - _me(("twisted", k), ("twisted", j))
+    lhs = ModeExpression.single(("twisted", j), ("twisted", k)) - ModeExpression.single(
+        ("twisted", k), ("twisted", j)
+    )
     if j == -k:
-        rhs = _me(("id",), coeff=rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j)))
+        coeff = rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j))
+        rhs = ModeExpression.single(("id",), coeff=coeff)
     else:
         rhs = ModeExpression.zero()
     verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
@@ -288,13 +202,15 @@ def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
 def _run_virasoro(params, opts: SweepOptions) -> CheckResult:
     beta, j, k = params
     c_beta = -12 * beta * beta + 12 * beta - 2
-    lhs = _me(("virasoro", beta, j), ("virasoro", beta, k)) - _me(
-        ("virasoro", beta, k), ("virasoro", beta, j)
+    lhs = ModeExpression.single(
+        ("virasoro", beta, j), ("virasoro", beta, k)
+    ) - ModeExpression.single(("virasoro", beta, k), ("virasoro", beta, j))
+    rhs = ModeExpression.single(
+        ("virasoro", beta, j + k), coeff=RatFun.from_fraction(Fraction(j - k))
     )
-    rhs = _me(("virasoro", beta, j + k), coeff=RatFun.from_fraction(Fraction(j - k)))
     if j == -k:
         central = Fraction(j**3 - j) * c_beta / 12
-        rhs = rhs + _me(("id",), coeff=RatFun.from_fraction(central))
+        rhs = rhs + ModeExpression.single(("id",), coeff=RatFun.from_fraction(central))
     verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
     return CheckResult(
         "virasoro", f"beta={beta}[j={j},k={k}]", verdict.equal, verdict.witness_json()
@@ -306,26 +222,27 @@ def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:
     if kind == "conj+" or kind == "conj-":
         deformed = DEFORMED_PLUS if kind == "conj+" else DEFORMED_MINUS
         plain = FERMION_PLUS if kind == "conj+" else FERMION_MINUS
-        lhs = _me(_kernel_atom(deformed, a), ("scale_p", rf_one_minus_t_pow))
-        rhs = _me(("scale_p", rf_one_minus_t_pow), _kernel_atom(plain, a))
+        lhs = ModeExpression.single(("kernel", deformed, a), ("scale_p", rf_one_minus_t_pow))
+        rhs = ModeExpression.single(("scale_p", rf_one_minus_t_pow), ("kernel", plain, a))
         verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
         return CheckResult(
             "kernel-factorization", f"{kind}[a={a}]", verdict.equal, verdict.witness_json()
         )
     if kind == "plus":
         # fermion+[a] = sum_s t^s h_s twisted+[a+s]
-        lhs = _me(_kernel_atom(FERMION_PLUS, a))
+        lhs = ModeExpression.single(("kernel", FERMION_PLUS, a))
         s_max = opts.max_degree - min(opts.charges) - 1 - a
         inner = TWISTED_PLUS
     else:
         # twisted-[a] = sum_s t^s h_s fermion-[a+s]
-        lhs = _me(_kernel_atom(TWISTED_MINUS, a))
+        lhs = ModeExpression.single(("kernel", TWISTED_MINUS, a))
         s_max = opts.max_degree + max(opts.charges) - 1 - a
         inner = FERMION_MINUS
     rhs = ModeExpression.zero()
     ts = RatFun.from_int(1)
     for s in range(0, max(s_max, 0) + 1):
-        rhs = rhs + _me(("mul", complete_h(s)), _kernel_atom(inner, a + s), coeff=ts)
+        term = ModeExpression.single(("mul", complete_h(s)), ("kernel", inner, a + s), coeff=ts)
+        rhs = rhs + term
         ts = ts * RF_T
     verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
     return CheckResult(
@@ -398,8 +315,6 @@ def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
     verdict = crosscheck_corollaries(la)
     witness = None
     if not verdict.equal:
-        from .symfunc import symfunc_to_json
-
         witness = {
             "la": list(la),
             "hl_equal": verdict.hl_equal,
@@ -421,16 +336,9 @@ def _items_commutation(opts: SweepOptions) -> list:
     ]
 
 
-def _items_fermion(opts: SweepOptions) -> list:
+def _items_anticommutators(suite: str, opts: SweepOptions) -> list:
     diagonals = range(-2 * opts.max_mode, 2 * opts.max_mode + 1)
-    return [("fermion", (rel, d), opts) for rel in ("pp", "mm", "pm") for d in diagonals]
-
-
-def _items_twisted_fermion(opts: SweepOptions) -> list:
-    diagonals = range(-2 * opts.max_mode, 2 * opts.max_mode + 1)
-    return [
-        ("twisted-fermion", (rel, d), opts) for rel in ("pp", "mm", "pm") for d in diagonals
-    ]
+    return [(suite, (rel, d), opts) for rel in ("pp", "mm", "pm") for d in diagonals]
 
 
 def _items_heisenberg(opts: SweepOptions) -> list:
@@ -508,8 +416,8 @@ def _items_corollaries(opts: SweepOptions) -> list:
 
 _EXECUTORS: dict[str, Callable] = {
     "commutation": _run_commutation,
-    "fermion": _run_fermion,
-    "twisted-fermion": _run_twisted_fermion,
+    "fermion": partial(_run_anticommutators, "fermion"),
+    "twisted-fermion": partial(_run_anticommutators, "twisted-fermion"),
     "heisenberg": _run_heisenberg,
     "twisted-heisenberg": _run_twisted_heisenberg,
     "virasoro": _run_virasoro,
@@ -521,8 +429,8 @@ _EXECUTORS: dict[str, Callable] = {
 
 _BUILDERS: dict[str, Callable[[SweepOptions], list]] = {
     "commutation": _items_commutation,
-    "fermion": _items_fermion,
-    "twisted-fermion": _items_twisted_fermion,
+    "fermion": partial(_items_anticommutators, "fermion"),
+    "twisted-fermion": partial(_items_anticommutators, "twisted-fermion"),
     "heisenberg": _items_heisenberg,
     "twisted-heisenberg": _items_twisted_heisenberg,
     "virasoro": _items_virasoro,
@@ -555,13 +463,17 @@ def _execute_item(item: Item) -> CheckResult:
 
 
 def thread_count() -> int:
+    """Worker count: SF_THREADS, a positive integer, else available parallelism."""
     raw = os.environ.get("SF_THREADS")
-    if raw is not None:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return os.cpu_count() or 1
+    if raw is None:
+        return os.cpu_count() or 1
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"SF_THREADS must be a positive integer, got {raw!r}")
+    return n
 
 
 def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None = None) -> Iterator[CheckResult]:

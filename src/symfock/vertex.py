@@ -28,6 +28,7 @@ return the monic P_la.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -48,8 +49,6 @@ from .fock import (
 from .partitions import Partition, as_partition
 from .ratfun import RF_ONE, RatFun, TPoly
 from .symfunc import SymFunc
-
-BASIS_KINDS = ("schur", "hall_littlewood", "dual_schur")
 
 _KERNELS: dict[str, VertexKernel] = {
     "schur": FERMION_PLUS,
@@ -205,30 +204,14 @@ def crosscheck_corollaries(la) -> "CorollaryVerdict":
     hl_composed = _extract_coefficient(la, _convolved_pair_series_hl, _convolved_var_modes)
     dual_direct = _extract_coefficient(la, _pair_series_schur, q_coefficient)
     dual_composed = _extract_coefficient(la, _pair_series_schur, _convolved_var_modes)
-    return CorollaryVerdict(
-        hl_equal=hl_direct == hl_composed,
-        dual_equal=dual_direct == dual_composed,
-        hl_lhs=hl_direct,
-        hl_rhs=hl_composed,
-        dual_lhs=dual_direct,
-        dual_rhs=dual_composed,
-    )
+    return CorollaryVerdict(hl_direct == hl_composed, dual_direct == dual_composed)
 
 
+@dataclass(frozen=True)
 class CorollaryVerdict:
-    __slots__ = ("hl_equal", "dual_equal", "hl_lhs", "hl_rhs", "dual_lhs", "dual_rhs")
-
-    def __init__(self, hl_equal, dual_equal, hl_lhs, hl_rhs, dual_lhs, dual_rhs):
-        self.hl_equal = hl_equal
-        self.dual_equal = dual_equal
-        self.hl_lhs = hl_lhs
-        self.hl_rhs = hl_rhs
-        self.dual_lhs = dual_lhs
-        self.dual_rhs = dual_rhs
+    hl_equal: bool
+    dual_equal: bool
 
     @property
     def equal(self) -> bool:
         return self.hl_equal and self.dual_equal
-
-    def __repr__(self) -> str:
-        return f"CorollaryVerdict(hl={self.hl_equal}, dual={self.dual_equal})"

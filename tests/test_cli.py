@@ -68,6 +68,11 @@ def test_expand_usage_errors(capsys):
     assert code == 2
 
 
+def test_expand_rejects_negative_variable_count(capsys):
+    code, out, err = run_cli(capsys, "expand", "h", "3", "--route", "oracle", "-n", "-1")
+    assert code == 2 and "error" in err and out == ""
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit):
         # argparse exits by itself on bad subcommands under parse_args
@@ -101,6 +106,28 @@ def test_verify_corrupt_negative_control(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[-1]["status"] == "fail"
     assert lines[-1]["witness"] is not None
+
+
+def test_verify_twisted_corrupt_negative_control(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "twisted-fermion", "--max-degree", "3", "--max-mode", "2", "--corrupt"
+    )
+    assert code == 1
+    last = json.loads(out.strip().splitlines()[-1])
+    assert last["status"] == "fail"
+    assert list(last["witness"]) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
+
+
+def test_verify_corrupt_rejected_where_it_does_not_apply(capsys):
+    code, out, err = run_cli(capsys, "verify", "corollaries", "--max-degree", "2", "--corrupt")
+    assert code == 2 and "error" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_verify_rejects_malformed_sf_threads(monkeypatch, capsys, value):
+    monkeypatch.setenv("SF_THREADS", value)
+    code, out, err = run_cli(capsys, "verify", "corollaries", "--max-degree", "2")
+    assert code == 2 and "SF_THREADS" in err and out == ""
 
 
 def test_verify_bad_arguments(capsys):
@@ -163,6 +190,11 @@ def test_kp_file_rejects_malformed_coefficient(tmp_path, capsys, coeff):
     path.write_text(json.dumps({"terms": [{"p": [1], "coeff": coeff}]}))
     code, out, err = run_cli(capsys, "kp", "--file", str(path))
     assert code == 2 and "malformed" in err and out == ""
+
+
+def test_kp_search_rejects_negative_degree_bound(capsys):
+    code, out, err = run_cli(capsys, "kp-search", "--degree-bound", "-1")
+    assert code == 2 and "error" in err and out == ""
 
 
 def test_kp_negative_control_file(tmp_path, capsys):

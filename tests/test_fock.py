@@ -117,6 +117,19 @@ def test_modes_match_translation_oracle(kernel):
                 assert got.body == want
 
 
+def test_twisted_kernels_at_t0_are_the_classical_ones():
+    # the premise that lets the fermion suite run as the t = 0 twisted one
+    for twisted, classical in ((TWISTED_PLUS, FERMION_PLUS), (TWISTED_MINUS, FERMION_MINUS)):
+        for la in partitions_up_to(4):
+            for m in (-1, 0, 1):
+                for shift in range(-2, weight(la) + 2):
+                    j = shift - 1 - twisted.eps * m
+                    got = twisted.mode_on_basis(j, m, la)
+                    want = classical.mode_on_basis(j, m, la)
+                    assert got.charge == want.charge
+                    assert got.body.specialize_t(0) == want.body
+
+
 def test_heisenberg_action_examples():
     v = FockVector(2, SymFunc.p(1))
     assert heisenberg_mode(0, v) == v.scaled(2)
@@ -246,9 +259,3 @@ def test_conjugation_by_substitution():
 def test_charge_mismatch_rejected():
     with pytest.raises(ValueError):
         FockVector(0, SymFunc.p(1)) + FockVector(1, SymFunc.p(1))
-
-
-def test_expression_json_roundtrippable_shape():
-    expr = ME.single(K(FERMION_PLUS, -1), ("heis", 2), coeff=RatFun.from_int(3))
-    payload = expr.to_json()
-    assert payload["terms"][0]["ops"][0] == {"op": "kernel", "kernel": "fermion+", "mode": -1}
