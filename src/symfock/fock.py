@@ -41,6 +41,10 @@ this indexing by K_{k+1/2} <-> K[-+k]; the normal ordering below splits
 the fermion+ modes at a <= -1 (applied outermost) versus a >= 0 (applied
 innermost, with a fermionic sign), which is the unique split for which
 every mode sum terminates on each vector.
+
+An identity side is a plain function on Fock vectors, composed from the
+mode actions above; `check_mode_identity` compares two sides on every
+basis vector z^m p_la of a window.
 """
 
 from __future__ import annotations
@@ -52,12 +56,7 @@ from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_up_to
 from .ratfun import RF_ONE, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from .symfunc import (
-    SymFunc,
-    linear_combination,
-    perp_apply,
-    symfunc_to_json,
-)
+from .symfunc import SymFunc, linear_combination, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
 
@@ -130,11 +129,6 @@ class VertexKernel:
 
     def __repr__(self) -> str:
         return f"VertexKernel({self.name})"
-
-    def clear_caches(self) -> None:
-        self._mult = self._mult[:1]
-        self._tables.clear()
-        self._modes.clear()
 
     def mult_coefficient(self, k: int) -> SymFunc:
         """A_k: coefficient of u**-k in exp(sum a_n p_n u**-n / n)."""
@@ -346,98 +340,11 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     return _bilinear_mode(_vir_cache, (beta, k), k, v, w)
 
 
-def clear_mode_caches() -> None:
-    """Drop all memoised mode actions (frees memory between large sweeps)."""
-    _heis_cache.clear()
-    _vir_cache.clear()
-    for kernel in KERNELS.values():
-        kernel.clear_caches()
-
-
 # ---------------------------------------------------------------------------
-# operator expressions and the generic identity checker
+# the generic identity checker
 
-
-@dataclass(frozen=True)
-class ModeTerm:
-    """coeff times a composition of atoms, applied right to left."""
-
-    coeff: RatFun
-    atoms: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class ModeExpression:
-    """A finite sum of composed operator terms.
-
-    Atoms: ("kernel", VertexKernel, j), ("mul", SymFunc), ("perp", SymFunc),
-    ("heis", k), ("twisted", k), ("virasoro", beta, k), ("scale_p", s_fn),
-    ("id",).
-    """
-
-    terms: tuple[ModeTerm, ...]
-
-    @classmethod
-    def single(cls, *atoms, coeff: RatFun = RF_ONE) -> "ModeExpression":
-        return cls((ModeTerm(coeff, tuple(atoms)),))
-
-    @classmethod
-    def zero(cls) -> "ModeExpression":
-        return cls(())
-
-    def __add__(self, other: "ModeExpression") -> "ModeExpression":
-        return ModeExpression(self.terms + other.terms)
-
-    def __sub__(self, other: "ModeExpression") -> "ModeExpression":
-        return self + other.scaled(RF_MINUS_ONE)
-
-    def scaled(self, c: RatFun) -> "ModeExpression":
-        return ModeExpression(tuple(ModeTerm(t.coeff * c, t.atoms) for t in self.terms))
-
-    def apply(self, v: FockVector) -> FockVector:
-        results: dict[int, FockVector] = {}
-        for term in self.terms:
-            cur = v
-            for atom in reversed(term.atoms):
-                cur = _apply_atom(atom, cur)
-                if cur.is_zero():
-                    break
-            if cur.is_zero():
-                continue
-            cur = cur.scaled(term.coeff)
-            if cur.is_zero():
-                continue
-            if cur.charge in results:
-                results[cur.charge] = results[cur.charge] + cur
-            else:
-                results[cur.charge] = cur
-        nonzero = [w for w in results.values() if not w.is_zero()]
-        if not nonzero:
-            return FockVector.zero(v.charge)
-        if len(nonzero) > 1:
-            raise ValueError("expression result mixes charges")
-        return nonzero[0]
-
-
-def _apply_atom(atom: tuple, v: FockVector) -> FockVector:
-    kind = atom[0]
-    if kind == "kernel":
-        return mode_apply(atom[1], atom[2], v)
-    if kind == "mul":
-        return FockVector(v.charge, atom[1] * v.body)
-    if kind == "perp":
-        return FockVector(v.charge, perp_apply(atom[1], v.body))
-    if kind == "heis":
-        return heisenberg_mode(atom[1], v)
-    if kind == "twisted":
-        return twisted_heisenberg_mode(atom[1], v)
-    if kind == "virasoro":
-        return virasoro_mode(atom[1], atom[2], v)
-    if kind == "scale_p":
-        return FockVector(v.charge, v.body.scale_p(atom[1]))
-    if kind == "id":
-        return v
-    raise ValueError(f"unknown atom {atom!r}")
+# one side of an identity: a linear operator given by its action on vectors
+Operator = Callable[[FockVector], FockVector]
 
 
 @dataclass(frozen=True)
@@ -460,8 +367,8 @@ class Verdict:
 
 
 def check_mode_identity(
-    lhs: ModeExpression,
-    rhs: ModeExpression,
+    lhs: Operator,
+    rhs: Operator,
     max_degree: int,
     charges: Iterable[int],
 ) -> Verdict:
@@ -473,8 +380,8 @@ def check_mode_identity(
     for m in sorted(charges):
         for la in partitions_up_to(max_degree):
             v = FockVector(m, SymFunc.monomial(la))
-            left = lhs.apply(v)
-            right = rhs.apply(v)
+            left = lhs(v)
+            right = rhs(v)
             if left != right:
                 return Verdict(False, m, la, left, right)
     return Verdict(True)

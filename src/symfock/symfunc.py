@@ -100,9 +100,6 @@ class SymFunc:
         """Top p-degree; -1 for the zero element."""
         return max((weight(la) for la in self.terms), default=-1)
 
-    def coefficient(self, la) -> RatFun:
-        return self.terms.get(as_partition(la), RF_ZERO)
-
     def __add__(self, other: "SymFunc") -> "SymFunc":
         if not self.terms:
             return other

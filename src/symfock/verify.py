@@ -6,6 +6,14 @@ over the requested window of basis vectors and reports ok/fail with a
 JSON witness on failure.  Items are self-contained and picklable, so
 sweeps parallelise over processes; results are always reduced in the
 fixed submission order, making output independent of worker count.
+`run_suite` validates the sweep before any item runs, so an empty or
+negative window is an error, never a vacuous "ok".
+
+Every mode identity outside the anticommutator suites (commutation,
+heisenberg, twisted-heisenberg, virasoro, kernel-factorization) states
+its two sides as plain functions on Fock vectors and goes through
+`check_mode_identity`; the Heisenberg and Virasoro brackets share one
+commutator, [op(j), op(k)].
 
 The classical fermion suite is the t = 0 case of the twisted one: at
 t = 0 the twisted kernels are the classical ones, and both suites check,
@@ -44,16 +52,18 @@ from .fock import (
     DEFORMED_MINUS,
     DEFORMED_PLUS,
     FockVector,
-    ModeExpression,
+    Operator,
     Verdict,
     check_mode_identity,
     corrupted_kernel,
     heisenberg_mode,
     mode_apply,
+    twisted_heisenberg_mode,
+    virasoro_mode,
 )
 from .partitions import partitions_up_to, weight
-from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from .symfunc import SymFunc, scalar_product
+from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
 # (plus, minus, t) of the anticommutator suites, the only ones --corrupt applies to
@@ -90,29 +100,38 @@ Item = tuple  # (suite, params, opts)
 # item executors, one per suite
 
 
+def _check(suite: str, name: str, lhs: Operator, rhs: Operator, opts: SweepOptions) -> CheckResult:
+    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
+    return CheckResult(suite, name, verdict.equal, verdict.witness_json())
+
+
+def _bracket(op: Callable[[int, FockVector], FockVector], j: int, k: int) -> Operator:
+    """[op(j), op(k)] as a function on Fock vectors."""
+    return lambda v: op(j, op(k, v)) - op(k, op(j, v))
+
+
 def _run_commutation(params, opts: SweepOptions) -> CheckResult:
+    """low_a^perp up_b against up_b low_a^perp, with the lower pair (a-1, b-1)
+    on the left for ee/hh and on the right for he/eh."""
     rel, a, b = params
     h, e = complete_h, elementary_e
-    pairs = {
-        "ee": (e, e),
-        "hh": (h, h),
-        "he": (h, e),
-        "eh": (e, h),
-    }
-    low, up = pairs[rel]
-    lhs = ModeExpression.single(("perp", low(a)), ("mul", up(b)))
-    if rel in ("ee", "hh"):
-        if a >= 1 and b >= 1:
-            lhs = lhs - ModeExpression.single(("perp", low(a - 1)), ("mul", up(b - 1)))
-        rhs = ModeExpression.single(("mul", up(b)), ("perp", low(a)))
-    else:
-        rhs = ModeExpression.single(("mul", up(b)), ("perp", low(a)))
-        if a >= 1 and b >= 1:
-            rhs = rhs + ModeExpression.single(("mul", up(b - 1)), ("perp", low(a - 1)))
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, (0,))
-    return CheckResult(
-        "commutation", f"{rel}[a={a},b={b}]", verdict.equal, verdict.witness_json()
-    )
+    low, up = {"ee": (e, e), "hh": (h, h), "he": (h, e), "eh": (e, h)}[rel]
+    d, u, d1, u1 = low(a), up(b), low(a - 1), up(b - 1)
+    lower = a >= 1 and b >= 1
+
+    def lhs(v: FockVector) -> FockVector:
+        body = perp_apply(d, u * v.body)
+        if lower and rel in ("ee", "hh"):
+            body = body - perp_apply(d1, u1 * v.body)
+        return FockVector(v.charge, body)
+
+    def rhs(v: FockVector) -> FockVector:
+        body = u * perp_apply(d, v.body)
+        if lower and rel in ("he", "eh"):
+            body = body + u1 * perp_apply(d1, v.body)
+        return FockVector(v.charge, body)
+
+    return _check("commutation", f"{rel}[a={a},b={b}]", lhs, rhs, opts)
 
 
 def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
@@ -153,101 +172,75 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
 
 
 def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
-    kind = params[0]
-    if kind == "comm":
+    if params[0] == "comm":
         _, j, k = params
-        lhs = ModeExpression.single(("heis", j), ("heis", k)) - ModeExpression.single(
-            ("heis", k), ("heis", j)
-        )
-        if j == -k:
-            rhs = ModeExpression.single(("id",), coeff=RatFun.from_int(j))
-        else:
-            rhs = ModeExpression.zero()
-        verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-        return CheckResult("heisenberg", f"comm[j={j},k={k}]", verdict.equal, verdict.witness_json())
+        c = j if j == -k else 0
+        lhs = _bracket(heisenberg_mode, j, k)
+        return _check("heisenberg", f"comm[j={j},k={k}]", lhs, lambda v: v.scaled(c), opts)
     _, k = params
     # action: alpha_{-n} multiplies by p_n, alpha_n derives, alpha_0 reads charge
-    for m in sorted(opts.charges):
-        for la in partitions_up_to(opts.max_degree):
-            v = FockVector(m, SymFunc.monomial(la))
-            got = heisenberg_mode(k, v)
-            if k < 0:
-                want = FockVector(m, v.body.times_p(-k))
-            elif k > 0:
-                want = FockVector(m, v.body.diff_p(k).scaled(Fraction(k)))
-            else:
-                want = v.scaled(Fraction(m))
-            if got != want:
-                witness = Verdict(False, m, la, got, want).witness_json()
-                return CheckResult("heisenberg", f"action[k={k}]", False, witness)
-    return CheckResult("heisenberg", f"action[k={k}]", True, None)
+    if k < 0:
+        want = lambda v: FockVector(v.charge, v.body.times_p(-k))
+    elif k > 0:
+        want = lambda v: FockVector(v.charge, v.body.diff_p(k).scaled(Fraction(k)))
+    else:
+        want = lambda v: v.scaled(Fraction(v.charge))
+    return _check("heisenberg", f"action[k={k}]", lambda v: heisenberg_mode(k, v), want, opts)
 
 
 def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
     _, j, k = params
-    lhs = ModeExpression.single(("twisted", j), ("twisted", k)) - ModeExpression.single(
-        ("twisted", k), ("twisted", j)
-    )
-    if j == -k:
-        coeff = rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j))
-        rhs = ModeExpression.single(("id",), coeff=coeff)
-    else:
-        rhs = ModeExpression.zero()
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-    return CheckResult(
-        "twisted-heisenberg", f"comm[j={j},k={k}]", verdict.equal, verdict.witness_json()
-    )
+    c = rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j)) if j == -k else RF_ZERO
+    lhs = _bracket(twisted_heisenberg_mode, j, k)
+    return _check("twisted-heisenberg", f"comm[j={j},k={k}]", lhs, lambda v: v.scaled(c), opts)
 
 
 def _run_virasoro(params, opts: SweepOptions) -> CheckResult:
     beta, j, k = params
     c_beta = -12 * beta * beta + 12 * beta - 2
-    lhs = ModeExpression.single(
-        ("virasoro", beta, j), ("virasoro", beta, k)
-    ) - ModeExpression.single(("virasoro", beta, k), ("virasoro", beta, j))
-    rhs = ModeExpression.single(
-        ("virasoro", beta, j + k), coeff=RatFun.from_fraction(Fraction(j - k))
-    )
-    if j == -k:
-        central = Fraction(j**3 - j) * c_beta / 12
-        rhs = rhs + ModeExpression.single(("id",), coeff=RatFun.from_fraction(central))
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-    return CheckResult(
-        "virasoro", f"beta={beta}[j={j},k={k}]", verdict.equal, verdict.witness_json()
-    )
+    central = Fraction(j**3 - j) * c_beta / 12 if j == -k else 0
+    L = partial(virasoro_mode, beta)
+
+    def rhs(v: FockVector) -> FockVector:
+        return L(j + k, v).scaled(Fraction(j - k)) + v.scaled(central)
+
+    return _check("virasoro", f"beta={beta}[j={j},k={k}]", _bracket(L, j, k), rhs, opts)
 
 
 def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:
     kind, a = params
+    name = f"{kind}[a={a}]"
     if kind == "conj+" or kind == "conj-":
         deformed = DEFORMED_PLUS if kind == "conj+" else DEFORMED_MINUS
         plain = FERMION_PLUS if kind == "conj+" else FERMION_MINUS
-        lhs = ModeExpression.single(("kernel", deformed, a), ("scale_p", rf_one_minus_t_pow))
-        rhs = ModeExpression.single(("scale_p", rf_one_minus_t_pow), ("kernel", plain, a))
-        verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-        return CheckResult(
-            "kernel-factorization", f"{kind}[a={a}]", verdict.equal, verdict.witness_json()
-        )
+
+        def subst(v: FockVector) -> FockVector:
+            return FockVector(v.charge, v.body.scale_p(rf_one_minus_t_pow))
+
+        lhs = lambda v: mode_apply(deformed, a, subst(v))
+        rhs = lambda v: subst(mode_apply(plain, a, v))
+        return _check("kernel-factorization", name, lhs, rhs, opts)
     if kind == "plus":
         # fermion+[a] = sum_s t^s h_s twisted+[a+s]
-        lhs = ModeExpression.single(("kernel", FERMION_PLUS, a))
+        outer, inner = FERMION_PLUS, TWISTED_PLUS
         s_max = opts.max_degree - min(opts.charges) - 1 - a
-        inner = TWISTED_PLUS
     else:
         # twisted-[a] = sum_s t^s h_s fermion-[a+s]
-        lhs = ModeExpression.single(("kernel", TWISTED_MINUS, a))
+        outer, inner = TWISTED_MINUS, FERMION_MINUS
         s_max = opts.max_degree + max(opts.charges) - 1 - a
-        inner = FERMION_MINUS
-    rhs = ModeExpression.zero()
-    ts = RatFun.from_int(1)
-    for s in range(0, max(s_max, 0) + 1):
-        term = ModeExpression.single(("mul", complete_h(s)), ("kernel", inner, a + s), coeff=ts)
-        rhs = rhs + term
-        ts = ts * RF_T
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-    return CheckResult(
-        "kernel-factorization", f"{kind}[a={a}]", verdict.equal, verdict.witness_json()
-    )
+    t_powers = [RF_ONE]
+    for _ in range(max(s_max, 0)):
+        t_powers.append(t_powers[-1] * RF_T)
+
+    def factored(v: FockVector) -> FockVector:
+        pieces = []
+        for s, ts in enumerate(t_powers):
+            w = mode_apply(inner, a + s, v)
+            if not w.is_zero():
+                pieces.append((ts, complete_h(s) * w.body))
+        return FockVector(v.charge + inner.eps, linear_combination(pieces))
+
+    return _check("kernel-factorization", name, lambda v: mode_apply(outer, a, v), factored, opts)
 
 
 def _run_duality(params, opts: SweepOptions) -> CheckResult:
@@ -257,8 +250,6 @@ def _run_duality(params, opts: SweepOptions) -> CheckResult:
     ok = value == want
     witness = None
     if not ok:
-        from .ratfun import rat_to_json
-
         witness = {"la": list(la), "mu": list(mu), "value": rat_to_json(value)}
     return CheckResult("duality", f"<S{list(la)},s{list(mu)}>_t", ok, witness)
 
@@ -266,7 +257,6 @@ def _run_duality(params, opts: SweepOptions) -> CheckResult:
 def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
     kind, la = params
     name = f"{kind}{list(la)}"
-    from .symfunc import symfunc_to_json
 
     def fail(detail: dict) -> CheckResult:
         return CheckResult("bases-agreement", name, False, detail)
@@ -328,90 +318,59 @@ def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
 
 
 def _items_commutation(opts: SweepOptions) -> list:
-    return [
-        ("commutation", (rel, a, b), opts)
-        for rel in ("ee", "hh", "he", "eh")
-        for a in range(0, opts.max_mode + 1)
-        for b in range(0, opts.max_mode + 1)
-    ]
+    window = range(0, opts.max_mode + 1)
+    return [(rel, a, b) for rel in ("ee", "hh", "he", "eh") for a in window for b in window]
 
 
-def _items_anticommutators(suite: str, opts: SweepOptions) -> list:
+def _items_anticommutators(opts: SweepOptions) -> list:
     diagonals = range(-2 * opts.max_mode, 2 * opts.max_mode + 1)
-    return [(suite, (rel, d), opts) for rel in ("pp", "mm", "pm") for d in diagonals]
+    return [(rel, d) for rel in ("pp", "mm", "pm") for d in diagonals]
 
 
 def _items_heisenberg(opts: SweepOptions) -> list:
     window = range(-opts.max_mode, opts.max_mode + 1)
-    items = [
-        ("heisenberg", ("comm", j, k), opts)
-        for j in window
-        for k in window
-        if j <= k
-    ]
-    items += [("heisenberg", ("action", k), opts) for k in window]
-    return items
+    return [("comm", j, k) for j in window for k in window if j <= k] + [("action", k) for k in window]
 
 
 def _items_twisted_heisenberg(opts: SweepOptions) -> list:
     window = [j for j in range(-opts.max_mode, opts.max_mode + 1) if j != 0]
-    return [
-        ("twisted-heisenberg", ("comm", j, k), opts)
-        for j in window
-        for k in window
-        if j <= k
-    ]
+    return [("comm", j, k) for j in window for k in window if j <= k]
 
 
 def _items_virasoro(opts: SweepOptions) -> list:
     window = range(-opts.max_mode, opts.max_mode + 1)
-    return [
-        ("virasoro", (beta, j, k), opts)
-        for beta in opts.betas
-        for j in window
-        for k in window
-        if j <= k
-    ]
+    return [(beta, j, k) for beta in opts.betas for j in window for k in window if j <= k]
 
 
 def _items_kernel_factorization(opts: SweepOptions) -> list:
     window = range(-opts.max_mode, opts.max_mode + 1)
-    items = [("kernel-factorization", (kind, a), opts) for kind in ("plus", "minus") for a in window]
-    items += [("kernel-factorization", (kind, a), opts) for kind in ("conj+", "conj-") for a in window]
-    return items
+    return [(kind, a) for kind in ("plus", "minus", "conj+", "conj-") for a in window]
 
 
 def _items_duality(opts: SweepOptions) -> list:
     items = []
     for w in range(0, opts.max_degree + 1):
         las = [la for la in partitions_up_to(opts.max_degree) if weight(la) == w]
-        for la in las:
-            for mu in las:
-                items.append(("duality", (la, mu), opts))
+        items += [(la, mu) for la in las for mu in las]
     return items
 
 
 def _items_bases_agreement(opts: SweepOptions) -> list:
     d = opts.max_degree
-    items = []
-    for la in partitions_up_to(d):
-        items.append(("bases-agreement", ("schur-routes", la), opts))
-    for la in partitions_up_to(min(d, 6)):
-        if la:
-            items.append(("bases-agreement", ("schur-oracle", la), opts))
+    items = [("schur-routes", la) for la in partitions_up_to(d)]
+    items += [("schur-oracle", la) for la in partitions_up_to(min(d, 6)) if la]
     for la in partitions_up_to(min(d, 5)):
-        items.append(("bases-agreement", ("hl-routes", la), opts))
+        items.append(("hl-routes", la))
         if la:
-            items.append(("bases-agreement", ("hl-oracle", la), opts))
-        items.append(("bases-agreement", ("hl-t0", la), opts))
+            items.append(("hl-oracle", la))
+        items.append(("hl-t0", la))
     for la in partitions_up_to(min(d, 6)):
-        items.append(("bases-agreement", ("dual-routes", la), opts))
-        items.append(("bases-agreement", ("dual-t0", la), opts))
+        items += [("dual-routes", la), ("dual-t0", la)]
     return items
 
 
 def _items_corollaries(opts: SweepOptions) -> list:
-    return [("corollaries", (la,), opts) for la in partitions_up_to(opts.max_degree)]
+    return [(la,) for la in partitions_up_to(opts.max_degree)]
 
 
 _EXECUTORS: dict[str, Callable] = {
@@ -427,10 +386,11 @@ _EXECUTORS: dict[str, Callable] = {
     "corollaries": _run_corollaries,
 }
 
+# each builder lists the bare params of its suite's items
 _BUILDERS: dict[str, Callable[[SweepOptions], list]] = {
     "commutation": _items_commutation,
-    "fermion": partial(_items_anticommutators, "fermion"),
-    "twisted-fermion": partial(_items_anticommutators, "twisted-fermion"),
+    "fermion": _items_anticommutators,
+    "twisted-fermion": _items_anticommutators,
     "heisenberg": _items_heisenberg,
     "twisted-heisenberg": _items_twisted_heisenberg,
     "virasoro": _items_virasoro,
@@ -477,17 +437,34 @@ def thread_count() -> int:
 
 
 def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None = None) -> Iterator[CheckResult]:
-    """Yield results for one suite in deterministic order."""
+    """Results for one suite, in deterministic order.
+
+    The sweep is validated before any item runs: a negative window, a window
+    that yields no items, no charges for a suite that evaluates on charged
+    vectors, and `corrupt` outside the anticommutator suites all raise
+    ValueError, as does a malformed SF_THREADS.
+    """
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}")
     if opts is None:
         opts = DEFAULT_OPTIONS[suite]
-    items = _BUILDERS[suite](opts)
+    if opts.max_degree < 0 or opts.max_mode < 0:
+        raise ValueError("max_degree and max_mode must be nonnegative")
+    if not opts.charges and DEFAULT_OPTIONS[suite].charges:
+        raise ValueError(f"suite {suite!r} needs at least one charge")
+    if opts.corrupt and suite not in ANTICOMMUTATOR_KERNELS:
+        raise ValueError(f"corrupt applies only to {', '.join(ANTICOMMUTATOR_KERNELS)}")
+    items = [(suite, params, opts) for params in _BUILDERS[suite](opts)]
+    if not items:
+        raise ValueError(f"the window of suite {suite!r} yields no identities to verify")
     if threads is None:
         threads = thread_count()
+    return _results(items, threads)
+
+
+def _results(items: list[Item], threads: int) -> Iterator[CheckResult]:
     if threads <= 1 or len(items) < 4:
-        for item in items:
-            yield _execute_item(item)
+        yield from map(_execute_item, items)
         return
     import multiprocessing as mp
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from symfock import verify
 from symfock.bases import schur
 from symfock.cli import main
 from symfock.symfunc import symfunc_from_json, symfunc_to_json
@@ -147,6 +148,19 @@ def test_verify_rejects_empty_window(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and "error" in err and out == ""
     assert "verified" not in err
+
+
+@pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
+def test_internal_error_exits_3(monkeypatch, capsys, error):
+    # an exception while an item runs is a fault of the program, not of the input
+    def broken(params, opts):
+        raise error("injected")
+
+    monkeypatch.setenv("SF_THREADS", "1")
+    monkeypatch.setitem(verify._EXECUTORS, "corollaries", broken)
+    code, out, err = run_cli(capsys, "verify", "corollaries", "--max-degree", "2")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "injected" in err and err.count("\n") == 1
 
 
 def test_kp_schur_and_dualschur(capsys):

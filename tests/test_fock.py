@@ -14,7 +14,6 @@ from symfock.fock import (
     TWISTED_PLUS,
     KERNELS,
     FockVector,
-    ModeExpression,
     check_mode_identity,
     corrupted_kernel,
     heisenberg_mode,
@@ -24,15 +23,15 @@ from symfock.fock import (
 )
 from symfock.partitions import partitions_up_to, weight
 from symfock.ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from symfock.symfunc import SymFunc, linear_combination
+from symfock.symfunc import SymFunc, linear_combination, perp_apply
 
-ME = ModeExpression
 RF_T = RatFun(TPoly.from_coeffs([0, 1]))
 vac = FockVector.vacuum
 
 
-def K(kernel, j):
-    return ("kernel", kernel, j)
+def KK(k1, x, k2, y, v):
+    """k1[x] k2[y] v"""
+    return mode_apply(k1, x, mode_apply(k2, y, v))
 
 
 def test_mode_apply_vacuum_examples():
@@ -185,40 +184,44 @@ def test_central_charge_at_beta_zero():
 
 
 def test_fermion_anticommutators_window():
+    P, M = FERMION_PLUS, FERMION_MINUS
     for a in range(-2, 3):
         for b in range(-2, 3):
-            lhs = ME.single(K(FERMION_PLUS, a), K(FERMION_MINUS, b)) + ME.single(
-                K(FERMION_MINUS, b), K(FERMION_PLUS, a)
-            )
-            rhs = ME.single(("id",)) if a + b == -1 else ME.zero()
-            assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
+            lhs = lambda v: KK(P, a, M, b, v) + KK(M, b, P, a, v)
+            c = 1 if a + b == -1 else 0
+            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)).equal
 
 
 def test_twisted_anticommutators_window():
     one_minus_t_sq = rf_one_minus_t_pow(1) * rf_one_minus_t_pow(1)
+    P, M = TWISTED_PLUS, TWISTED_MINUS
     for a in range(-2, 2):
         for b in range(-2, 2):
-            lhs = (
-                ME.single(K(TWISTED_PLUS, a), K(TWISTED_MINUS, b))
-                + ME.single(K(TWISTED_PLUS, a + 1), K(TWISTED_MINUS, b - 1), coeff=-RF_T)
-                + ME.single(K(TWISTED_MINUS, b), K(TWISTED_PLUS, a))
-                + ME.single(K(TWISTED_MINUS, b + 1), K(TWISTED_PLUS, a - 1), coeff=-RF_T)
-            )
-            rhs = ME.single(("id",), coeff=one_minus_t_sq) if a + b == -1 else ME.zero()
-            assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
+            def lhs(v):
+                return (
+                    KK(P, a, M, b, v)
+                    + KK(P, a + 1, M, b - 1, v).scaled(-RF_T)
+                    + KK(M, b, P, a, v)
+                    + KK(M, b + 1, P, a - 1, v).scaled(-RF_T)
+                )
+
+            c = one_minus_t_sq if a + b == -1 else 0
+            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)).equal
 
 
 def test_commutation_relation_sample():
     e = elementary_e
-    lhs = ME.single(("perp", e(1)), ("mul", e(1))) - ME.single(("perp", e(0)), ("mul", e(0)))
-    rhs = ME.single(("mul", e(1)), ("perp", e(1)))
+    lhs = lambda v: FockVector(
+        v.charge, perp_apply(e(1), e(1) * v.body) - perp_apply(e(0), e(0) * v.body)
+    )
+    rhs = lambda v: FockVector(v.charge, e(1) * perp_apply(e(1), v.body))
     assert check_mode_identity(lhs, rhs, 4, (0,)).equal
 
 
 def test_check_mode_identity_trivial_and_negative():
-    lhs = ME.single(("heis", -1))
+    lhs = lambda v: heisenberg_mode(-1, v)
     assert check_mode_identity(lhs, lhs, 3, (-1, 0, 1)).equal
-    rhs = lhs.scaled(RatFun.from_int(-1))
+    rhs = lambda v: lhs(v).scaled(RatFun.from_int(-1))
     verdict = check_mode_identity(lhs, rhs, 3, (0,))
     assert not verdict.equal
     w = verdict.witness_json()
@@ -227,33 +230,35 @@ def test_check_mode_identity_trivial_and_negative():
 
 def test_corrupted_kernel_breaks_relations():
     bad = corrupted_kernel(FERMION_PLUS)
-    lhs = ME.single(K(bad, 0), K(FERMION_MINUS, -1)) + ME.single(
-        K(FERMION_MINUS, -1), K(bad, 0)
-    )
-    verdict = check_mode_identity(lhs, ME.single(("id",)), 3, (0,))
+    lhs = lambda v: KK(bad, 0, FERMION_MINUS, -1, v) + KK(FERMION_MINUS, -1, bad, 0, v)
+    verdict = check_mode_identity(lhs, lambda v: v, 3, (0,))
     assert not verdict.equal
 
 
 def test_kernel_factorization_sample():
     # fermion+[a] = sum_s t^s h_s twisted+[a+s] on low degrees
     for a in (-2, -1, 0, 1):
-        lhs = ME.single(K(FERMION_PLUS, a))
-        rhs = ME.zero()
-        ts = RatFun.from_int(1)
-        for s in range(0, 8):
-            rhs = rhs + ME.single(("mul", complete_h(s)), K(TWISTED_PLUS, a + s), coeff=ts)
-            ts = ts * RF_T
+        def rhs(v):
+            out, ts = FockVector.zero(v.charge + 1), RatFun.from_int(1)
+            for s in range(0, 8):
+                w = mode_apply(TWISTED_PLUS, a + s, v)
+                out = out + FockVector(w.charge, complete_h(s) * w.body).scaled(ts)
+                ts = ts * RF_T
+            return out
+
+        lhs = lambda v: mode_apply(FERMION_PLUS, a, v)
         assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
 
 
 def test_conjugation_by_substitution():
+    def subst(v):
+        return FockVector(v.charge, v.body.scale_p(rf_one_minus_t_pow))
+
     for a in (-2, -1, 0, 1, 2):
-        lhs = ME.single(K(DEFORMED_PLUS, a), ("scale_p", rf_one_minus_t_pow))
-        rhs = ME.single(("scale_p", rf_one_minus_t_pow), K(FERMION_PLUS, a))
-        assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
-        lhs = ME.single(K(DEFORMED_MINUS, a), ("scale_p", rf_one_minus_t_pow))
-        rhs = ME.single(("scale_p", rf_one_minus_t_pow), K(FERMION_MINUS, a))
-        assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
+        for deformed, plain in ((DEFORMED_PLUS, FERMION_PLUS), (DEFORMED_MINUS, FERMION_MINUS)):
+            lhs = lambda v: mode_apply(deformed, a, subst(v))
+            rhs = lambda v: subst(mode_apply(plain, a, v))
+            assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
 
 
 def test_charge_mismatch_rejected():

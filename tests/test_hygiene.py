@@ -1,4 +1,5 @@
-"""Source hygiene without a linter: every imported name is used."""
+"""Source hygiene without a linter: every imported name is used, and every
+function, class and method is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,18 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symfock"
+TESTS = Path(__file__).resolve().parent
+
+
+def _exported(tree: ast.AST) -> set[str]:
+    """Names listed in __all__."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names.update(ast.literal_eval(node.value))
+    return names
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -18,13 +31,8 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported[bound] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        # names re-exported through __all__ count as used
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            used.update(ast.literal_eval(node.value))
+    # names re-exported through __all__ count as used
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
@@ -36,3 +44,47 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     source = "from typing import Iterable, Iterator\nimport os\n\ndef f(x: Iterator) -> None:\n    pass\n"
     assert _unused_imports(source) == ["Iterable (line 1)", "os (line 2)"]
+
+
+def _dead_definitions(sources: dict[str, str], referencing: list[str]) -> list[str]:
+    """Top-level functions and classes, and their methods, of the modules in
+    sources whose name is never read as a name or an attribute in any of the
+    referencing sources; dunders are exempt and __all__ entries count."""
+    refs: set[str] = set()
+    for source in referencing:
+        tree = ast.parse(source)
+        refs |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    dead = []
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, kinds):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name) for m in node.body if isinstance(m, kinds)]
+            for qualname, name in defs:
+                dunder = name.startswith("__") and name.endswith("__")
+                if not dunder and name not in refs:
+                    dead.append(f"{module}.{qualname}")
+    return sorted(dead)
+
+
+def test_no_dead_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    tests = [path.read_text() for path in sorted(TESTS.glob("*.py"))]
+    assert _dead_definitions(sources, [*sources.values(), *tests]) == []
+
+
+def test_dead_definition_is_reported():
+    source = (
+        "class A:\n    def __init__(self):\n        pass\n\n    def used(self):\n        pass\n\n"
+        "    def unused(self):\n        pass\n\n\ndef helper():\n    return A().used()\n\n\n"
+        "def exported():\n    pass\n\n\n__all__ = ['exported']\n"
+    )
+    assert _dead_definitions({"m": source}, [source]) == ["m.A.unused", "m.helper"]

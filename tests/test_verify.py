@@ -1,0 +1,73 @@
+"""Sweep validation and negative controls of the mode-identity suites."""
+
+from fractions import Fraction
+
+import pytest
+
+from symfock import fock, verify
+from symfock.bases import complete_h, elementary_e
+from symfock.verify import SweepOptions, _execute_item, run_suite
+
+
+@pytest.mark.parametrize(
+    "suite, opts",
+    [
+        ("virasoro", SweepOptions(2, 1, corrupt=True)),
+        ("fermion", SweepOptions(max_degree=-3, max_mode=2)),
+        ("virasoro", SweepOptions(2, 1, charges=())),
+        ("twisted-heisenberg", SweepOptions(2, 0)),  # no nonzero mode pair
+    ],
+)
+def test_run_suite_rejects_vacuous_sweeps(suite, opts):
+    # raised by the call itself, before any item runs
+    with pytest.raises(ValueError):
+        run_suite(suite, opts, threads=1)
+
+
+def _doubled_at(op, at):
+    """op(k, ...) with its value at k = at doubled."""
+    return lambda k, *rest: op(k, *rest).scaled(2) if k == at else op(k, *rest)
+
+
+# each control swaps one operator that symfock.verify reads for a wrong one
+NEGATIVE_CONTROLS = [
+    pytest.param("commutation", ("ee", 1, 1), "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
+    pytest.param(
+        "heisenberg", ("comm", -1, 1), "heisenberg_mode", _doubled_at(fock.heisenberg_mode, 1), id="heisenberg-comm"
+    ),
+    pytest.param(
+        "heisenberg", ("action", 1), "heisenberg_mode", _doubled_at(fock.heisenberg_mode, 1), id="heisenberg-action"
+    ),
+    # the untwisted modes, missing the 1/(1 - t**k) of the positive ones
+    pytest.param(
+        "twisted-heisenberg", ("comm", -1, 1), "twisted_heisenberg_mode", fock.heisenberg_mode, id="twisted-heisenberg"
+    ),
+    # the bilinear weight (1-beta) b - beta a off by one: L_k + alpha_k
+    pytest.param(
+        "virasoro",
+        (Fraction(1, 2), -1, 1),
+        "virasoro_mode",
+        lambda beta, k, v: fock.virasoro_mode(beta, k, v) + fock.heisenberg_mode(k, v),
+        id="virasoro",
+    ),
+    pytest.param(
+        "kernel-factorization", ("plus", 0), "complete_h", _doubled_at(complete_h, 1), id="kernel-factorization-plus"
+    ),
+    pytest.param(
+        "kernel-factorization",
+        ("conj+", 0),
+        "DEFORMED_PLUS",
+        fock.corrupted_kernel(fock.DEFORMED_PLUS),
+        id="kernel-factorization-conj",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, params, name, wrong", NEGATIVE_CONTROLS)
+def test_mode_identity_suites_can_fail(monkeypatch, suite, params, name, wrong):
+    item = (suite, params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
+    assert _execute_item(item).ok
+    monkeypatch.setattr(verify, name, wrong)
+    result = _execute_item(item)
+    assert not result.ok
+    assert list(result.witness) == ["charge", "p", "lhs", "rhs"]
