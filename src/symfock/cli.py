@@ -10,9 +10,12 @@ that is negative or yields no identities is a usage error, never
 `commutation` included, evaluates on the charges given by `--charges`.
 `verify --corrupt` swaps in a corrupted plus kernel as a negative
 control; only the anticommutator suites `fermion` and `twisted-fermion`
-accept it, and any other suite exits 2.  SF_THREADS caps the worker pool
-used by `verify` (default: available parallelism); it must be a positive
-integer, otherwise `verify` exits 2.
+accept it, and any other suite exits 2.  Likewise an option the suite
+never reads exits 2 rather than being ignored: `--max-mode` and
+`--charges` on `duality`, `bases-agreement` and `corollaries`, and
+`--beta` on every suite but `virasoro` (`verify.SUITE_FIELDS`).
+SF_THREADS caps the worker pool used by `verify` (default: available
+parallelism); it must be a positive integer, otherwise `verify` exits 2.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .bases import (
 from .kp import omega_apply, search_negative_control, tensor_to_json
 from .partitions import as_partition
 from .symfunc import symfunc_from_json, symfunc_to_json
-from .verify import DEFAULT_OPTIONS, SUITE_NAMES, SweepOptions, run_suite
+from .verify import DEFAULT_OPTIONS, SUITE_FIELDS, SUITE_NAMES, SweepOptions, run_suite
 from .vertex import basis_via_vertex, generating_coefficient_direct
 
 ROW_BASES = ("h", "e", "q")
@@ -144,6 +147,14 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
+    given = (
+        ("--max-mode", "max_mode", args.max_mode),
+        ("--charges", "charges", args.charges),
+        ("--beta", "betas", args.beta),
+    )
+    unread = [flag for flag, name, value in given if value is not None and name not in SUITE_FIELDS[suite]]
+    if unread:
+        raise UsageError(f"suite {suite!r} does not read {', '.join(unread)}")
     base = DEFAULT_OPTIONS[suite]
     opts = SweepOptions(
         max_degree=args.max_degree if args.max_degree is not None else base.max_degree,

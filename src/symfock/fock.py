@@ -26,6 +26,11 @@ k_v of the m_v parts equal to v taken into S, the term is
 prod_v binom(m_v, k_v) c_v**k_v times p_{la minus S}.  Each kernel keeps
 that table once per la, and memoises mode actions under the key
 (shift, la) with shift = j + eps*m + 1, the only way j and m enter.
+The coefficients of one table share one denominator: with c_v = n_v/d_v
+they are written over D_la = prod_v d_v**m_v, so every piece of a mode
+body has the same denominator and the body's coefficients keep it (for
+the deformed kernels D_la = prod_v (1-t^v)**m_v, of degree |la|; for the
+others D_la = 1).
 
 Kernel instances:
 
@@ -146,24 +151,33 @@ class VertexKernel:
         """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
 
         Taking k_v of the m_v parts equal to v contributes
-        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.
+        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.  With
+        c_v = n_v/d_v every coefficient is written over the one denominator
+        D_la = prod_v d_v**m_v, as c_v**k_v = n_v**k_v d_v**(m_v-k_v) / d_v**m_v,
+        on the packed and the scalar parts alike.
         """
         table = self._tables.get(la)
         if table is not None:
             return table
-        terms: list[tuple[int, RatFun, Partition]] = [(0, RF_ONE, ())]
+        # (r, numerator enc, numerator scalar, la minus S), all over (de, dd)
+        terms: list[tuple[int, int, int, Partition]] = [(0, 1, 1, ())]
+        de = dd = 1
         for v, mult in multiplicities(la).items():
-            grown = []
-            power = RF_ONE
-            for k in range(mult + 1):
-                coeff = power.scale(comb(mult, k))
-                for r, c, rest in terms:
-                    grown.append((r + v * k, c * coeff, rest + (v,) * (mult - k)))
-                power = power * self.c(v)
-            terms = grown
+            c = self.c(v)
+            factors = [
+                (comb(mult, k) * c.ne**k * c.de ** (mult - k), c.nd**k * c.dd ** (mult - k))
+                for k in range(mult + 1)
+            ]
+            terms = [
+                (r + v * k, ne * fe, nd * fd, rest + (v,) * (mult - k))
+                for k, (fe, fd) in enumerate(factors)
+                for r, ne, nd, rest in terms
+            ]
+            de *= c.de**mult
+            dd *= c.dd**mult
         table = {}
-        for r, c, rest in terms:
-            table.setdefault(r, []).append((c.slim(), rest))
+        for r, ne, nd, rest in terms:
+            table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
         self._tables[la] = table
         return table
 

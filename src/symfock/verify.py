@@ -7,7 +7,9 @@ JSON witness on failure.  Items are self-contained and picklable, so
 sweeps parallelise over processes; results are always reduced in the
 fixed submission order, making output independent of worker count.
 `run_suite` validates the sweep before any item runs, so an empty or
-negative window is an error, never a vacuous "ok".
+negative window is an error, never a vacuous "ok".  `SUITE_FIELDS` names
+the `SweepOptions` fields each suite reads, and the CLI rejects an option
+outside its suite's set instead of ignoring it.
 
 Every mode identity outside the anticommutator suites (commutation,
 heisenberg, twisted-heisenberg, virasoro, kernel-factorization) states
@@ -66,7 +68,7 @@ from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_inv_one_minus
 from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
-# (plus, minus, t) of the anticommutator suites, the only ones --corrupt applies to
+# (plus, minus, t) of the anticommutator suites, the only ones that read `corrupt`
 ANTICOMMUTATOR_KERNELS = {
     "fermion": (FERMION_PLUS, FERMION_MINUS, RF_ZERO),
     "twisted-fermion": (TWISTED_PLUS, TWISTED_MINUS, RF_T),
@@ -402,6 +404,21 @@ _BUILDERS: dict[str, Callable[[SweepOptions], list]] = {
 
 SUITE_NAMES = tuple(_BUILDERS)
 
+# the SweepOptions fields each suite reads; any other option would be ignored
+_MODE_FIELDS = frozenset({"max_degree", "max_mode", "charges"})
+SUITE_FIELDS: dict[str, frozenset[str]] = {
+    "commutation": _MODE_FIELDS,
+    "fermion": _MODE_FIELDS | {"corrupt"},
+    "twisted-fermion": _MODE_FIELDS | {"corrupt"},
+    "heisenberg": _MODE_FIELDS,
+    "twisted-heisenberg": _MODE_FIELDS,
+    "virasoro": _MODE_FIELDS | {"betas"},
+    "kernel-factorization": _MODE_FIELDS,
+    "duality": frozenset({"max_degree"}),
+    "bases-agreement": frozenset({"max_degree"}),
+    "corollaries": frozenset({"max_degree"}),
+}
+
 # windows sized to keep a full run at desk scale
 DEFAULT_OPTIONS: dict[str, SweepOptions] = {
     "commutation": SweepOptions(max_degree=8, max_mode=8, charges=(0,)),
@@ -450,9 +467,9 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
         opts = DEFAULT_OPTIONS[suite]
     if opts.max_degree < 0 or opts.max_mode < 0:
         raise ValueError("max_degree and max_mode must be nonnegative")
-    if not opts.charges and DEFAULT_OPTIONS[suite].charges:
+    if not opts.charges and "charges" in SUITE_FIELDS[suite]:
         raise ValueError(f"suite {suite!r} needs at least one charge")
-    if opts.corrupt and suite not in ANTICOMMUTATOR_KERNELS:
+    if opts.corrupt and "corrupt" not in SUITE_FIELDS[suite]:
         raise ValueError(f"corrupt applies only to {', '.join(ANTICOMMUTATOR_KERNELS)}")
     items = [(suite, params, opts) for params in _BUILDERS[suite](opts)]
     if not items:

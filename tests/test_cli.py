@@ -124,6 +124,33 @@ def test_verify_corrupt_rejected_where_it_does_not_apply(capsys):
     assert code == 2 and "error" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("corollaries", "--max-degree", "2", "--charges", "7", "--max-mode", "9"),
+        ("corollaries", "--max-degree", "2", "--charges", "7"),
+        ("corollaries", "--max-degree", "2", "--max-mode", "9"),
+        ("duality", "--max-degree", "2", "--charges", "1"),
+        ("duality", "--max-degree", "2", "--max-mode", "1"),
+        ("bases-agreement", "--max-degree", "2", "--charges", "0"),
+        ("bases-agreement", "--max-degree", "2", "--max-mode", "0"),
+        ("fermion", "--max-degree", "2", "--max-mode", "1", "--beta", "5"),
+        ("heisenberg", "--max-degree", "2", "--max-mode", "1", "--beta", "1/2"),
+        ("duality", "--max-degree", "2", "--beta", "1"),
+    ],
+)
+def test_verify_rejects_options_the_suite_never_reads(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and "does not read" in err and out == ""
+
+
+def test_verify_virasoro_reads_beta(capsys):
+    code, out, _ = run_cli(capsys, "verify", "virasoro", "--max-degree", "1", "--max-mode", "1", "--beta", "1/2")
+    assert code == 0
+    names = [json.loads(line)["identity"] for line in out.strip().splitlines()]
+    assert names and all(name.startswith("beta=1/2[") for name in names)
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_verify_rejects_malformed_sf_threads(monkeypatch, capsys, value):
     monkeypatch.setenv("SF_THREADS", value)

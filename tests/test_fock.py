@@ -99,6 +99,20 @@ def test_translation_table_examples():
             assert _table_action(kernel, la, 0) == f
 
 
+@pytest.mark.parametrize("kernel", [DEFORMED_PLUS, DEFORMED_MINUS], ids=lambda k: k.name)
+def test_deformed_denominators_stay_bounded(kernel):
+    # one common denominator D_la = prod_v (1-t^v)^m_v per table, of degree |la|,
+    # so assembling a mode body never multiplies denominators together
+    for la in partitions_up_to(6):
+        table = kernel.translation_table(la)
+        dens = {(c.de, c.dd) for terms in table.values() for c, _ in terms}
+        assert len(dens) == 1, la
+        for shift in range(-2, weight(la) + 2):
+            body = kernel.mode_on_basis(shift - 1, 0, la).body
+            for c in body.terms.values():
+                assert TPoly(c.de, c.dd).degree <= weight(la), (la, shift)
+
+
 @pytest.mark.parametrize(
     "kernel", [*KERNELS.values(), corrupted_kernel(FERMION_PLUS)], ids=lambda k: k.name
 )

@@ -1,9 +1,10 @@
 """Exact arithmetic in Q(t): packing, normalisation, field axioms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symfock.ratfun import (
@@ -12,6 +13,8 @@ from symfock.ratfun import (
     PackingOverflow,
     RatFun,
     TPoly,
+    _digits,
+    _encode,
     one_minus_t_pow,
     poly_divmod,
     poly_gcd,
@@ -213,3 +216,60 @@ def test_json_rejects_garbage():
         rat_from_json({"num": ["x"], "den": ["1"]})
     with pytest.raises(ValueError):
         rat_from_json([1, 2])
+
+
+# -- content normalisation: the gcd(enc, den) shortcut against the digit-wise rule
+
+
+def digitwise_normalized(p):
+    """(enc, den) of p divided by gcd(content, den), computed digit by digit."""
+    ds = _digits(p.enc)
+    g = gcd(*ds, p.den)
+    return _encode([d // g for d in ds]), p.den // g
+
+
+@st.composite
+def packed_polys(draw, digit_bits=185):
+    """Raw packed polynomials of one limb (constants) or several, of either sign,
+    whose content carries a factor k that den may share."""
+    bound = 2**digit_bits
+    digits = draw(st.lists(st.integers(-bound, bound), min_size=1, max_size=5))
+    k = draw(st.integers(1, 60))
+    den = draw(st.integers(1, 10**6)) * draw(st.sampled_from([1, k, k * k]))
+    return TPoly(_encode([d * k for d in digits]), den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_polys())
+@example(TPoly(_encode([1, 2]), 3))  # 3 divides enc = 1 + 2*2**192, not the content
+@example(TPoly(_encode([6, 0, -9]), 12))  # multi-limb, den shares 3 with the content
+@example(TPoly(_encode([-6]), 4))  # negative constant sharing 2 with den
+@example(TPoly(-(2**190), 2**10))  # single-limb constant at the top of the limb
+def test_content_normalized_matches_digitwise(p):
+    got = p.content_normalized()
+    assert (got.enc, got.den) == digitwise_normalized(p)
+    assert got.degree == len(_digits(p.enc)) - 1
+    assert hash(p) == hash(digitwise_normalized(p))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_polys(), packed_polys())
+def test_slim_matches_digitwise(n, d):
+    assume(d.enc != 0)
+    x = RatFun._raw(n.enc, n.den, d.enc, d.den)
+    y = x.slim()
+    assert (y.ne, y.nd) == digitwise_normalized(n)
+    assert (y.de, y.dd) == digitwise_normalized(d)
+    assert y == x
+
+
+@settings(max_examples=60, deadline=None)
+@given(packed_polys(digit_bits=40), packed_polys(digit_bits=40), st.integers(1, 30))
+def test_ratfun_hash_matches_digitwise(n, d, k):
+    assume(d.enc != 0)
+    x = RatFun._raw(n.enc, n.den, d.enc, d.den)
+    h = hash(x)  # reduces x in place
+    want = (*digitwise_normalized(TPoly(x.ne, x.nd)), *digitwise_normalized(TPoly(x.de, x.dd)))
+    assert h == hash(want)
+    # an equal value with a scaled representative hashes alike
+    assert hash(RatFun._raw(n.enc * k, n.den * k, d.enc, d.den)) == h
