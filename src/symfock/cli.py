@@ -39,7 +39,7 @@ from .bases import (
 from .kp import omega_apply, search_negative_control, tensor_to_json
 from .partitions import as_partition
 from .symfunc import symfunc_from_json, symfunc_to_json
-from .verify import DEFAULT_OPTIONS, SUITE_FIELDS, SUITE_NAMES, SweepOptions, run_suite
+from .verify import SUITE_NAMES, SweepOptions, run_suite
 from .vertex import basis_via_vertex, generating_coefficient_direct
 
 ROW_BASES = ("h", "e", "q")
@@ -147,20 +147,11 @@ def _cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITE_NAMES:
         raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    given = (
-        ("--max-mode", "max_mode", args.max_mode),
-        ("--charges", "charges", args.charges),
-        ("--beta", "betas", args.beta),
-    )
-    unread = [flag for flag, name, value in given if value is not None and name not in SUITE_FIELDS[suite]]
-    if unread:
-        raise UsageError(f"suite {suite!r} does not read {', '.join(unread)}")
-    base = DEFAULT_OPTIONS[suite]
     opts = SweepOptions(
-        max_degree=args.max_degree if args.max_degree is not None else base.max_degree,
-        max_mode=args.max_mode if args.max_mode is not None else base.max_mode,
-        charges=_parse_charges(args.charges) if args.charges else base.charges,
-        betas=tuple(_parse_fraction(b) for b in args.beta) if args.beta else base.betas,
+        max_degree=args.max_degree,
+        max_mode=args.max_mode,
+        charges=_parse_charges(args.charges) if args.charges is not None else None,
+        betas=tuple(_parse_fraction(b) for b in args.beta) if args.beta is not None else None,
         corrupt=args.corrupt,
     )
     try:
@@ -258,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-mode", type=int, default=None)
     p_verify.add_argument("--charges", default=None, help="comma-separated, e.g. --charges=-2,-1,0,1,2")
     p_verify.add_argument("--beta", action="append", default=None, help="repeatable rational")
-    p_verify.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
+    p_verify.add_argument("--corrupt", action="store_true", default=None, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_kp = sub.add_parser("kp", help="check the bilinear identity for a tau candidate")

@@ -18,12 +18,6 @@ bound (2**64 per coefficient), the gcd and division rebuilds inside
 normalisation are checked against the bound itself, and
 ``coeff_vector`` re-verifies on unpacking.
 
-Content normalisation (gcd(integer content, den) = 1) usually needs no
-digit split: the content divides ``enc``, so gcd(content, den) divides
-gcd(enc, den), and when the latter is 1 the polynomial is already
-normalised.  A single-limb constant is its own content and is divided
-directly; only the remaining cases unpack ``enc`` into digits.
-
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
 hashing and serialisation is established lazily; arithmetic does not
@@ -128,21 +122,9 @@ class TPoly:
         return tuple(Fraction(d, self.den) for d in self._digit_vector())
 
     def content_normalized(self) -> "TPoly":
-        """Equal value with gcd(integer content, den) = 1.
-
-        The content divides enc, so gcd(content, den) divides gcd(enc, den):
-        when the latter is 1 the value is already normalised and is returned
-        unchanged, and a single-limb constant (enc is its own content) is
-        divided directly; only the remaining cases split enc into digits.
-        """
-        enc = self.enc
-        if enc == 0:
+        """Equal value with gcd(integer content, den) = 1."""
+        if self.enc == 0:
             return ZERO
-        g = gcd(enc, self.den)
-        if g == 1:
-            return self
-        if -_HALF <= enc < _HALF:
-            return TPoly(enc // g, self.den // g, 0)
         ds = self._digit_vector()
         g = gcd(_gcd_list(ds), self.den)
         if g == 1:

@@ -7,9 +7,9 @@ JSON witness on failure.  Items are self-contained and picklable, so
 sweeps parallelise over processes; results are always reduced in the
 fixed submission order, making output independent of worker count.
 `run_suite` validates the sweep before any item runs, so an empty or
-negative window is an error, never a vacuous "ok".  `SUITE_FIELDS` names
-the `SweepOptions` fields each suite reads, and the CLI rejects an option
-outside its suite's set instead of ignoring it.
+negative window is an error, never a vacuous "ok".  A `SweepOptions`
+field left None takes the suite's default, and a field given to a suite
+that never reads it (`SUITE_FIELDS`) is an error rather than ignored.
 
 Every mode identity outside the anticommutator suites (commutation,
 heisenberg, twisted-heisenberg, virasoro, kernel-factorization) states
@@ -32,7 +32,7 @@ are the classical anticommutators and the t-shifted terms are never built.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Iterator
@@ -80,11 +80,13 @@ _corrupted = cache(corrupted_kernel)
 
 @dataclass(frozen=True)
 class SweepOptions:
-    max_degree: int
-    max_mode: int
-    charges: tuple[int, ...] = (-2, -1, 0, 1, 2)
-    betas: tuple[Fraction, ...] = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2))
-    corrupt: bool = False
+    """A sweep window; `run_suite` fills every None field from DEFAULT_OPTIONS."""
+
+    max_degree: int | None = None
+    max_mode: int | None = None
+    charges: tuple[int, ...] | None = None
+    betas: tuple[Fraction, ...] | None = None
+    corrupt: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -404,33 +406,33 @@ _BUILDERS: dict[str, Callable[[SweepOptions], list]] = {
 
 SUITE_NAMES = tuple(_BUILDERS)
 
-# the SweepOptions fields each suite reads; any other option would be ignored
-_MODE_FIELDS = frozenset({"max_degree", "max_mode", "charges"})
-SUITE_FIELDS: dict[str, frozenset[str]] = {
-    "commutation": _MODE_FIELDS,
-    "fermion": _MODE_FIELDS | {"corrupt"},
-    "twisted-fermion": _MODE_FIELDS | {"corrupt"},
-    "heisenberg": _MODE_FIELDS,
-    "twisted-heisenberg": _MODE_FIELDS,
-    "virasoro": _MODE_FIELDS | {"betas"},
-    "kernel-factorization": _MODE_FIELDS,
-    "duality": frozenset({"max_degree"}),
-    "bases-agreement": frozenset({"max_degree"}),
-    "corollaries": frozenset({"max_degree"}),
-}
-
-# windows sized to keep a full run at desk scale
+# windows sized to keep a full run at desk scale; each sets exactly the
+# window fields its suite reads
+_CHARGES = (-2, -1, 0, 1, 2)
 DEFAULT_OPTIONS: dict[str, SweepOptions] = {
     "commutation": SweepOptions(max_degree=8, max_mode=8, charges=(0,)),
-    "fermion": SweepOptions(max_degree=6, max_mode=6),
-    "twisted-fermion": SweepOptions(max_degree=6, max_mode=6),
+    "fermion": SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES),
+    "twisted-fermion": SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES),
     "heisenberg": SweepOptions(max_degree=6, max_mode=6, charges=(-3, -2, -1, 0, 1, 2, 3)),
-    "twisted-heisenberg": SweepOptions(max_degree=4, max_mode=5),
-    "virasoro": SweepOptions(max_degree=6, max_mode=3, charges=(-1, 0, 1)),
+    "twisted-heisenberg": SweepOptions(max_degree=4, max_mode=5, charges=_CHARGES),
+    "virasoro": SweepOptions(
+        max_degree=6,
+        max_mode=3,
+        charges=(-1, 0, 1),
+        betas=(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2)),
+    ),
     "kernel-factorization": SweepOptions(max_degree=4, max_mode=4, charges=(-1, 0, 1)),
-    "duality": SweepOptions(max_degree=6, max_mode=0, charges=()),
-    "bases-agreement": SweepOptions(max_degree=8, max_mode=0, charges=()),
-    "corollaries": SweepOptions(max_degree=4, max_mode=0, charges=()),
+    "duality": SweepOptions(max_degree=6),
+    "bases-agreement": SweepOptions(max_degree=8),
+    "corollaries": SweepOptions(max_degree=4),
+}
+
+# the SweepOptions fields each suite reads: those its default sets, and
+# `corrupt` on the anticommutator suites
+SUITE_FIELDS: dict[str, frozenset[str]] = {
+    suite: frozenset(name for name, value in vars(opts).items() if value is not None)
+    | ({"corrupt"} if suite in ANTICOMMUTATOR_KERNELS else frozenset())
+    for suite, opts in DEFAULT_OPTIONS.items()
 }
 
 
@@ -456,21 +458,22 @@ def thread_count() -> int:
 def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None = None) -> Iterator[CheckResult]:
     """Results for one suite, in deterministic order.
 
-    The sweep is validated before any item runs: a negative window, a window
-    that yields no items, no charges for a suite that evaluates on charged
-    vectors, and `corrupt` outside the anticommutator suites all raise
+    The sweep is validated before any item runs: a field the suite never
+    reads (say `corrupt` outside the anticommutator suites), a negative
+    window, a window that yields no items and an empty charge list all raise
     ValueError, as does a malformed SF_THREADS.
     """
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}")
-    if opts is None:
-        opts = DEFAULT_OPTIONS[suite]
-    if opts.max_degree < 0 or opts.max_mode < 0:
+    given = {name: value for name, value in vars(opts or SweepOptions()).items() if value is not None}
+    unread = [name for name in given if name not in SUITE_FIELDS[suite]]
+    if unread:
+        raise ValueError(f"suite {suite!r} does not read {', '.join(unread)}")
+    opts = replace(DEFAULT_OPTIONS[suite], **given)
+    if opts.max_degree < 0 or (opts.max_mode or 0) < 0:
         raise ValueError("max_degree and max_mode must be nonnegative")
-    if not opts.charges and "charges" in SUITE_FIELDS[suite]:
+    if opts.charges == ():
         raise ValueError(f"suite {suite!r} needs at least one charge")
-    if opts.corrupt and "corrupt" not in SUITE_FIELDS[suite]:
-        raise ValueError(f"corrupt applies only to {', '.join(ANTICOMMUTATOR_KERNELS)}")
     items = [(suite, params, opts) for params in _BUILDERS[suite](opts)]
     if not items:
         raise ValueError(f"the window of suite {suite!r} yields no identities to verify")

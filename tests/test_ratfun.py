@@ -218,7 +218,7 @@ def test_json_rejects_garbage():
         rat_from_json([1, 2])
 
 
-# -- content normalisation: the gcd(enc, den) shortcut against the digit-wise rule
+# -- content normalisation against the digit-wise rule
 
 
 def digitwise_normalized(p):

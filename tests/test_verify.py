@@ -24,6 +24,25 @@ def test_run_suite_rejects_vacuous_sweeps(suite, opts):
         run_suite(suite, opts, threads=1)
 
 
+@pytest.mark.parametrize(
+    "suite, opts, unread",
+    [
+        ("duality", SweepOptions(2, 9, charges=(7,), betas=(Fraction(5),)), "max_mode, charges, betas"),
+        ("fermion", SweepOptions(2, 1, betas=(Fraction(5),)), "betas"),
+        ("corollaries", SweepOptions(2, corrupt=True), "corrupt"),
+    ],
+)
+def test_run_suite_rejects_fields_the_suite_never_reads(suite, opts, unread):
+    with pytest.raises(ValueError, match=f"does not read {unread}$"):
+        run_suite(suite, opts, threads=1)
+
+
+def test_run_suite_fills_unset_fields_from_the_suite_default():
+    assert [r.ok for r in run_suite("duality", SweepOptions(max_degree=1), threads=1)] == [True, True]
+    results = list(run_suite("fermion", SweepOptions(max_degree=1, max_mode=0), threads=1))
+    assert [r.name for r in results] == ["pp[a+b=0]", "mm[a+b=0]", "pm[a+b=0]"] and all(r.ok for r in results)
+
+
 def _doubled_at(op, at):
     """op(k, ...) with its value at k = at doubled."""
     return lambda k, *rest: op(k, *rest).scaled(2) if k == at else op(k, *rest)
