@@ -47,6 +47,34 @@ the fermion+ modes at a <= -1 (applied outermost) versus a >= 0 (applied
 innermost, with a fermionic sign), which is the unique split for which
 every mode sum terminates on each vector.
 
+Q-valued bodies are packed.  A mode body K[j] p_la has weight
+n = |la| - shift.  When all its coefficients are in Q (every body of
+fermion+-, of their corrupted copies, and of the Heisenberg and Virasoro
+bilinears) it is cached as a `Column`: one integer whose slot i holds the
+coefficient of the i-th partition of n (`partitions_of` order) as a
+balanced base-2**w digit, over one positive denominator, together with a
+bound b on the digits' bit length.  An operator applied to a vector with
+coefficients in Q groups the input terms by weight and, per weight, sums
+s_i * enc_i over the common denominator: one multiply-add per input term.
+The sum is unpacked to a SymFunc, one gcd per coefficient, only for the
+FockVector it returns.
+
+The width w is set by no option.  A sum needs digits below 2**bits with
+bits = max_i (bits(s_i) + b_i) + ceil(log2(terms)), and w >= bits + 1 (a
+sign bit), so no digit ever carries into its neighbour; the bound is
+carried with each column, never re-read from the packed integer (which
+cannot show a carry).  Columns of one weight share a width, a multiple of
+32 bits that only grows; a column narrower than what an operation needs
+is repacked once, in place.  Packing and unpacking go through one
+to_bytes/from_bytes each, with half a digit added to every slot, so both
+are linear in the number of slots.
+
+Q(t) bodies (twisted+-, deformed+-) are not packed yet: a Q(t) slot needs
+a second Kronecker level, a t-stride sized from per-value bounds on the
+packed polynomials, which `ratfun` does not carry.  They stay SymFuncs,
+and a vector with a coefficient outside Q goes through
+`linear_combination` on the SymFunc views of its columns.
+
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
 basis vector z^m p_la of a window.
@@ -56,10 +84,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd
 from typing import Callable, Iterable
 
-from .partitions import Partition, multiplicities, partitions_up_to
+from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, linear_combination, symfunc_to_json
 
@@ -116,6 +145,197 @@ def fock_to_json(v: FockVector) -> dict:
     return {"charge": v.charge, "body": symfunc_to_json(v.body)}
 
 
+# ---------------------------------------------------------------------------
+# Q-valued bodies packed as integers
+
+_WIDTH_STEP = 32  # digit widths are multiples of this (whole bytes for to_bytes)
+
+
+class _Grade:
+    """The partitions of one weight n, whose order numbers the slots of
+    every column of weight n, and the digit width those columns share."""
+
+    __slots__ = ("parts", "index", "width", "_offsets")
+
+    def __init__(self, n: int):
+        self.parts = tuple(partitions_of(n))
+        self.index = {la: i for i, la in enumerate(self.parts)}
+        self.width = _WIDTH_STEP
+        self._offsets: dict[int, tuple[bytes, int]] = {}
+
+    def fit(self, bits: int) -> int:
+        """The shared width, first grown (never shrunk) to hold digits below 2**bits."""
+        if bits >= self.width:
+            self.width = (bits // _WIDTH_STEP + 1) * _WIDTH_STEP
+        return self.width
+
+    def offset(self, width: int) -> tuple[bytes, int]:
+        """Half a digit, 2**(width-1), in every slot: as little-endian bytes and as an int."""
+        out = self._offsets.get(width)
+        if out is None:
+            pattern = (bytes(width // 8 - 1) + b"\x80") * len(self.parts)
+            out = self._offsets[width] = (pattern, int.from_bytes(pattern, "little"))
+        return out
+
+    def pack(self, slots: Iterable[tuple[int, int]], width: int) -> int:
+        """sum d * 2**(width*i) over (i, d), every |d| < 2**(width-1): one from_bytes."""
+        size, half = width // 8, 1 << (width - 1)
+        pattern, offset = self.offset(width)
+        buf = bytearray(pattern)
+        for i, d in slots:
+            buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
+        return int.from_bytes(buf, "little") - offset
+
+    def unpack(self, enc: int, width: int) -> list[tuple[int, int]]:
+        """The nonzero balanced digits (i, d) of enc: one to_bytes."""
+        size, half = width // 8, 1 << (width - 1)
+        pattern, offset = self.offset(width)
+        raw = (enc + offset).to_bytes(len(pattern), "little")
+        empty = pattern[:size]
+        out = []
+        for i in range(len(self.parts)):
+            chunk = raw[i * size : (i + 1) * size]
+            if chunk != empty:
+                out.append((i, int.from_bytes(chunk, "little") - half))
+        return out
+
+
+_grades: dict[int, _Grade] = {}
+
+
+def _grade(n: int) -> _Grade:
+    g = _grades.get(n)
+    if g is None:
+        g = _grades[n] = _Grade(n)
+    return g
+
+
+class Column:
+    """A homogeneous Q-valued body of weight n as one integer.
+
+    Slot i of enc holds the coefficient of the i-th partition of n (in
+    `partitions_of` order) times den, as a balanced base-2**width digit;
+    every digit is below 2**bits in absolute value and bits < width.  The
+    `body` property is the SymFunc view, built on each read.
+    """
+
+    __slots__ = ("weight", "enc", "den", "bits", "width")
+
+    def __init__(self, weight: int, enc: int, den: int, bits: int, width: int):
+        self.weight = weight
+        self.enc = enc
+        self.den = den
+        self.bits = bits
+        self.width = width
+
+    @classmethod
+    def from_digits(cls, n: int, digits: list[tuple[Partition, int]], den: int) -> "Column":
+        """sum (d/den) p_la over (la, d), all |la| = n, den > 0, with the content of
+        the digits and den divided out and packed at the shared width."""
+        digits = [(la, d) for la, d in digits if d]
+        if not digits:
+            return cls(n, 0, 1, 0, 0)
+        g = den
+        for _, d in digits:
+            g = gcd(g, d)
+        if g > 1:
+            digits = [(la, d // g) for la, d in digits]
+            den //= g
+        bits = max(abs(d).bit_length() for _, d in digits)
+        grade = _grade(n)
+        width = grade.fit(bits)
+        return cls(n, grade.pack(((grade.index[la], d) for la, d in digits), width), den, bits, width)
+
+    @classmethod
+    def from_body(cls, n: int, body: SymFunc) -> "Column | None":
+        """The column of a body of weight n, or None if a coefficient is not in Q."""
+        fracs = []
+        den = 1
+        for la, c in body.terms.items():
+            q = c.q_parts()
+            if q is None:
+                return None
+            fracs.append((la, *q))
+            if den % q[1]:
+                den = den // gcd(den, q[1]) * q[1]
+        return cls.from_digits(n, [(la, a * (den // b)) for la, a, b in fracs], den)
+
+    def is_zero(self) -> bool:
+        return self.enc == 0
+
+    def digits(self) -> list[tuple[Partition, int]]:
+        """The nonzero (la, digit) of the column."""
+        if not self.enc:
+            return []
+        grade = _grade(self.weight)
+        parts = grade.parts
+        return [(parts[i], d) for i, d in grade.unpack(self.enc, self.width)]
+
+    def repack(self, width: int) -> None:
+        """Re-encode at another width, in place; the value is unchanged."""
+        grade = _grade(self.weight)
+        self.enc = grade.pack(grade.unpack(self.enc, self.width), width)
+        self.width = width
+
+    @property
+    def body(self) -> SymFunc:
+        """The SymFunc view, every coefficient reduced by one gcd."""
+        den = self.den
+        return SymFunc({la: RatFun.from_ratio(d, den) for la, d in self.digits()}, _clean=True)
+
+
+def _combine(pieces: list[tuple[int, int, Column]]) -> Column:
+    """sum (a/b) col over pieces (a, b, col) of one weight, b > 0 and col nonzero.
+
+    Over the common denominator D each piece contributes s * col.enc with
+    s = a * D / (b * col.den).  A digit of the sum is below 2**bits with
+    bits = max(bits(s) + col.bits) + ceil(log2(pieces)), so one shared
+    width of at least bits + 1 (a sign bit) holds it without a carry;
+    columns packed narrower are repacked to it once.
+    """
+    n = pieces[0][2].weight
+    den = 1
+    for _, b, col in pieces:
+        t = b * col.den
+        if den % t:
+            den = den // gcd(den, t) * t
+    scaled = []
+    top = 0
+    for a, b, col in pieces:
+        s = a * (den // (b * col.den))
+        need = abs(s).bit_length() + col.bits
+        if need > top:
+            top = need
+        scaled.append((s, col))
+    bits = top + (len(pieces) - 1).bit_length()
+    width = _grade(n).fit(bits)
+    enc = 0
+    for s, col in scaled:
+        if col.width != width:
+            col.repack(width)
+        enc += s * col.enc
+    return Column(n, enc, den, bits, width)
+
+
+def _apply(pairs: list[tuple[RatFun, "Column | FockVector"]]) -> SymFunc:
+    """sum c * body over (c, body) pairs with nonzero bodies.
+
+    When every c is in Q and every body a Column, the pairs are summed
+    packed, one multiply-add each, per weight; otherwise (Q(t) data) they
+    go through linear_combination on the SymFunc views.
+    """
+    groups: dict[int, list[tuple[int, int, Column]]] = {}
+    for c, entry in pairs:
+        q = c.q_parts() if type(entry) is Column else None
+        if q is None:
+            return linear_combination((c, e.body) for c, e in pairs)
+        groups.setdefault(entry.weight, []).append((q[0], q[1], entry))
+    terms: dict[Partition, RatFun] = {}
+    for pieces in groups.values():
+        terms.update(_combine(pieces).body.terms)
+    return SymFunc(terms, _clean=True)
+
+
 class VertexKernel:
     """One charge-shifting vertex operator in the uniform exponential form."""
 
@@ -128,9 +348,9 @@ class VertexKernel:
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
         self._tables: dict[Partition, dict[int, list[tuple[RatFun, Partition]]]] = {}
-        # keyed by (shift, la); an entry keeps the charge of its first request
-        # and is re-wrapped for other charges
-        self._modes: dict[tuple[int, Partition], FockVector] = {}
+        # keyed by (shift, la): a Column for a Q-valued body, else a FockVector
+        # that keeps the charge of its first request and is re-wrapped for others
+        self._modes: dict[tuple[int, Partition], Column | FockVector] = {}
 
     def __repr__(self) -> str:
         return f"VertexKernel({self.name})"
@@ -181,8 +401,12 @@ class VertexKernel:
         self._tables[la] = table
         return table
 
-    def mode_on_basis(self, j: int, m: int, la: Partition) -> FockVector:
-        """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1."""
+    def mode_on_basis(self, j: int, m: int, la: Partition) -> Column | FockVector:
+        """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
+
+        The body has weight |la| - shift; it is returned as a Column when
+        every coefficient is in Q, else as a FockVector of charge m + eps.
+        """
         shift = j + self.eps * m + 1
         key = (shift, la)
         out = self._modes.get(key)
@@ -193,30 +417,30 @@ class VertexKernel:
                 if r >= shift
                 for c, rest in terms
             ]
-            body = linear_combination(pieces).map_coeffs(lambda c: c.slim())
-            out = self._modes[key] = FockVector(m + self.eps, body)
-        elif out.charge != m + self.eps:
+            body = linear_combination(pieces)
+            out = Column.from_body(weight(la) - shift, body)
+            if out is None:
+                out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))
+            self._modes[key] = out
+        elif type(out) is FockVector and out.charge != m + self.eps:
             out = FockVector(m + self.eps, out.body)
         return out
 
 
 def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
     """The coefficient of u**j in K(u) v."""
-    if v.is_zero():
-        return FockVector.zero(v.charge + kernel.eps)
-    terms = v.body.terms
-    if len(terms) == 1:
-        ((la, c),) = terms.items()
-        basis = kernel.mode_on_basis(j, v.charge, la)
+    charge = v.charge + kernel.eps
+    pairs = []
+    for la, c in v.body.terms.items():
+        entry = kernel.mode_on_basis(j, v.charge, la)
+        if not entry.is_zero():
+            pairs.append((c, entry))
+    if len(pairs) == 1 and type(pairs[0][1]) is FockVector:
+        c, basis = pairs[0]
         if c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1:
             return basis
         return basis.scaled(c)
-    pieces = []
-    for la, c in terms.items():
-        basis = kernel.mode_on_basis(j, v.charge, la)
-        if not basis.is_zero():
-            pieces.append((c, basis.body))
-    return FockVector(v.charge + kernel.eps, linear_combination(pieces))
+    return FockVector(charge, _apply(pairs))
 
 
 FERMION_PLUS = VertexKernel("fermion+", +1, lambda n: RF_ONE, lambda n: RF_MINUS_ONE)
@@ -258,60 +482,53 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 
 
 def _normal_ordered_pair(
-    pair_sum: int, v: FockVector, weight_fn: Callable[[int, int], Fraction] | None
-) -> FockVector:
-    """sum over a+b = pair_sum of w(a,b) :fermion+[a] fermion-[b]: applied to v.
+    pair_sum: int, m: int, la: Partition, weight_fn: Callable[[int, int], Fraction] | None
+) -> Column:
+    """sum over a+b = pair_sum of w(a,b) :fermion+[a] fermion-[b]: applied to z^m p_la,
+    built as one packed weighted sum.
 
     The split sends a <= -1 outermost and a >= 0 innermost with a minus
     sign; both branches terminate by the mode vanishing bound.
     """
-    m, f = v.charge, v.body
-    deg = f.degree()
-    if deg < 0:
-        return FockVector.zero(m)
-    out = FockVector.zero(m)
-    for a in range(pair_sum - (deg + m - 1), 0):
+    deg = weight(la)
+    pieces = []
+    for a in chain(range(pair_sum - (deg + m - 1), 0), range(0, deg - m)):
         b = pair_sum - a
         w = Fraction(1) if weight_fn is None else weight_fn(a, b)
         if w == 0:
             continue
-        inner = mode_apply(FERMION_MINUS, b, v)
-        if inner.is_zero():
-            continue
-        term = mode_apply(FERMION_PLUS, a, inner)
-        if not term.is_zero():
-            out = out + term.scaled(w)
-    for a in range(0, deg - m):
-        b = pair_sum - a
-        w = Fraction(-1) if weight_fn is None else -weight_fn(a, b)
-        if w == 0:
-            continue
-        inner = mode_apply(FERMION_PLUS, a, v)
-        if inner.is_zero():
-            continue
-        term = mode_apply(FERMION_MINUS, b, inner)
-        if not term.is_zero():
-            out = out + term.scaled(w)
-    return out
+        if a < 0:
+            first, j1, second, j2 = FERMION_MINUS, b, FERMION_PLUS, a
+        else:
+            first, j1, second, j2, w = FERMION_PLUS, a, FERMION_MINUS, b, -w
+        inner = first.mode_on_basis(j1, m, la)
+        for mu, d in inner.digits():
+            outer = second.mode_on_basis(j2, m + first.eps, mu)
+            if not outer.is_zero():
+                pieces.append((w.numerator * d, w.denominator * inner.den, outer))
+    if not pieces:
+        return Column(deg - pair_sum - 1, 0, 1, 0, 0)
+    out = _combine(pieces)
+    return Column.from_digits(out.weight, out.digits(), out.den)
 
 
-_heis_cache: dict[tuple[int, int, Partition], FockVector] = {}
-_vir_cache: dict[tuple[Fraction, int, int, Partition], FockVector] = {}
+# keyed by (*key, charge, la), holding the column of the bilinear on z^charge p_la
+_heis_cache: dict[tuple[int, int, Partition], Column] = {}
+_vir_cache: dict[tuple[Fraction, int, int, Partition], Column] = {}
 
 
 def _bilinear_mode(cache: dict, key: tuple, k: int, v: FockVector, weight_fn) -> FockVector:
     """Mode k of a weighted fermion bilinear on v, memoised per basis vector
     under key + (charge, la)."""
-    pieces = []
+    pairs = []
     for la, c in v.body.terms.items():
         full_key = (*key, v.charge, la)
-        cached = cache.get(full_key)
-        if cached is None:
-            basis = FockVector(v.charge, SymFunc.monomial(la))
-            cached = cache[full_key] = _normal_ordered_pair(k - 1, basis, weight_fn)
-        if not cached.is_zero():
-            pieces.append((c, cached.body))
-    return FockVector(v.charge, linear_combination(pieces))
+        col = cache.get(full_key)
+        if col is None:
+            col = cache[full_key] = _normal_ordered_pair(k - 1, v.charge, la, weight_fn)
+        if not col.is_zero():
+            pairs.append((c, col))
+    return FockVector(v.charge, _apply(pairs))
 
 
 def heisenberg_mode(k: int, v: FockVector) -> FockVector:
@@ -347,9 +564,10 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     the charge-m vacuum by m(m-1)/2 + beta*m.
     """
     beta = Fraction(beta)
+    p, q = beta.numerator, beta.denominator
 
     def w(a: int, b: int) -> Fraction:
-        return (1 - beta) * b - beta * a
+        return Fraction((q - p) * b - p * a, q)
 
     return _bilinear_mode(_vir_cache, (beta, k), k, v, w)
 

@@ -14,9 +14,12 @@ polynomials are single bigint operations; coefficients are only unpacked
 at boundaries (normalisation, division, printing, JSON).  Packing is
 faithful while every true coefficient stays below 2**(LIMB_BITS-1) in
 absolute value; ``from_coeffs`` rejects outside data anywhere near the
-bound (2**64 per coefficient), the gcd and division rebuilds inside
-normalisation are checked against the bound itself, and
-``coeff_vector`` re-verifies on unpacking.
+bound (2**64 per coefficient), and the gcd and division rebuilds inside
+normalisation are checked against the bound itself.  Products and sums
+are not: a coefficient that outgrows the bound carries into the next
+limb, and the digit check in ``coeff_vector`` cannot see that, since
+every integer re-encodes to itself (a per-value limb width is the open
+fix).
 
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
@@ -322,6 +325,14 @@ class RatFun:
         return out
 
     @classmethod
+    def from_ratio(cls, a: int, b: int) -> "RatFun":
+        """The constant a/b, b > 0, reduced by one gcd (canonical form)."""
+        g = gcd(a, b)
+        out = cls._raw(a // g, b // g, 1, 1)
+        out._canon = True
+        return out
+
+    @classmethod
     def from_fraction(cls, c: Fraction | int) -> "RatFun":
         c = Fraction(c)
         if c == 0:
@@ -371,6 +382,18 @@ class RatFun:
 
     def __bool__(self) -> bool:
         return self.ne != 0
+
+    def q_parts(self) -> tuple[int, int] | None:
+        """(a, b) with b > 0 and value a/b when both packed parts are constants, else None.
+
+        A nonzero digit above limb 0 puts a packed value at or past _HALF,
+        so the range test reads constancy without unpacking.
+        """
+        ne, de = self.ne, self.de
+        if -_HALF < ne < _HALF and -_HALF < de < _HALF:
+            a, b = ne * self.dd, self.nd * de
+            return (a, b) if b > 0 else (-a, -b)
+        return None
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.ne == 0:

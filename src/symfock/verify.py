@@ -63,7 +63,7 @@ from .fock import (
     twisted_heisenberg_mode,
     virasoro_mode,
 )
-from .partitions import partitions_up_to, weight
+from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
@@ -258,50 +258,46 @@ def _run_duality(params, opts: SweepOptions) -> CheckResult:
     return CheckResult("duality", f"<S{list(la)},s{list(mu)}>_t", ok, witness)
 
 
+def _n(la: Partition) -> int:
+    return max(weight(la), 1)
+
+
+def _routes(kind: str) -> dict[str, Callable]:
+    """The vertex-mode and generating-function routes to one family."""
+    return {"vertex": lambda la: basis_via_vertex(kind, la), "generating": lambda la: generating_coefficient_direct(kind, la)}
+
+
+# kind -> the routes that must agree on la
+_AGREEMENT_ROUTES: dict[str, dict[str, Callable]] = {
+    "schur-routes": {**_routes("schur"), "det": lambda la: schur(la)},
+    "schur-oracle": {"det": lambda la: expand_in_variables(schur(la), _n(la)), "oracle": lambda la: schur_oracle(la, _n(la))},
+    "hl-routes": _routes("hall_littlewood"),
+    "hl-oracle": {
+        "vertex": lambda la: expand_in_variables(basis_via_vertex("hall_littlewood", la), _n(la)),
+        "oracle": lambda la: hall_littlewood_oracle(la, _n(la)),
+    },
+    "hl-t0": {"vertex": lambda la: basis_via_vertex("hall_littlewood", la).specialize_t(0), "det": lambda la: schur(la)},
+    "dual-routes": {
+        **_routes("dual_schur"),
+        "det": lambda la: dual_schur(la),
+        "subst": lambda la: schur(la).scale_p(rf_one_minus_t_pow),
+    },
+    "dual-t0": {"det": lambda la: dual_schur(la).specialize_t(0), "schur": lambda la: schur(la)},
+}
+
+
 def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
+    """A witness shows every expansion for the "-routes" kinds, else la (and n, for an oracle)."""
     kind, la = params
-    name = f"{kind}{list(la)}"
-
-    def fail(detail: dict) -> CheckResult:
-        return CheckResult("bases-agreement", name, False, detail)
-
-    if kind == "schur-routes":
-        a = basis_via_vertex("schur", la)
-        b = generating_coefficient_direct("schur", la)
-        c = schur(la)
-        if not (a == b == c):
-            return fail({"vertex": symfunc_to_json(a), "generating": symfunc_to_json(b), "det": symfunc_to_json(c)})
-    elif kind == "schur-oracle":
-        n = max(weight(la), 1)
-        if expand_in_variables(schur(la), n) != schur_oracle(la, n):
-            return fail({"la": list(la), "n": n})
-    elif kind == "hl-routes":
-        a = basis_via_vertex("hall_littlewood", la)
-        b = generating_coefficient_direct("hall_littlewood", la)
-        if a != b:
-            return fail({"vertex": symfunc_to_json(a), "generating": symfunc_to_json(b)})
-    elif kind == "hl-oracle":
-        n = max(weight(la), 1)
-        a = basis_via_vertex("hall_littlewood", la)
-        if expand_in_variables(a, n) != hall_littlewood_oracle(la, n):
-            return fail({"la": list(la), "n": n})
-    elif kind == "hl-t0":
-        a = basis_via_vertex("hall_littlewood", la).specialize_t(0)
-        if a != schur(la):
-            return fail({"la": list(la)})
-    elif kind == "dual-routes":
-        a = basis_via_vertex("dual_schur", la)
-        b = generating_coefficient_direct("dual_schur", la)
-        c = dual_schur(la)
-        d = schur(la).scale_p(rf_one_minus_t_pow)
-        if not (a == b == c == d):
-            return fail({"vertex": symfunc_to_json(a), "generating": symfunc_to_json(b), "det": symfunc_to_json(c), "subst": symfunc_to_json(d)})
-    elif kind == "dual-t0":
-        if dual_schur(la).specialize_t(0) != schur(la):
-            return fail({"la": list(la)})
-    else:
-        raise ValueError(f"unknown agreement kind {kind!r}")
-    return CheckResult("bases-agreement", name, True, None)
+    values = {route: fn(la) for route, fn in _AGREEMENT_ROUTES[kind].items()}
+    first, *rest = values.values()
+    witness = None
+    if any(value != first for value in rest):
+        if kind.endswith("-routes"):
+            witness = {route: symfunc_to_json(f) for route, f in values.items()}
+        else:
+            witness = {"la": list(la), "n": _n(la)} if kind.endswith("-oracle") else {"la": list(la)}
+    return CheckResult("bases-agreement", f"{kind}{list(la)}", witness is None, witness)
 
 
 def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
@@ -352,11 +348,7 @@ def _items_kernel_factorization(opts: SweepOptions) -> list:
 
 
 def _items_duality(opts: SweepOptions) -> list:
-    items = []
-    for w in range(0, opts.max_degree + 1):
-        las = [la for la in partitions_up_to(opts.max_degree) if weight(la) == w]
-        items += [(la, mu) for la in las for mu in las]
-    return items
+    return [(la, mu) for w in range(opts.max_degree + 1) for la in partitions_of(w) for mu in partitions_of(w)]
 
 
 def _items_bases_agreement(opts: SweepOptions) -> list:
@@ -460,8 +452,9 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
 
     The sweep is validated before any item runs: a field the suite never
     reads (say `corrupt` outside the anticommutator suites), a negative
-    window, a window that yields no items and an empty charge list all raise
-    ValueError, as does a malformed SF_THREADS.
+    window, a window that yields no items, an empty charge list and a
+    repeated charge or beta all raise ValueError, as does a malformed
+    SF_THREADS.
     """
     if suite not in _BUILDERS:
         raise ValueError(f"unknown suite {suite!r}")
@@ -474,6 +467,10 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
         raise ValueError("max_degree and max_mode must be nonnegative")
     if opts.charges == ():
         raise ValueError(f"suite {suite!r} needs at least one charge")
+    for name in ("charges", "betas"):
+        values = getattr(opts, name)
+        if values is not None and len(set(values)) < len(values):
+            raise ValueError(f"repeated value in {name} of suite {suite!r}")
     items = [(suite, params, opts) for params in _BUILDERS[suite](opts)]
     if not items:
         raise ValueError(f"the window of suite {suite!r} yields no identities to verify")

@@ -177,6 +177,18 @@ def test_verify_rejects_empty_window(capsys, argv):
     assert "verified" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("virasoro", "--max-degree", "1", "--max-mode", "1", "--beta", "1", "--beta", "2/2"),
+        ("fermion", "--max-degree", "1", "--max-mode", "1", "--charges", "1,1"),
+    ],
+)
+def test_verify_rejects_repeated_sweep_values(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and "repeated value" in err and out == ""
+
+
 @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
 def test_internal_error_exits_3(monkeypatch, capsys, error):
     # an exception while an item runs is a fault of the program, not of the input

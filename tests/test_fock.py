@@ -1,9 +1,13 @@
 """Mode actions of the vertex kernels and the derived operator algebras."""
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from symfock import fock
 from symfock.bases import complete_h, elementary_e, q_coefficient
 from symfock.fock import (
     DEFORMED_MINUS,
@@ -13,7 +17,9 @@ from symfock.fock import (
     TWISTED_MINUS,
     TWISTED_PLUS,
     KERNELS,
+    Column,
     FockVector,
+    _apply,
     check_mode_identity,
     corrupted_kernel,
     heisenberg_mode,
@@ -21,7 +27,7 @@ from symfock.fock import (
     twisted_heisenberg_mode,
     virasoro_mode,
 )
-from symfock.partitions import partitions_up_to, weight
+from symfock.partitions import partitions_of, partitions_up_to, weight
 from symfock.ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc, linear_combination, perp_apply
 
@@ -125,7 +131,7 @@ def test_modes_match_translation_oracle(kernel):
                 if r >= shift:
                     want = want + kernel.mult_coefficient(r - shift) * f
             for m in (-1, 0, 1):
-                got = kernel.mode_on_basis(shift - 1 - kernel.eps * m, m, la)
+                got = mode_apply(kernel, shift - 1 - kernel.eps * m, FockVector(m, SymFunc.monomial(la)))
                 assert got.charge == m + kernel.eps
                 assert got.body == want
 
@@ -135,10 +141,11 @@ def test_twisted_kernels_at_t0_are_the_classical_ones():
     for twisted, classical in ((TWISTED_PLUS, FERMION_PLUS), (TWISTED_MINUS, FERMION_MINUS)):
         for la in partitions_up_to(4):
             for m in (-1, 0, 1):
+                v = FockVector(m, SymFunc.monomial(la))
                 for shift in range(-2, weight(la) + 2):
                     j = shift - 1 - twisted.eps * m
-                    got = twisted.mode_on_basis(j, m, la)
-                    want = classical.mode_on_basis(j, m, la)
+                    got = mode_apply(twisted, j, v)
+                    want = mode_apply(classical, j, v)
                     assert got.charge == want.charge
                     assert got.body.specialize_t(0) == want.body
 
@@ -278,3 +285,81 @@ def test_conjugation_by_substitution():
 def test_charge_mismatch_rejected():
     with pytest.raises(ValueError):
         FockVector(0, SymFunc.p(1)) + FockVector(1, SymFunc.p(1))
+
+
+# ---------------------------------------------------------------------------
+# packed Q-valued columns against linear_combination, the reference
+
+# small digits, digits past 2**63 and 2**127 (so sums need widths above 64
+# and 128 bits), and the edges around those powers, of either sign
+_INTS = st.one_of(
+    st.integers(-(2**12), 2**12),
+    st.integers(-(2**140), 2**140),
+    st.sampled_from([2**63, -(2**63) - 1, 2**127 - 1, -(2**127), 2**128 + 1]),
+)
+
+
+@st.composite
+def _q_body(draw, n):
+    """A nonzero SymFunc of weight n with Q coefficients over one random denominator."""
+    las = list(partitions_of(n))
+    chosen = draw(st.lists(st.sampled_from(las), min_size=1, max_size=len(las), unique=True))
+    den = draw(st.integers(1, 2**70))
+    terms = {la: RatFun.from_fraction(Fraction(draw(_INTS.filter(bool)), den)) for la in chosen}
+    return SymFunc(terms)
+
+
+@st.composite
+def _q_pairs(draw):
+    """(coefficient, body) pairs over weights 0..4, so inputs are inhomogeneous;
+    with cancel set every pair also enters negated and the sum is zero."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        body = draw(_q_body(draw(st.integers(0, 4))))
+        pairs.append((RatFun.from_fraction(Fraction(draw(_INTS.filter(bool)), draw(st.integers(1, 2**66)))), body))
+    cancel = draw(st.booleans())
+    if cancel:
+        pairs += [(-c, body) for c, body in pairs]
+    return pairs, cancel
+
+
+@settings(max_examples=200, deadline=None)
+@given(_q_pairs())
+def test_packed_apply_matches_linear_combination(case):
+    pairs, cancel = case
+    with mock.patch.dict(fock._grades, clear=True):
+        columns = [(c, Column.from_body(weight(next(iter(body.terms))), body)) for c, body in pairs]
+        assert all(col.bits < col.width for _, col in columns)
+        assert [col.body for _, col in columns] == [body for _, body in pairs]
+        got = _apply(columns)
+    assert got == linear_combination(pairs)
+    assert got.is_zero() == cancel
+
+
+def test_width_grows_mid_run():
+    small = SymFunc({(3,): RatFun.from_int(5), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
+    wide = SymFunc({(1, 1, 1): RatFun.from_int(2**150), (3,): RatFun.from_int(-1)})
+    with mock.patch.dict(fock._grades, clear=True):
+        a = Column.from_body(3, small)
+        narrow = a.width
+        first = _apply([(RatFun.from_int(3), a)])
+        b = Column.from_body(3, wide)  # grows the width of weight 3; a keeps its packing
+        assert b.width == fock._grades[3].width > narrow == a.width
+        pairs = [(RatFun.from_int(3), a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
+        got = _apply(pairs)
+        assert a.width == b.width == fock._grades[3].width  # a repacked once, in place
+        assert a.body == small and b.body == wide
+    assert first == small.scaled(3)
+    assert got == linear_combination((c, col.body) for c, col in pairs)
+
+
+def test_only_q_t_data_goes_through_linear_combination(monkeypatch):
+    calls = []
+    monkeypatch.setattr(fock, "linear_combination", lambda pairs: calls.append(1) or linear_combination(pairs))
+    body = SymFunc({(2,): RatFun.from_int(4), (1, 1): RatFun.from_fraction(Fraction(1, 2))})
+    col = Column.from_body(2, body)
+    q_pairs = [(RatFun.from_fraction(Fraction(-3, 7)), col), (RatFun.from_int(2), col)]
+    assert _apply(q_pairs) == linear_combination((c, body) for c, _ in q_pairs) and calls == []
+    q_t_pairs = [(RF_T, col), (RatFun.from_int(2), col)]
+    assert _apply(q_t_pairs) == linear_combination((c, body) for c, _ in q_t_pairs) and calls == [1]
+    assert Column.from_body(2, body.scaled(RF_T)) is None

@@ -9,7 +9,9 @@ before the translation tables moved to one common denominator.  `duality`,
 `bases-agreement` and `corollaries` never read `--max-mode`, so at
 `WINDOW` they exit 2 with no output; they are pinned at `--max-degree 3`,
 whose output is what they printed at `WINDOW` while the option was
-ignored.  Commands run in `data/`, which holds the `--file` inputs.
+ignored.  The last three cases run with packed mode columns wider than
+64 bits (96 and 128); they were recorded before the Q-valued modes were
+packed.  Commands run in `data/`, which holds the `--file` inputs.
 """
 
 import hashlib
@@ -47,6 +49,9 @@ GOLDEN = {
     ("kp", "--dualschur", "3,2,1", "--deformed"): (0, "c3c79fed3ac14bcafb5ef4cb7bde9784eb144e17d927bf1e2709cb26c8c8946d"),
     # S_31 + S_22 is not a deformed tau function; the witness carries deformed-kernel bodies
     ("kp", "--deformed", "--file", "kp_nontau_deformed.json"): (1, "feaa5b1a06b37984bb2dfd32b5ec771b218c902349788329a64b54aa431daf6b"),
+    ("kp", "--schur", "5,4,2,1"): (0, "78906ec17c2a3ebb43c000d11a364d23d0464f2a0306064215304242eb755884"),
+    ("verify", "heisenberg", "--max-degree", "4", "--max-mode", "4"): (0, "297d1b486ae28ba9bf6242450779ffe98d593fdf296bc3c489736b0bee07df2b"),
+    ("verify", "fermion", "--max-degree", "6", "--max-mode", "4"): (0, "188ce3ff20fa3943b3783bac8c741445ccabc11e626049809b6f46250bec2558"),
 }
 
 

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from symfock import fock, verify
+from symfock import fock, verify, vertex
 from symfock.bases import complete_h, elementary_e
 from symfock.verify import SweepOptions, _execute_item, run_suite
+from symfock.vertex import basis_via_vertex
 
 
 @pytest.mark.parametrize(
@@ -16,6 +17,8 @@ from symfock.verify import SweepOptions, _execute_item, run_suite
         ("fermion", SweepOptions(max_degree=-3, max_mode=2)),
         ("virasoro", SweepOptions(2, 1, charges=())),
         ("twisted-heisenberg", SweepOptions(2, 0)),  # no nonzero mode pair
+        ("virasoro", SweepOptions(1, 1, betas=(Fraction(1), Fraction(1)))),
+        ("fermion", SweepOptions(1, 1, charges=(1, 1))),
     ],
 )
 def test_run_suite_rejects_vacuous_sweeps(suite, opts):
@@ -90,3 +93,35 @@ def test_mode_identity_suites_can_fail(monkeypatch, suite, params, name, wrong):
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["charge", "p", "lhs", "rhs"]
+
+
+# one wrong operator per suite outside the mode identities; corollaries reads
+# only crosscheck_corollaries, so its control corrupts the q_k that check reads
+OTHER_CONTROLS = [
+    pytest.param(
+        "duality", ((2, 1), (2, 1)), verify, "schur", _doubled_at(verify.schur, (2, 1)), ["la", "mu", "value"], id="duality"
+    ),
+    pytest.param(
+        "bases-agreement",
+        ("schur-routes", (2, 1)),
+        verify,
+        "basis_via_vertex",
+        lambda kind, la: basis_via_vertex(kind, la).scaled(2),
+        ["vertex", "generating", "det"],
+        id="bases-agreement",
+    ),
+    pytest.param(
+        "corollaries", ((2, 1),), vertex, "q_coefficient", _doubled_at(vertex.q_coefficient, 1), ["la", "hl_equal", "dual_equal"],
+        id="corollaries",
+    ),
+]
+
+
+@pytest.mark.parametrize("suite, params, module, name, wrong, keys", OTHER_CONTROLS)
+def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, keys):
+    item = (suite, params, SweepOptions(max_degree=3))
+    assert _execute_item(item).ok
+    monkeypatch.setattr(module, name, wrong)
+    result = _execute_item(item)
+    assert not result.ok
+    assert list(result.witness) == keys
