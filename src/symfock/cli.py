@@ -10,10 +10,11 @@ that is negative or yields no identities is a usage error, never
 `commutation` included, evaluates on the charges given by `--charges`.
 `verify --corrupt` swaps in a corrupted plus kernel as a negative
 control; only the anticommutator suites `fermion` and `twisted-fermion`
-accept it, and any other suite exits 2.  Likewise an option the suite
-never reads exits 2 rather than being ignored: `--max-mode` and
-`--charges` on `duality`, `bases-agreement` and `corollaries`, and
-`--beta` on every suite but `virasoro` (`verify.SUITE_FIELDS`).
+accept it, and any other suite exits 2.  Likewise an option that is
+never read exits 2 rather than being ignored: `--max-mode` and
+`--charges` on `duality`, `bases-agreement` and `corollaries`, `--beta`
+on every suite but `virasoro` (`verify.SUITE_FIELDS`), and `expand -n`
+on every route but `oracle`.
 SF_THREADS caps the worker pool used by `verify` (default: available
 parallelism); it must be a positive integer, otherwise `verify` exits 2.
 """
@@ -99,6 +100,8 @@ def _cmd_expand(args) -> int:
     route = args.route
     if args.n is not None and args.n < 0:
         raise UsageError("-n must be nonnegative")
+    if args.n is not None and route != "oracle":
+        raise UsageError(f"-n is read only by the oracle route, not {route!r}")
     if basis in ROW_BASES:
         if len(la) > 1:
             raise UsageError(f"basis {basis!r} takes a single index k, got {list(la)}")

@@ -30,7 +30,18 @@ The coefficients of one table share one denominator: with c_v = n_v/d_v
 they are written over D_la = prod_v d_v**m_v, so every piece of a mode
 body has the same denominator and the body's coefficients keep it (for
 the deformed kernels D_la = prod_v (1-t^v)**m_v, of degree |la|; for the
-others D_la = 1).
+others D_la = 1).  The fields of each c_v are read once per kernel
+(`c_fields`): `RatFun._reduce` canonicalises a cached c_v in place,
+flipping the sign of both packed parts, and tables built before and
+after that would not share their denominators.
+
+The identity is linear, so a whole vector f = sum_la c_la p_la is
+translated at once: `translate` sums C_r f = sum_la c_la C_r p_la from
+the tables of f's support, and `mode_body` reads any mode
+sum_{r >= shift} A_(r-shift) C_r f from that, the same function that
+builds K[j] p_la from p_la's table.  The rows of each la are rescaled by
+the exact quotient M / D_la, M = prod_v d_v**(max_la m_v(la)), so when
+f has polynomial coefficients all of C_r f shares the one denominator M.
 
 Kernel instances:
 
@@ -336,6 +347,10 @@ def _apply(pairs: list[tuple[RatFun, "Column | FockVector"]]) -> SymFunc:
     return SymFunc(terms, _clean=True)
 
 
+# {r: C_r f as [(coeff, mu)]}: a translation table, or the translation of a vector
+Translations = dict[int, list[tuple[RatFun, Partition]]]
+
+
 class VertexKernel:
     """One charge-shifting vertex operator in the uniform exponential form."""
 
@@ -347,7 +362,9 @@ class VertexKernel:
         self.a = a
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
-        self._tables: dict[Partition, dict[int, list[tuple[RatFun, Partition]]]] = {}
+        # the packed fields of each c_v, read once (see c_fields)
+        self._c_fields: dict[int, tuple[int, int, int, int]] = {}
+        self._tables: dict[Partition, Translations] = {}
         # keyed by (shift, la): a Column for a Q-valued body, else a FockVector
         # that keeps the charge of its first request and is re-wrapped for others
         self._modes: dict[tuple[int, Partition], Column | FockVector] = {}
@@ -367,7 +384,15 @@ class VertexKernel:
             self._mult.append(acc.scaled(Fraction(1, m)).map_coeffs(lambda r: r.slim()))
         return self._mult[k]
 
-    def translation_table(self, la: Partition) -> dict[int, list[tuple[RatFun, Partition]]]:
+    def c_fields(self, v: int) -> tuple[int, int, int, int]:
+        """The packed fields (ne, nd, de, dd) of c_v, read once per kernel."""
+        out = self._c_fields.get(v)
+        if out is None:
+            c = self.c(v)
+            out = self._c_fields[v] = (c.ne, c.nd, c.de, c.dd)
+        return out
+
+    def translation_table(self, la: Partition) -> Translations:
         """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
 
         Taking k_v of the m_v parts equal to v contributes
@@ -383,9 +408,9 @@ class VertexKernel:
         terms: list[tuple[int, int, int, Partition]] = [(0, 1, 1, ())]
         de = dd = 1
         for v, mult in multiplicities(la).items():
-            c = self.c(v)
+            cne, cnd, cde, cdd = self.c_fields(v)
             factors = [
-                (comb(mult, k) * c.ne**k * c.de ** (mult - k), c.nd**k * c.dd ** (mult - k))
+                (comb(mult, k) * cne**k * cde ** (mult - k), cnd**k * cdd ** (mult - k))
                 for k in range(mult + 1)
             ]
             terms = [
@@ -393,13 +418,56 @@ class VertexKernel:
                 for k, (fe, fd) in enumerate(factors)
                 for r, ne, nd, rest in terms
             ]
-            de *= c.de**mult
-            dd *= c.dd**mult
+            de *= cde**mult
+            dd *= cdd**mult
         table = {}
         for r, ne, nd, rest in terms:
             table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
         self._tables[la] = table
         return table
+
+    def translate(self, f: SymFunc) -> Translations:
+        """C_r f = sum_la c_la C_r p_la for every r, as {r: [(coeff, mu)]}.
+
+        The tables of f's support are written over their own D_la; each
+        row is rescaled by the exact quotient M / D_la, with
+        M = prod_v d_v**(max_la m_v(la)), so that when f has polynomial
+        coefficients every piece shares the denominator M and the sum
+        stays on linear_combination's same-denominator path.
+        """
+        support = {la: multiplicities(la) for la in f.terms}
+        top: dict[int, int] = {}
+        for mults in support.values():
+            for v, mult in mults.items():
+                if mult > top.get(v, 0):
+                    top[v] = mult
+        rows: dict[int, list[tuple[RatFun, SymFunc]]] = {}
+        for la, mults in support.items():
+            qe = qd = 1
+            for v, mx in top.items():
+                k = mx - mults.get(v, 0)
+                if k:
+                    _, _, cde, cdd = self.c_fields(v)
+                    qe *= cde**k
+                    qd *= cdd**k
+            for r, terms in self.translation_table(la).items():
+                row = {rest: RatFun._raw(e.ne * qe, e.nd * qd, e.de * qe, e.dd * qd) for e, rest in terms}
+                rows.setdefault(r, []).append((f.terms[la], SymFunc(row, _clean=True)))
+        out = {}
+        for r, pairs in rows.items():
+            total = linear_combination(pairs)
+            if not total.is_zero():
+                out[r] = [(c, mu) for mu, c in total.terms.items()]
+        return out
+
+    def mode_body(self, shift: int, translations: Translations) -> SymFunc:
+        """sum_{r >= shift} A_(r-shift) C_r f, from {r: C_r f as [(coeff, mu)]}."""
+        return linear_combination(
+            (c, self.mult_coefficient(r - shift).times_monomial(mu))
+            for r, terms in translations.items()
+            if r >= shift
+            for c, mu in terms
+        )
 
     def mode_on_basis(self, j: int, m: int, la: Partition) -> Column | FockVector:
         """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
@@ -411,13 +479,7 @@ class VertexKernel:
         key = (shift, la)
         out = self._modes.get(key)
         if out is None:
-            pieces = [
-                (c, self.mult_coefficient(r - shift).times_monomial(rest))
-                for r, terms in self.translation_table(la).items()
-                if r >= shift
-                for c, rest in terms
-            ]
-            body = linear_combination(pieces)
+            body = self.mode_body(shift, self.translation_table(la))
             out = Column.from_body(weight(la) - shift, body)
             if out is None:
                 out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))

@@ -13,6 +13,19 @@ fermion-[-1-a] kills them for a < -deg tau2, so a runs over
 [-deg tau2, deg tau1 - 1] and the result is exact with no truncation.
 tau is a KP tau-function iff Omega(tau (x) tau) = 0; with the deformed
 kernels the same pairing tests the t-deformed hierarchy.
+
+Each leg is translated once.  A charge-0 mode is
+K[a] tau = sum_{r >= s} A_(r-s) C_r tau, with s = a + 1 for the plus
+leg and s = -a for minus[-1-a], so the whole diagonal is read from the
+translations {r: C_r tau} (`VertexKernel.translate`, `mode_body`).
+With the deformed kernels C_r tau is written over one common
+denominator M = prod_v (1-t^v)**(max_la m_v(la)), so the sums never
+multiply the denominators of different la together.  Nothing is cached
+per basis vector: a body K[a] p_la of one tau's support is used exactly
+once, and in the sum over la almost all of its terms cancel (a fermion
+mode sends a Schur function to 0 or to one Schur function, up to sign),
+so building one body per (shift, la), as `mode_apply` does, costs far
+more than reading the modes from C_r tau.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bases import schur
-from .fock import DEFORMED_MINUS, DEFORMED_PLUS, FERMION_MINUS, FERMION_PLUS, FockVector, mode_apply
+from .fock import DEFORMED_MINUS, DEFORMED_PLUS, FERMION_MINUS, FERMION_PLUS
 from .partitions import Partition, partitions_up_to, revlex_key, weight
 from .ratfun import RatFun, rat_to_json
 from .symfunc import SymFunc
@@ -105,14 +118,16 @@ def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorS
     d1, d2 = tau1.degree(), tau2.degree()
     if d1 < 0 or d2 < 0:
         return out
+    left, right = plus.translate(tau1), minus.translate(tau2)
     for a in range(-d2, d1):
-        left = mode_apply(plus, a, FockVector(0, tau1))
-        if left.is_zero():
+        # charge-0 shifts: a + 1 for plus[a], -a for minus[-1-a]
+        body1 = plus.mode_body(a + 1, left)
+        if body1.is_zero():
             continue
-        right = mode_apply(minus, -1 - a, FockVector(0, tau2))
-        if right.is_zero():
+        body2 = minus.mode_body(-a, right)
+        if body2.is_zero():
             continue
-        out.add_product(left.body, right.body)
+        out.add_product(body1, body2)
     return out
 
 

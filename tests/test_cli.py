@@ -74,6 +74,17 @@ def test_expand_rejects_negative_variable_count(capsys):
     assert code == 2 and "error" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("schur", "3,1", "--route", "det"), ("hl", "2", "--route", "vertex"), ("h", "2")],
+    ids=" ".join,
+)
+def test_expand_rejects_variable_count_off_the_oracle_route(capsys, argv):
+    # -n is read only by the oracle route; elsewhere it would be silently ignored
+    code, out, err = run_cli(capsys, "expand", *argv, "-n", "3")
+    assert code == 2 and "-n" in err and out == ""
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit):
         # argparse exits by itself on bad subcommands under parse_args

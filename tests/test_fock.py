@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfock import fock
-from symfock.bases import complete_h, elementary_e, q_coefficient
+from symfock.bases import complete_h, dual_schur, elementary_e, q_coefficient
 from symfock.fock import (
     DEFORMED_MINUS,
     DEFORMED_PLUS,
@@ -27,7 +27,7 @@ from symfock.fock import (
     twisted_heisenberg_mode,
     virasoro_mode,
 )
-from symfock.partitions import partitions_of, partitions_up_to, weight
+from symfock.partitions import multiplicities, partitions_of, partitions_up_to, weight
 from symfock.ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc, linear_combination, perp_apply
 
@@ -117,6 +117,27 @@ def test_deformed_denominators_stay_bounded(kernel):
             body = kernel.mode_on_basis(shift - 1, 0, la).body
             for c in body.terms.values():
                 assert TPoly(c.de, c.dd).degree <= weight(la), (la, shift)
+
+
+@pytest.mark.parametrize("kernel", [DEFORMED_PLUS, DEFORMED_MINUS], ids=lambda k: k.name)
+def test_deformed_vector_translation_shares_one_denominator(kernel):
+    # C_r tau for polynomial-coefficient tau is written over one denominator
+    # M = prod_v (1-t^v)^(max_la m_v(la)), so its sums never multiply
+    # denominators of different la together
+    taus = [dual_schur(la) for la in partitions_up_to(5)]
+    taus.append(dual_schur((3, 1)) + dual_schur((2, 2)))
+    taus.append(SymFunc.one() + dual_schur((2, 2)).scaled(RF_T) + dual_schur((4,)))
+    for tau in taus:
+        top = {}
+        for la in tau.terms:
+            for v, m in multiplicities(la).items():
+                top[v] = max(top.get(v, 0), m)
+        bound = sum(v * m for v, m in top.items())
+        translations = kernel.translate(tau)
+        dens = {(c.de, c.dd) for terms in translations.values() for c, _ in terms}
+        assert len(dens) == 1, tau
+        ((de, dd),) = dens
+        assert TPoly(de, dd).degree <= bound, tau
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,10 @@ before the translation tables moved to one common denominator.  `duality`,
 whose output is what they printed at `WINDOW` while the option was
 ignored.  The last three cases run with packed mode columns wider than
 64 bits (96 and 128); they were recorded before the Q-valued modes were
-packed.  Commands run in `data/`, which holds the `--file` inputs.
+packed.  `kp-search --degree-bound 4`, `kp --schur 4,3,2,2,1` and
+`kp --dualschur` on 3,3,2,1 and 5,4,2,1 (`--deformed`) were recorded
+before the KP check read its diagonal modes from one translation of tau
+per leg.  Commands run in `data/`, which holds the `--file` inputs.
 """
 
 import hashlib
@@ -50,6 +53,11 @@ GOLDEN = {
     # S_31 + S_22 is not a deformed tau function; the witness carries deformed-kernel bodies
     ("kp", "--deformed", "--file", "kp_nontau_deformed.json"): (1, "feaa5b1a06b37984bb2dfd32b5ec771b218c902349788329a64b54aa431daf6b"),
     ("kp", "--schur", "5,4,2,1"): (0, "78906ec17c2a3ebb43c000d11a364d23d0464f2a0306064215304242eb755884"),
+    # the kp-search witness is a classical Omega tensor
+    ("kp-search", "--degree-bound", "4"): (0, "43a2bf758c57034cf56add583be8bf6608c04b9c5b474923d6540fa23c7d99cf"),
+    ("kp", "--schur", "4,3,2,2,1"): (0, "9a69632b809723f715f72d027befc7de13fa5112f0c0f38e8900de68e3b58f7a"),
+    ("kp", "--dualschur", "3,3,2,1", "--deformed"): (0, "bac2bfd3f32f095f9ac3d4bd0f8783eb96b6095b825eb0952aa4cc1bc87984da"),
+    ("kp", "--dualschur", "5,4,2,1", "--deformed"): (0, "2fec472a11fc42ec948c15918b6fc0fcebd8117cd3ab38ed7ff398881c82ce27"),
     ("verify", "heisenberg", "--max-degree", "4", "--max-mode", "4"): (0, "297d1b486ae28ba9bf6242450779ffe98d593fdf296bc3c489736b0bee07df2b"),
     ("verify", "fermion", "--max-degree", "6", "--max-mode", "4"): (0, "188ce3ff20fa3943b3783bac8c741445ccabc11e626049809b6f46250bec2558"),
 }

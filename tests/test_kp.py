@@ -2,10 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
+
 from symfock.bases import dual_schur, schur
+from symfock.fock import DEFORMED_MINUS, DEFORMED_PLUS, FERMION_MINUS, FERMION_PLUS, FockVector, mode_apply
 from symfock.kp import TensorState, is_tau, omega_apply, search_negative_control, tensor_to_json
 from symfock.partitions import partitions_up_to
-from symfock.ratfun import rf_one_minus_t_pow
+from symfock.ratfun import RF_T, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc
 
 
@@ -95,3 +98,33 @@ def test_tensor_json_shape():
     payload = tensor_to_json(omega_apply(tau, tau))
     for entry in payload["terms"]:
         assert set(entry) == {"left", "right", "coeff"}
+
+
+# tau candidates for the diagonal-mode oracle: taus, non-taus, and
+# coefficients with t-denominators (which leave the common-denominator path)
+ORACLE_TAUS = [
+    *(schur(la) for la in partitions_up_to(6)),
+    *(dual_schur(la) for la in partitions_up_to(5)),
+    SymFunc.one() + schur((2, 2)) + schur((2,)).scaled(Fraction(3)),
+    dual_schur((3, 1)) + dual_schur((2, 2)),
+    schur((2, 1))
+    + SymFunc.monomial((2,), rf_inv_one_minus_t_pow(1))
+    + SymFunc.monomial((1, 1, 1), RF_T * rf_inv_one_minus_t_pow(2)),
+]
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [(FERMION_PLUS, FERMION_MINUS), (DEFORMED_PLUS, DEFORMED_MINUS)],
+    ids=["classical", "deformed"],
+)
+def test_diagonal_modes_from_translations_match_mode_apply(plus, minus):
+    # omega_apply reads plus[a] tau and minus[-1-a] tau off one translation
+    # per leg; mode_apply on the charge-0 vector is the reference
+    for tau in ORACLE_TAUS:
+        left, right = plus.translate(tau), minus.translate(tau)
+        d = tau.degree()
+        for a in range(-d - 1, d + 1):
+            v = FockVector(0, tau)
+            assert plus.mode_body(a + 1, left) == mode_apply(plus, a, v).body, (tau, a)
+            assert minus.mode_body(-a, right) == mode_apply(minus, -1 - a, v).body, (tau, a)
