@@ -30,10 +30,7 @@ The coefficients of one table share one denominator: with c_v = n_v/d_v
 they are written over D_la = prod_v d_v**m_v, so every piece of a mode
 body has the same denominator and the body's coefficients keep it (for
 the deformed kernels D_la = prod_v (1-t^v)**m_v, of degree |la|; for the
-others D_la = 1).  The fields of each c_v are read once per kernel
-(`c_fields`): `RatFun._reduce` canonicalises a cached c_v in place,
-flipping the sign of both packed parts, and tables built before and
-after that would not share their denominators.
+others D_la = 1).
 
 The identity is linear, so a whole vector f = sum_la c_la p_la is
 translated at once: `translate` sums C_r f = sum_la c_la C_r p_la from
@@ -362,8 +359,6 @@ class VertexKernel:
         self.a = a
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
-        # the packed fields of each c_v, read once (see c_fields)
-        self._c_fields: dict[int, tuple[int, int, int, int]] = {}
         self._tables: dict[Partition, Translations] = {}
         # keyed by (shift, la): a Column for a Q-valued body, else a FockVector
         # that keeps the charge of its first request and is re-wrapped for others
@@ -384,14 +379,6 @@ class VertexKernel:
             self._mult.append(acc.scaled(Fraction(1, m)).map_coeffs(lambda r: r.slim()))
         return self._mult[k]
 
-    def c_fields(self, v: int) -> tuple[int, int, int, int]:
-        """The packed fields (ne, nd, de, dd) of c_v, read once per kernel."""
-        out = self._c_fields.get(v)
-        if out is None:
-            c = self.c(v)
-            out = self._c_fields[v] = (c.ne, c.nd, c.de, c.dd)
-        return out
-
     def translation_table(self, la: Partition) -> Translations:
         """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
 
@@ -408,9 +395,9 @@ class VertexKernel:
         terms: list[tuple[int, int, int, Partition]] = [(0, 1, 1, ())]
         de = dd = 1
         for v, mult in multiplicities(la).items():
-            cne, cnd, cde, cdd = self.c_fields(v)
+            c = self.c(v)
             factors = [
-                (comb(mult, k) * cne**k * cde ** (mult - k), cnd**k * cdd ** (mult - k))
+                (comb(mult, k) * c.ne**k * c.de ** (mult - k), c.nd**k * c.dd ** (mult - k))
                 for k in range(mult + 1)
             ]
             terms = [
@@ -418,8 +405,8 @@ class VertexKernel:
                 for k, (fe, fd) in enumerate(factors)
                 for r, ne, nd, rest in terms
             ]
-            de *= cde**mult
-            dd *= cdd**mult
+            de *= c.de**mult
+            dd *= c.dd**mult
         table = {}
         for r, ne, nd, rest in terms:
             table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
@@ -447,9 +434,9 @@ class VertexKernel:
             for v, mx in top.items():
                 k = mx - mults.get(v, 0)
                 if k:
-                    _, _, cde, cdd = self.c_fields(v)
-                    qe *= cde**k
-                    qd *= cdd**k
+                    c = self.c(v)
+                    qe *= c.de**k
+                    qd *= c.dd**k
             for r, terms in self.translation_table(la).items():
                 row = {rest: RatFun._raw(e.ne * qe, e.nd * qd, e.de * qe, e.dd * qd) for e, rest in terms}
                 rows.setdefault(r, []).append((f.terms[la], SymFunc(row, _clean=True)))

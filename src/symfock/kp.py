@@ -139,18 +139,15 @@ def is_tau(tau: SymFunc, deformed: bool = False) -> bool:
 def search_negative_control(degree_bound: int):
     """First small integer Schur combination violating the bilinear identity.
 
-    Scans tau = s_la + s_mu and tau = 1 + s_la + s_mu over partitions of
-    weight <= degree_bound in a fixed order; returns (tau, witness) or
-    None when the space is exhausted.
+    Scans tau = s_la + s_mu over pairs of nonempty partitions of weight
+    <= degree_bound in a fixed order; returns (tau, witness), or None
+    when there is no pair.  For degree_bound >= 2 a witness always
+    exists: the Maya diagrams {1, -2, -3, ...} of (2) and {0, -1, -3, ...}
+    of (1,1) differ in two places, so s_2 + s_11 is not a tau-function.
     """
     pool = [la for la in partitions_up_to(degree_bound) if la]
     for la, mu in combinations(pool, 2):
         tau = schur(la) + schur(mu)
-        state = omega_apply(tau, tau)
-        if not state.is_zero():
-            return tau, state
-    for la, mu in combinations(pool, 2):
-        tau = SymFunc.one() + schur(la) + schur(mu)
         state = omega_apply(tau, tau)
         if not state.is_zero():
             return tau, state

@@ -23,8 +23,9 @@ fix).
 
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
-hashing and serialisation is established lazily; arithmetic does not
-reduce.  Equality and zero tests are exact without reduction.
+hashing and serialisation is computed lazily and memoised beside the
+fields, which never change; arithmetic does not reduce.  Equality and
+zero tests are exact without reduction.
 """
 
 from __future__ import annotations
@@ -288,9 +289,12 @@ class RatFun:
     denominators, so the field operations are a handful of bigint
     multiplications with no intermediate objects.  Arithmetic is exact
     but lazy: the canonical reduced, monic-denominator form is only
-    established when observed through .num/.den, hashing, or
+    computed when observed through .num/.den, hashing, evaluation or
     serialisation.  Equality and zero tests are exact on unreduced
-    representatives.
+    representatives.  The four fields never change after construction;
+    _canon memoises the canonical form as False (not computed yet), True
+    (these fields are canonical) or the canonical twin, never self, so a
+    canonical value is not a reference cycle.
     """
 
     __slots__ = ("ne", "nd", "de", "dd", "_canon")
@@ -305,13 +309,13 @@ class RatFun:
         self._canon = den.enc == 1 and den.den == 1
 
     @classmethod
-    def _raw(cls, ne: int, nd: int, de: int, dd: int) -> "RatFun":
+    def _raw(cls, ne: int, nd: int, de: int, dd: int, canon: "bool | RatFun" = False) -> "RatFun":
         out = object.__new__(cls)
         out.ne = ne
         out.nd = nd
         out.de = de
         out.dd = dd
-        out._canon = False
+        out._canon = canon
         return out
 
     @classmethod
@@ -320,17 +324,13 @@ class RatFun:
             return RF_ZERO
         if v == 1:
             return RF_ONE
-        out = cls._raw(v, 1, 1, 1)
-        out._canon = True
-        return out
+        return cls._raw(v, 1, 1, 1, True)
 
     @classmethod
     def from_ratio(cls, a: int, b: int) -> "RatFun":
         """The constant a/b, b > 0, reduced by one gcd (canonical form)."""
         g = gcd(a, b)
-        out = cls._raw(a // g, b // g, 1, 1)
-        out._canon = True
-        return out
+        return cls._raw(a // g, b // g, 1, 1, True)
 
     @classmethod
     def from_fraction(cls, c: Fraction | int) -> "RatFun":
@@ -339,17 +339,16 @@ class RatFun:
             return RF_ZERO
         if c == 1:
             return RF_ONE
-        out = cls._raw(c.numerator, c.denominator, 1, 1)
-        out._canon = True
-        return out
+        return cls._raw(c.numerator, c.denominator, 1, 1, True)
 
-    def _reduce(self) -> None:
-        if self._canon:
-            return
-        if self.ne == 0:
-            self.ne, self.nd, self.de, self.dd = 0, 1, 1, 1
-            self._canon = True
-            return
+    def _reduce(self) -> "RatFun":
+        """The canonical form (gcd(num, den) = 1, den monic, content-normalised):
+        self if these fields are canonical, else the memoised twin."""
+        canon = self._canon
+        if canon is True:
+            return self
+        if canon is not False:
+            return canon
         num = TPoly(self.ne, self.nd)
         den = TPoly(self.de, self.dd)
         g = poly_gcd(num, den)
@@ -363,19 +362,22 @@ class RatFun:
             den = den.scale(inv)
         num = num.content_normalized()
         den = den.content_normalized()
-        self.ne, self.nd = num.enc, num.den
-        self.de, self.dd = den.enc, den.den
-        self._canon = True
+        fields = (num.enc, num.den, den.enc, den.den)
+        if fields == (self.ne, self.nd, self.de, self.dd):
+            self._canon = True
+            return self
+        self._canon = RatFun._raw(*fields, True)
+        return self._canon
 
     @property
     def num(self) -> TPoly:
-        self._reduce()
-        return TPoly(self.ne, self.nd)
+        c = self._reduce()
+        return TPoly(c.ne, c.nd)
 
     @property
     def den(self) -> TPoly:
-        self._reduce()
-        return TPoly(self.de, self.dd)
+        c = self._reduce()
+        return TPoly(c.de, c.dd)
 
     def is_zero(self) -> bool:
         return self.ne == 0
@@ -478,33 +480,31 @@ class RatFun:
         )
 
     def __hash__(self) -> int:
-        self._reduce()
-        n = TPoly(self.ne, self.nd).content_normalized()
-        d = TPoly(self.de, self.dd).content_normalized()
+        c = self._reduce()
+        n = TPoly(c.ne, c.nd).content_normalized()
+        d = TPoly(c.de, c.dd).content_normalized()
         return hash((n.enc, n.den, d.enc, d.den))
 
     def eval_at(self, t0: Fraction | int) -> Fraction:
         """Exact evaluation at t = t0; raises on a pole."""
         t0 = Fraction(t0)
-        self._reduce()
-        dv = TPoly(self.de, self.dd).eval_at(t0)
+        c = self._reduce()
+        dv = TPoly(c.de, c.dd).eval_at(t0)
         if dv == 0:
             raise ZeroDivisionError(f"pole at t = {t0}")
-        return TPoly(self.ne, self.nd).eval_at(t0) / dv
+        return TPoly(c.ne, c.nd).eval_at(t0) / dv
 
     def slim(self) -> "RatFun":
         """Content-normalised copy (cheap; no polynomial gcd)."""
         n = TPoly(self.ne, self.nd).content_normalized()
         d = TPoly(self.de, self.dd).content_normalized()
-        out = RatFun._raw(n.enc, n.den, d.enc, d.den)
-        out._canon = self._canon
-        return out
+        return RatFun._raw(n.enc, n.den, d.enc, d.den, self._canon)
 
     def __repr__(self) -> str:
-        self._reduce()
-        if self.de == 1 and self.dd == 1:
-            return f"RatFun({TPoly(self.ne, self.nd)!r})"
-        return f"RatFun({TPoly(self.ne, self.nd)!r} / {TPoly(self.de, self.dd)!r})"
+        c = self._reduce()
+        if c.de == 1 and c.dd == 1:
+            return f"RatFun({TPoly(c.ne, c.nd)!r})"
+        return f"RatFun({TPoly(c.ne, c.nd)!r} / {TPoly(c.de, c.dd)!r})"
 
 
 RF_ZERO = RatFun(ZERO)
@@ -567,6 +567,4 @@ def rat_from_json(obj: object) -> RatFun:
         raise ValueError(f"rational function JSON out of range: {exc}") from None
     if den.is_zero():
         raise ValueError("zero denominator in rational function JSON")
-    r = RatFun(num, den)
-    r._reduce()
-    return r
+    return RatFun(num, den)._reduce()

@@ -28,7 +28,7 @@ from symfock.fock import (
     virasoro_mode,
 )
 from symfock.partitions import multiplicities, partitions_of, partitions_up_to, weight
-from symfock.ratfun import RatFun, TPoly, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.ratfun import RatFun, TPoly, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc, linear_combination, perp_apply
 
 RF_T = RatFun(TPoly.from_coeffs([0, 1]))
@@ -123,7 +123,8 @@ def test_deformed_denominators_stay_bounded(kernel):
 def test_deformed_vector_translation_shares_one_denominator(kernel):
     # C_r tau for polynomial-coefficient tau is written over one denominator
     # M = prod_v (1-t^v)^(max_la m_v(la)), so its sums never multiply
-    # denominators of different la together
+    # denominators of different la together; serialising and hashing the
+    # shared c_v between two translations must not change what they share
     taus = [dual_schur(la) for la in partitions_up_to(5)]
     taus.append(dual_schur((3, 1)) + dual_schur((2, 2)))
     taus.append(SymFunc.one() + dual_schur((2, 2)).scaled(RF_T) + dual_schur((4,)))
@@ -133,8 +134,12 @@ def test_deformed_vector_translation_shares_one_denominator(kernel):
             for v, m in multiplicities(la).items():
                 top[v] = max(top.get(v, 0), m)
         bound = sum(v * m for v, m in top.items())
-        translations = kernel.translate(tau)
-        dens = {(c.de, c.dd) for terms in translations.values() for c, _ in terms}
+        before = kernel.translate(tau)
+        for v in top:
+            rat_to_json(rf_inv_one_minus_t_pow(v))
+            hash(rf_inv_one_minus_t_pow(v))
+        after = kernel.translate(tau)
+        dens = {(c.de, c.dd) for t in (before, after) for terms in t.values() for c, _ in terms}
         assert len(dens) == 1, tau
         ((de, dd),) = dens
         assert TPoly(de, dd).degree <= bound, tau

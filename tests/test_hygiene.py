@@ -88,3 +88,58 @@ def test_dead_definition_is_reported():
         "def exported():\n    pass\n\n\n__all__ = ['exported']\n"
     )
     assert _dead_definitions({"m": source}, [source]) == ["m.A.unused", "m.helper"]
+
+
+# a RatFun is a value: only its two constructors write the packed fields
+PACKED_FIELDS = {"ne", "nd", "de", "dd"}
+FIELD_WRITERS = {"RatFun.__init__", "RatFun._raw"}
+
+
+def _packed_field_writes(sources: dict[str, str]) -> list[str]:
+    """Assignments, deletions and setattr calls on an attribute ne, nd, de
+    or dd outside FIELD_WRITERS, as module.scope:line."""
+    found = []
+
+    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, module, (*scope, child.name))
+                continue
+            written = None
+            if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
+                written = child.attr
+            elif isinstance(child, ast.Call) and len(child.args) >= 2:
+                # setattr(obj, "ne", v) and object.__setattr__(obj, "ne", v)
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("setattr", "__setattr__") and isinstance(child.args[1], ast.Constant):
+                    written = child.args[1].value
+            if written in PACKED_FIELDS and ".".join(scope) not in FIELD_WRITERS:
+                found.append(f"{module}.{'.'.join(scope) or '<module>'}:{child.lineno}")
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return sorted(found)
+
+
+def test_packed_fields_written_only_by_constructors():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _packed_field_writes(sources) == []
+
+
+def test_packed_field_write_is_reported():
+    source = (
+        "class RatFun:\n    def __init__(self, n):\n        self.ne = n\n\n"
+        "    @classmethod\n    def _raw(cls, n):\n        out = object.__new__(cls)\n        out.ne = n\n        return out\n\n"
+        "    def _reduce(self):\n        self.ne, self.nd = self.nd, self.ne\n\n\n"
+        "def bump(r):\n    r.dd += 1\n    setattr(r, 'de', 2)\n    return r.ne\n\n\n"
+        "r = RatFun(1)\ndel r.de\n"
+    )
+    assert _packed_field_writes({"m": source}) == [
+        "m.<module>:22",
+        "m.RatFun._reduce:12",
+        "m.RatFun._reduce:12",
+        "m.bump:16",
+        "m.bump:17",
+    ]

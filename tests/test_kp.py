@@ -49,10 +49,17 @@ def test_search_negative_control():
     tau, state = found
     assert not state.is_zero()
     assert not is_tau(tau)
+    # from weight 2 on, some s_la + s_mu fails (s_2 + s_11 does), so no
+    # witness needs a constant term
+    for degree_bound in range(2, 6):
+        tau, _ = search_negative_control(degree_bound)
+        assert () not in tau.terms, degree_bound
+        assert not is_tau(tau), degree_bound
 
 
 def test_search_empty_space_returns_none():
     assert search_negative_control(0) is None
+    assert search_negative_control(1) is None
 
 
 def test_omega_bilinear():

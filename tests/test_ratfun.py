@@ -1,7 +1,7 @@
 """Exact arithmetic in Q(t): packing, normalisation, field axioms."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -20,6 +20,7 @@ from symfock.ratfun import (
     poly_gcd,
     rat_from_json,
     rat_to_json,
+    rf_inv_one_minus_t_pow,
 )
 
 small_fractions = st.fractions(
@@ -268,8 +269,70 @@ def test_slim_matches_digitwise(n, d):
 def test_ratfun_hash_matches_digitwise(n, d, k):
     assume(d.enc != 0)
     x = RatFun._raw(n.enc, n.den, d.enc, d.den)
-    h = hash(x)  # reduces x in place
-    want = (*digitwise_normalized(TPoly(x.ne, x.nd)), *digitwise_normalized(TPoly(x.de, x.dd)))
+    h = hash(x)
+    want = (*digitwise_normalized(x.num), *digitwise_normalized(x.den))
     assert h == hash(want)
     # an equal value with a scaled representative hashes alike
     assert hash(RatFun._raw(n.enc * k, n.den * k, d.enc, d.den)) == h
+
+
+# -- values never change once built
+
+
+def _observe(x):
+    """Run every observer of x that reads its canonical form or its fields."""
+    hash(x)
+    repr(x)
+    x.num
+    x.den
+    try:
+        x.eval_at(Fraction(1, 3))
+    except ZeroDivisionError:
+        pass
+    rat_to_json(x)
+    x.slim()
+    x.q_parts()
+
+
+observed_rat_funs = st.one_of(
+    rat_funs,
+    st.integers(1, 6).map(rf_inv_one_minus_t_pow),
+    st.integers(1, 6).map(lambda n: -rf_inv_one_minus_t_pow(n)),
+    st.builds(
+        lambda n, d: RatFun._raw(n.enc, n.den, d.enc, d.den),
+        packed_polys(digit_bits=40),
+        packed_polys(digit_bits=40).filter(lambda d: d.enc != 0),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(observed_rat_funs)
+@example(RatFun(ONE, one_minus_t_pow(3)))  # canonical den is t^3 - 1: both signs flip
+@example(RatFun(mk([2, 4]), mk([6, -3])))  # non-monic, content shared with the scalars
+@example(RatFun._raw(0, 5, 7, 3))  # zero with a non-unit representative
+def test_observers_leave_fields_unchanged(x):
+    fields = (x.ne, x.nd, x.de, x.dd)
+    _observe(x)
+    assert (x.ne, x.nd, x.de, x.dd) == fields
+    # the memoised canonical form answers a second round alike
+    j, h = rat_to_json(x), hash(x)
+    _observe(x)
+    assert (x.ne, x.nd, x.de, x.dd) == fields
+    assert (rat_to_json(x), hash(x)) == (j, h)
+
+
+@pytest.mark.xfail(strict=True, reason="products carry past 2**(LIMB_BITS-1) silently")
+@pytest.mark.parametrize("base", [mk([1, 1]), RatFun(mk([1, 1]))], ids=["TPoly", "RatFun"])
+def test_carry_past_limb_bound_is_caught(base):
+    # binom(200, 100) has 196 bits, past the 191 a balanced 192-bit limb
+    # holds: the product must either stay exact or raise PackingOverflow
+    try:
+        p = base
+        for _ in range(199):
+            p = p * base
+        poly = p if isinstance(p, TPoly) else p.num
+        coeff = poly.coeff_vector()[100]
+    except PackingOverflow:
+        return
+    assert coeff == comb(200, 100)
