@@ -55,32 +55,43 @@ the fermion+ modes at a <= -1 (applied outermost) versus a >= 0 (applied
 innermost, with a fermionic sign), which is the unique split for which
 every mode sum terminates on each vector.
 
-Q-valued bodies are packed.  A mode body K[j] p_la has weight
-n = |la| - shift.  When all its coefficients are in Q (every body of
-fermion+-, of their corrupted copies, and of the Heisenberg and Virasoro
-bilinears) it is cached as a `Column`: one integer whose slot i holds the
-coefficient of the i-th partition of n (`partitions_of` order) as a
-balanced base-2**w digit, over one positive denominator, together with a
-bound b on the digits' bit length.  An operator applied to a vector with
-coefficients in Q groups the input terms by weight and, per weight, sums
-s_i * enc_i over the common denominator: one multiply-add per input term.
-The sum is unpacked to a SymFunc, one gcd per coefficient, only for the
-FockVector it returns.
+Bodies in Z[t]/den are packed.  A mode body K[j] p_la has weight
+n = |la| - shift.  When every coefficient is a polynomial in t over a
+scalar denominator (every body of fermion+-, twisted+-, their corrupted
+copies, and the Heisenberg and Virasoro bilinears) it is cached as a
+`Column`: one integer whose slot i*s + k holds the t**k coefficient of
+the i-th partition of n (`partitions_of` order) as a balanced
+base-2**w digit, over one positive scalar denominator, together with a
+bound b on the digits' bit length and a bound d on their t-degree, d < s.
+This is Kronecker substitution on two levels (t = 2**w inside a slot,
+X = 2**(w*s) between partitions); a Q-valued body is the case d = 0.
+An operator applied to a vector with coefficients in Z[t]/den groups the
+input terms by weight and, per weight, sums c_i(t) * enc_i over the
+common denominator: one multiply of enc_i by c_i's digits repacked at
+t = 2**w per input term.  The sum is unpacked to a SymFunc, one gcd per
+coefficient, only for the FockVector it returns.  `composition` builds
+K1[j1] K2[j2] z^m p_la the same way, from the digits of the inner column
+and the cached outer columns, for the anticommutator and bilinear sums.
 
-The width w is set by no option.  A sum needs digits below 2**bits with
-bits = max_i (bits(s_i) + b_i) + ceil(log2(terms)), and w >= bits + 1 (a
-sign bit), so no digit ever carries into its neighbour; the bound is
-carried with each column, never re-read from the packed integer (which
-cannot show a carry).  Columns of one weight share a width, a multiple of
-32 bits that only grows; a column narrower than what an operation needs
-is repacked once, in place.  Packing and unpacking go through one
-to_bytes/from_bytes each, with half a digit added to every slot, so both
-are linear in the number of slots.
+Neither the width w nor the t-stride s is set by an option.  A sum needs
+digits below 2**bits with bits = max_i (bits(c_i) + b_i +
+ceil(log2(min(deg c_i, d_i) + 1))) + ceil(log2(terms)), the first log
+counting the products that meet in one slot of c_i(t) * col_i, and
+w >= bits + 1 (a sign bit); its t-degree is at most max_i (deg c_i + d_i),
+and s must exceed it.  So no digit ever carries into its neighbour, and no
+polynomial runs into the next partition's slots.  Both bounds are carried
+with each column, never re-read from the packed integer (which cannot show
+a carry).  Columns of one weight share a width, a multiple of 32 bits,
+and those of positive t-degree a stride, a multiple of 4 (a Q column has
+stride 1); both only grow, and a column packed otherwise than an
+operation needs is repacked once, in place.
+Packing and unpacking go through one to_bytes/from_bytes each, with half
+a digit added to every slot, so both are linear in the number of slots;
+at 32- and 64-bit widths the unpacked slots are read as machine words.
 
-Q(t) bodies (twisted+-, deformed+-) are not packed yet: a Q(t) slot needs
-a second Kronecker level, a t-stride sized from per-value bounds on the
-packed polynomials, which `ratfun` does not carry.  They stay SymFuncs,
-and a vector with a coefficient outside Q goes through
+Only the deformed+- bodies on a nonempty la stay SymFuncs: their
+coefficients carry the denominators D_la.  A vector with a coefficient
+whose denominator depends on t (or a deformed body) goes through
 `linear_combination` on the SymFunc views of its columns.
 
 An identity side is a plain function on Fock vectors, composed from the
@@ -90,6 +101,8 @@ basis vector z^m p_la of a window.
 
 from __future__ import annotations
 
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -154,54 +167,73 @@ def fock_to_json(v: FockVector) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Q-valued bodies packed as integers
+# Z[t]-valued bodies packed as integers
 
 _WIDTH_STEP = 32  # digit widths are multiples of this (whole bytes for to_bytes)
+_STRIDE_STEP = 4  # a growing stride skips to a multiple of this, so columns are repacked less often
+# memoryview formats that read one whole slot per item, by width in bits
+_WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "little" else {}
+
+# a coefficient of a column or of a packed sum: an int for a constant, else
+# the integer digits of a polynomial ascending in t
+Digits = int | tuple[int, ...]
 
 
 class _Grade:
     """The partitions of one weight n, whose order numbers the slots of
-    every column of weight n, and the digit width those columns share."""
+    every column of weight n, and the digit width and t-stride those
+    columns share."""
 
-    __slots__ = ("parts", "index", "width", "_offsets")
+    __slots__ = ("parts", "index", "width", "stride", "_offsets")
 
     def __init__(self, n: int):
         self.parts = tuple(partitions_of(n))
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.width = _WIDTH_STEP
-        self._offsets: dict[int, tuple[bytes, int]] = {}
+        self.stride = 1
+        self._offsets: dict[tuple[int, int], tuple[bytes, int]] = {}
 
-    def fit(self, bits: int) -> int:
-        """The shared width, first grown (never shrunk) to hold digits below 2**bits."""
+    def fit(self, bits: int, deg: int) -> tuple[int, int]:
+        """The (width, stride) for digits below 2**bits and polynomials of
+        t-degree deg: the shared width and, unless deg = 0 (stride 1, so Q
+        columns never pay for the t-degrees of others), the shared stride,
+        each first grown (never shrunk) to fit."""
         if bits >= self.width:
             self.width = (bits // _WIDTH_STEP + 1) * _WIDTH_STEP
-        return self.width
+        if not deg:
+            return self.width, 1
+        if deg >= self.stride:
+            self.stride = (deg // _STRIDE_STEP + 1) * _STRIDE_STEP
+        return self.width, self.stride
 
-    def offset(self, width: int) -> tuple[bytes, int]:
+    def offset(self, width: int, stride: int) -> tuple[bytes, int]:
         """Half a digit, 2**(width-1), in every slot: as little-endian bytes and as an int."""
-        out = self._offsets.get(width)
+        out = self._offsets.get((width, stride))
         if out is None:
-            pattern = (bytes(width // 8 - 1) + b"\x80") * len(self.parts)
-            out = self._offsets[width] = (pattern, int.from_bytes(pattern, "little"))
+            pattern = (bytes(width // 8 - 1) + b"\x80") * (len(self.parts) * stride)
+            out = self._offsets[width, stride] = (pattern, int.from_bytes(pattern, "little"))
         return out
 
-    def pack(self, slots: Iterable[tuple[int, int]], width: int) -> int:
-        """sum d * 2**(width*i) over (i, d), every |d| < 2**(width-1): one from_bytes."""
+    def pack(self, slots: Iterable[tuple[int, int]], width: int, stride: int) -> int:
+        """sum d * 2**(width*s) over (s, d), every |d| < 2**(width-1): one from_bytes."""
         size, half = width // 8, 1 << (width - 1)
-        pattern, offset = self.offset(width)
+        pattern, offset = self.offset(width, stride)
         buf = bytearray(pattern)
         for i, d in slots:
             buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
         return int.from_bytes(buf, "little") - offset
 
-    def unpack(self, enc: int, width: int) -> list[tuple[int, int]]:
-        """The nonzero balanced digits (i, d) of enc: one to_bytes."""
+    def unpack(self, enc: int, width: int, stride: int) -> list[tuple[int, int]]:
+        """The nonzero balanced digits (s, d) of enc: one to_bytes."""
         size, half = width // 8, 1 << (width - 1)
-        pattern, offset = self.offset(width)
+        pattern, offset = self.offset(width, stride)
         raw = (enc + offset).to_bytes(len(pattern), "little")
+        word = _WORDS.get(width)
+        if word is not None:
+            return [(i, v - half) for i, v in enumerate(memoryview(raw).cast(word).tolist()) if v != half]
         empty = pattern[:size]
         out = []
-        for i in range(len(self.parts)):
+        for i in range(len(self.parts) * stride):
             chunk = raw[i * size : (i + 1) * size]
             if chunk != empty:
                 out.append((i, int.from_bytes(chunk, "little") - half))
@@ -219,128 +251,232 @@ def _grade(n: int) -> _Grade:
 
 
 class Column:
-    """A homogeneous Q-valued body of weight n as one integer.
+    """A homogeneous body of weight n with coefficients in Z[t]/den as one integer.
 
-    Slot i of enc holds the coefficient of the i-th partition of n (in
-    `partitions_of` order) times den, as a balanced base-2**width digit;
-    every digit is below 2**bits in absolute value and bits < width.  The
-    `body` property is the SymFunc view, built on each read.
+    Slot i*stride + k of enc holds the t**k coefficient of the i-th
+    partition of n (in `partitions_of` order) times den, as a balanced
+    base-2**width digit; every digit is below 2**bits in absolute value,
+    bits < width, and no coefficient has t-degree above deg < stride.
+    A Q-valued body is the case deg = 0.  The digits are unpacked once,
+    on first read; the `body` property is the SymFunc view, built on each
+    read.
     """
 
-    __slots__ = ("weight", "enc", "den", "bits", "width")
+    __slots__ = ("weight", "enc", "den", "bits", "deg", "width", "stride", "_digits")
 
-    def __init__(self, weight: int, enc: int, den: int, bits: int, width: int):
+    def __init__(self, weight: int, enc: int, den: int, bits: int, deg: int, width: int, stride: int):
         self.weight = weight
         self.enc = enc
         self.den = den
         self.bits = bits
+        self.deg = deg
         self.width = width
+        self.stride = stride
+        self._digits: list[tuple[Partition, Digits]] | None = None
 
     @classmethod
-    def from_digits(cls, n: int, digits: list[tuple[Partition, int]], den: int) -> "Column":
-        """sum (d/den) p_la over (la, d), all |la| = n, den > 0, with the content of
-        the digits and den divided out and packed at the shared width."""
-        digits = [(la, d) for la, d in digits if d]
+    def zero(cls, n: int) -> "Column":
+        return cls(n, 0, 1, 0, 0, 0, 1)
+
+    @classmethod
+    def from_digits(cls, n: int, digits: list[tuple[Partition, Digits]], den: int) -> "Column":
+        """sum (c/den) p_la over (la, c), all |la| = n, den > 0, with the content of
+        the digits and den divided out and packed at the shared width and stride."""
+        digits = [(la, c) for la, c in digits if c]
         if not digits:
-            return cls(n, 0, 1, 0, 0)
+            return cls.zero(n)
         g = den
-        for _, d in digits:
-            g = gcd(g, d)
+        for _, c in digits:
+            if type(c) is int:
+                g = gcd(g, c)
+            else:
+                g = gcd(g, *c)
         if g > 1:
-            digits = [(la, d // g) for la, d in digits]
             den //= g
-        bits = max(abs(d).bit_length() for _, d in digits)
+            digits = [(la, c // g if type(c) is int else tuple(d // g for d in c)) for la, c in digits]
+        bits = deg = 0
+        for _, c in digits:
+            if type(c) is int:
+                bits = max(bits, abs(c).bit_length())
+            else:
+                bits = max(bits, max(max(c), -min(c)).bit_length())
+                deg = max(deg, len(c) - 1)
         grade = _grade(n)
-        width = grade.fit(bits)
-        return cls(n, grade.pack(((grade.index[la], d) for la, d in digits), width), den, bits, width)
+        width, stride = grade.fit(bits, deg)
+        slots = []
+        for la, c in digits:
+            i = grade.index[la] * stride
+            if type(c) is int:
+                slots.append((i, c))
+            else:
+                slots += ((i + k, d) for k, d in enumerate(c) if d)
+        return cls(n, grade.pack(slots, width, stride), den, bits, deg, width, stride)
 
     @classmethod
     def from_body(cls, n: int, body: SymFunc) -> "Column | None":
-        """The column of a body of weight n, or None if a coefficient is not in Q."""
-        fracs = []
+        """The column of a body of weight n, or None if a coefficient is not in Z[t]/den."""
+        polys = []
         den = 1
         for la, c in body.terms.items():
-            q = c.q_parts()
-            if q is None:
+            p = c.poly_parts()
+            if p is None:
                 return None
-            fracs.append((la, *q))
-            if den % q[1]:
-                den = den // gcd(den, q[1]) * q[1]
-        return cls.from_digits(n, [(la, a * (den // b)) for la, a, b in fracs], den)
+            polys.append((la, *p))
+            if den % p[1]:
+                den = den // gcd(den, p[1]) * p[1]
+        digits = []
+        for la, c, b in polys:
+            s = den // b
+            digits.append((la, c * s if type(c) is int else tuple(d * s for d in c)))
+        return cls.from_digits(n, digits, den)
 
     def is_zero(self) -> bool:
         return self.enc == 0
 
-    def digits(self) -> list[tuple[Partition, int]]:
-        """The nonzero (la, digit) of the column."""
+    def digits(self) -> list[tuple[Partition, Digits]]:
+        """The nonzero (la, c) of the column, c an int when it is a constant."""
+        out = self._digits
+        if out is not None:
+            return out
         if not self.enc:
             return []
         grade = _grade(self.weight)
-        parts = grade.parts
-        return [(parts[i], d) for i, d in grade.unpack(self.enc, self.width)]
+        parts, stride = grade.parts, self.stride
+        flat = grade.unpack(self.enc, self.width, stride)
+        if stride == 1:
+            out = [(parts[i], d) for i, d in flat]
+        else:
+            polys: dict[int, list[int]] = {}
+            for s, d in flat:
+                i, k = divmod(s, stride)
+                poly = polys.get(i)
+                if poly is None:
+                    poly = polys[i] = []
+                poly += [0] * (k - len(poly))
+                poly.append(d)
+            out = [(parts[i], c[0] if len(c) == 1 else tuple(c)) for i, c in polys.items()]
+        self._digits = out
+        return out
 
-    def repack(self, width: int) -> None:
-        """Re-encode at another width, in place; the value is unchanged."""
+    def repack(self, width: int, stride: int) -> None:
+        """Re-encode at another width and stride, in place; the value is unchanged."""
         grade = _grade(self.weight)
-        self.enc = grade.pack(grade.unpack(self.enc, self.width), width)
+        flat = grade.unpack(self.enc, self.width, self.stride)
+        if stride != self.stride:
+            old = self.stride
+            flat = [(s // old * stride + s % old, d) for s, d in flat]
+        self.enc = grade.pack(flat, width, stride)
         self.width = width
+        self.stride = stride
 
     @property
     def body(self) -> SymFunc:
-        """The SymFunc view, every coefficient reduced by one gcd."""
+        """The SymFunc view, every coefficient reduced by one gcd per digit."""
         den = self.den
-        return SymFunc({la: RatFun.from_ratio(d, den) for la, d in self.digits()}, _clean=True)
+        return SymFunc(
+            {
+                la: RatFun.from_ratio(c, den) if type(c) is int else RatFun.from_poly(c, den)
+                for la, c in self.digits()
+            },
+            _clean=True,
+        )
 
 
-def _combine(pieces: list[tuple[int, int, Column]]) -> Column:
-    """sum (a/b) col over pieces (a, b, col) of one weight, b > 0 and col nonzero.
+def _spread(c: tuple[int, ...], width: int) -> int:
+    """sum_k c[k] * 2**(width*k): the polynomial c(t) at t = 2**width."""
+    out = 0
+    for d in reversed(c):
+        out = (out << width) + d
+    return out
 
-    Over the common denominator D each piece contributes s * col.enc with
-    s = a * D / (b * col.den).  A digit of the sum is below 2**bits with
-    bits = max(bits(s) + col.bits) + ceil(log2(pieces)), so one shared
-    width of at least bits + 1 (a sign bit) holds it without a carry;
-    columns packed narrower are repacked to it once.
+
+def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
+    """sum (c(t)/b) col over pieces (c, b, col) of weight n, b > 0, c and col nonzero.
+
+    Over the common denominator D each piece contributes c_s(t) * col
+    with c_s = c * D / (b * col.den), one multiply of col.enc by c_s at
+    t = 2**width.  A digit of the sum is below 2**bits with
+    bits = max(bits(c_s) + col.bits + ceil(log2(min(deg c, col.deg) + 1)))
+    + ceil(log2(pieces)), and its t-degree is at most
+    deg = max(deg c + col.deg), so one shared width of at least bits + 1
+    (a sign bit) and stride above deg hold it without a carry; columns
+    packed otherwise are repacked to them once.
     """
-    n = pieces[0][2].weight
+    if not pieces:
+        return Column.zero(n)
+    if len(pieces) == 1 and pieces[0][0] == 1 and pieces[0][1] == 1:
+        return pieces[0][2]
     den = 1
     for _, b, col in pieces:
         t = b * col.den
         if den % t:
             den = den // gcd(den, t) * t
     scaled = []
-    top = 0
-    for a, b, col in pieces:
-        s = a * (den // (b * col.den))
-        need = abs(s).bit_length() + col.bits
+    top = deg = 0
+    for c, b, col in pieces:
+        s = den // (b * col.den)
+        if type(c) is int:
+            c *= s
+            need = abs(c).bit_length() + col.bits
+            d = col.deg
+        else:
+            if s != 1:
+                c = tuple(x * s for x in c)
+            k = len(c) - 1
+            need = max(max(c), -min(c)).bit_length() + col.bits + min(k, col.deg).bit_length()
+            d = k + col.deg
         if need > top:
             top = need
-        scaled.append((s, col))
+        if d > deg:
+            deg = d
+        scaled.append((c, col))
     bits = top + (len(pieces) - 1).bit_length()
-    width = _grade(n).fit(bits)
+    width, stride = _grade(n).fit(bits, deg)
     enc = 0
-    for s, col in scaled:
-        if col.width != width:
-            col.repack(width)
-        enc += s * col.enc
-    return Column(n, enc, den, bits, width)
+    for c, col in scaled:
+        if col.width != width or col.stride != stride:
+            col.repack(width, stride)
+        enc += (c if type(c) is int else _spread(c, width)) * col.enc
+    return Column(n, enc, den, bits, deg, width, stride)
+
+
+def combine(pairs: Iterable[tuple[RatFun, Column]]) -> Column | None:
+    """sum c * col over pairs whose nonzero columns share one weight, packed;
+    None when a coefficient is not in Z[t]/den."""
+    pieces = []
+    n = None
+    for c, col in pairs:
+        if col.enc and c.ne:
+            p = c.poly_parts()
+            if p is None:
+                return None
+            if n is None:
+                n = col.weight
+            elif col.weight != n:
+                raise ValueError(f"columns of weights {n} and {col.weight} in one sum")
+            pieces.append((*p, col))
+    return _combine(n or 0, pieces)
 
 
 def _apply(pairs: list[tuple[RatFun, "Column | FockVector"]]) -> SymFunc:
     """sum c * body over (c, body) pairs with nonzero bodies.
 
-    When every c is in Q and every body a Column, the pairs are summed
-    packed, one multiply-add each, per weight; otherwise (Q(t) data) they
+    When every body is a Column and every c in Z[t]/den, the pairs are
+    summed packed, one multiply-add each, per weight; otherwise (a
+    deformed body or a coefficient with a t-dependent denominator) they
     go through linear_combination on the SymFunc views.
     """
-    groups: dict[int, list[tuple[int, int, Column]]] = {}
+    groups: dict[int, list[tuple[RatFun, Column]]] = {}
     for c, entry in pairs:
-        q = c.q_parts() if type(entry) is Column else None
-        if q is None:
+        if type(entry) is not Column:
             return linear_combination((c, e.body) for c, e in pairs)
-        groups.setdefault(entry.weight, []).append((q[0], q[1], entry))
+        groups.setdefault(entry.weight, []).append((c, entry))
     terms: dict[Partition, RatFun] = {}
-    for pieces in groups.values():
-        terms.update(_combine(pieces).body.terms)
+    for group in groups.values():
+        col = combine(group)
+        if col is None:
+            return linear_combination((c, e.body) for c, e in pairs)
+        terms.update(col.body.terms)
     return SymFunc(terms, _clean=True)
 
 
@@ -360,7 +496,7 @@ class VertexKernel:
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
         self._tables: dict[Partition, Translations] = {}
-        # keyed by (shift, la): a Column for a Q-valued body, else a FockVector
+        # keyed by (shift, la): a Column for a Z[t]-valued body, else a FockVector
         # that keeps the charge of its first request and is re-wrapped for others
         self._modes: dict[tuple[int, Partition], Column | FockVector] = {}
 
@@ -460,7 +596,9 @@ class VertexKernel:
         """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
 
         The body has weight |la| - shift; it is returned as a Column when
-        every coefficient is in Q, else as a FockVector of charge m + eps.
+        every coefficient is in Z[t]/den (fermion+-, twisted+-), else as a
+        FockVector of charge m + eps (deformed+-, whose coefficients carry
+        the denominators D_la).
         """
         shift = j + self.eps * m + 1
         key = (shift, la)
@@ -530,11 +668,35 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 # normal-ordered bilinears in the classical fermions
 
 
+def _composition_pieces(
+    outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition, w: Fraction | int = 1
+) -> list[tuple[Digits, int, Column]]:
+    """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for kernels
+    whose modes are Columns: one per nonzero coefficient c_mu of the inner
+    column, on the cached outer column of p_mu."""
+    col = inner.mode_on_basis(j2, m, la)
+    num, den = w.numerator, w.denominator * col.den
+    pieces = []
+    for mu, c in col.digits():
+        out = outer.mode_on_basis(j1, m + inner.eps, mu)
+        if not out.is_zero():
+            if num != 1:
+                c = c * num if type(c) is int else tuple(d * num for d in c)
+            pieces.append((c, den, out))
+    return pieces
+
+
+def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition) -> Column:
+    """outer[j1] inner[j2] z^m p_la as one packed Column (fermion and twisted kernels)."""
+    n = weight(la) - (j2 + inner.eps * m + 1) - (j1 + outer.eps * (m + inner.eps) + 1)
+    return _combine(n, _composition_pieces(outer, j1, inner, j2, m, la))
+
+
 def _normal_ordered_pair(
     pair_sum: int, m: int, la: Partition, weight_fn: Callable[[int, int], Fraction] | None
 ) -> Column:
     """sum over a+b = pair_sum of w(a,b) :fermion+[a] fermion-[b]: applied to z^m p_la,
-    built as one packed weighted sum.
+    built as one packed weighted sum of compositions.
 
     The split sends a <= -1 outermost and a >= 0 innermost with a minus
     sign; both branches terminate by the mode vanishing bound.
@@ -547,17 +709,10 @@ def _normal_ordered_pair(
         if w == 0:
             continue
         if a < 0:
-            first, j1, second, j2 = FERMION_MINUS, b, FERMION_PLUS, a
+            pieces += _composition_pieces(FERMION_PLUS, a, FERMION_MINUS, b, m, la, w)
         else:
-            first, j1, second, j2, w = FERMION_PLUS, a, FERMION_MINUS, b, -w
-        inner = first.mode_on_basis(j1, m, la)
-        for mu, d in inner.digits():
-            outer = second.mode_on_basis(j2, m + first.eps, mu)
-            if not outer.is_zero():
-                pieces.append((w.numerator * d, w.denominator * inner.den, outer))
-    if not pieces:
-        return Column(deg - pair_sum - 1, 0, 1, 0, 0)
-    out = _combine(pieces)
+            pieces += _composition_pieces(FERMION_MINUS, b, FERMION_PLUS, a, m, la, -w)
+    out = _combine(deg - pair_sum - 1, pieces)
     return Column.from_digits(out.weight, out.digits(), out.den)
 
 

@@ -306,7 +306,8 @@ class RatFun:
         self.nd = num.den
         self.de = den.enc
         self.dd = den.den
-        self._canon = den.enc == 1 and den.den == 1
+        # RatFun(num) is canonical when num is content-normalised, as it is over den 1
+        self._canon = den.enc == 1 and den.den == 1 and num.den == 1
 
     @classmethod
     def _raw(cls, ne: int, nd: int, de: int, dd: int, canon: "bool | RatFun" = False) -> "RatFun":
@@ -340,6 +341,17 @@ class RatFun:
         if c == 1:
             return RF_ONE
         return cls._raw(c.numerator, c.denominator, 1, 1, True)
+
+    @classmethod
+    def from_poly(cls, digits: Sequence[int], den: int) -> "RatFun":
+        """The polynomial sum_k digits[k] t**k / den, den > 0, in canonical form:
+        the content shared with den divided out by one gcd per digit."""
+        g = den
+        for d in digits:
+            if not -_HALF < d < _HALF:
+                raise PackingOverflow("coefficient too large for packed representation")
+            g = gcd(g, d)
+        return cls._raw(_encode([d // g for d in digits]), den // g, 1, 1, True)
 
     def _reduce(self) -> "RatFun":
         """The canonical form (gcd(num, den) = 1, den monic, content-normalised):
@@ -385,17 +397,23 @@ class RatFun:
     def __bool__(self) -> bool:
         return self.ne != 0
 
-    def q_parts(self) -> tuple[int, int] | None:
-        """(a, b) with b > 0 and value a/b when both packed parts are constants, else None.
+    def poly_parts(self) -> "tuple[int | tuple[int, ...], int] | None":
+        """(c, b) with b > 0 and value c(t)/b when the packed denominator is a
+        constant, else None; c is an int for a constant, else the digits of
+        c(t) ascending in t.
 
         A nonzero digit above limb 0 puts a packed value at or past _HALF,
-        so the range test reads constancy without unpacking.
+        so the range tests read constancy without unpacking.
         """
-        ne, de = self.ne, self.de
-        if -_HALF < ne < _HALF and -_HALF < de < _HALF:
-            a, b = ne * self.dd, self.nd * de
-            return (a, b) if b > 0 else (-a, -b)
-        return None
+        de = self.de
+        if not -_HALF < de < _HALF:
+            return None
+        ne = self.ne
+        s = self.dd if de > 0 else -self.dd
+        b = self.nd * abs(de)
+        if -_HALF < ne < _HALF:
+            return ne * s, b
+        return tuple(d * s for d in _digits(ne)), b
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.ne == 0:
@@ -481,9 +499,7 @@ class RatFun:
 
     def __hash__(self) -> int:
         c = self._reduce()
-        n = TPoly(c.ne, c.nd).content_normalized()
-        d = TPoly(c.de, c.dd).content_normalized()
-        return hash((n.enc, n.den, d.enc, d.den))
+        return hash((c.ne, c.nd, c.de, c.dd))
 
     def eval_at(self, t0: Fraction | int) -> Fraction:
         """Exact evaluation at t = t0; raises on a pole."""

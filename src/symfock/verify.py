@@ -27,6 +27,9 @@ for a kernel pair (K+, K-) and a parameter t,
 
 with (fermion+, fermion-, 0) and (twisted+, twisted-, t).  At t = 0 these
 are the classical anticommutators and the t-shifted terms are never built.
+Each pair's left side minus its right side is one packed Z[t] column
+(`fock.composition`, `fock.combine`) whose integer is zero exactly when the
+relation holds; a SymFunc is built only for a failure witness.
 """
 
 from __future__ import annotations
@@ -53,10 +56,13 @@ from .fock import (
     TWISTED_PLUS,
     DEFORMED_MINUS,
     DEFORMED_PLUS,
+    Column,
     FockVector,
     Operator,
     Verdict,
     check_mode_identity,
+    combine,
+    composition,
     corrupted_kernel,
     heisenberg_mode,
     mode_apply,
@@ -157,21 +163,21 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     reach = 1 if t else 0
     shifts = range(window.start - reach, window.stop + reach)
     delta = (RF_ONE - t) * (RF_ONE - t) if rel == "pm" and d == -1 else RF_ZERO
+    minus_one, minus_t = -RF_ONE, -t
     name = f"{rel}[a+b={d}]"
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
-            v = FockVector(m, SymFunc.monomial(la))
-            X = {x: mode_apply(K1, x, mode_apply(K2, d - x, v)) for x in shifts}
-            Y = X if K1 is K2 else {y: mode_apply(K2, y, mode_apply(K1, d - y, v)) for y in shifts}
-            want = v.scaled(delta)
+            X = {x: composition(K1, x, K2, d - x, m, la) for x in shifts}
+            Y = X if K1 is K2 else {y: composition(K2, y, K1, d - y, m, la) for y in shifts}
+            want = FockVector(m, SymFunc.monomial(la, delta))
+            want_col = Column.from_body(weight(la), want.body)
             for a, b in pairs:
-                got = X[a] + Y[b]
-                if t:
-                    got = got + (X[a + e] + Y[b + e]).scaled(-t)
-                if got != want:
+                terms = [(RF_ONE, X[a]), (RF_ONE, Y[b]), (minus_one, want_col)]
+                diff = combine(terms + [(minus_t, X[a + e]), (minus_t, Y[b + e])] if t else terms)
+                if not diff.is_zero():
+                    got = FockVector(m + K1.eps + K2.eps, diff.body + want.body)
                     witness = Verdict(False, m, la, got, want).witness_json()
-                    witness = {"relation": rel, "a": a, "b": b, **witness}
-                    return CheckResult(suite, name, False, witness)
+                    return CheckResult(suite, name, False, {"relation": rel, "a": a, "b": b, **witness})
     return CheckResult(suite, name, True, None)
 
 
@@ -303,13 +309,7 @@ def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
 def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
     (la,) = params
     verdict = crosscheck_corollaries(la)
-    witness = None
-    if not verdict.equal:
-        witness = {
-            "la": list(la),
-            "hl_equal": verdict.hl_equal,
-            "dual_equal": verdict.dual_equal,
-        }
+    witness = None if verdict.equal else {"la": list(la), "hl_equal": verdict.hl_equal, "dual_equal": verdict.dual_equal}
     return CheckResult("corollaries", f"products{list(la)}", verdict.equal, witness)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symfock import fock
@@ -380,12 +380,128 @@ def test_width_grows_mid_run():
 
 
 def test_only_q_t_data_goes_through_linear_combination(monkeypatch):
+    # coefficients in Z[t]/den, on Q and on Z[t] columns alike, stay packed;
+    # only a coefficient with a t-dependent denominator such as 1/(1-t)
+    # reaches linear_combination
     calls = []
     monkeypatch.setattr(fock, "linear_combination", lambda pairs: calls.append(1) or linear_combination(pairs))
     body = SymFunc({(2,): RatFun.from_int(4), (1, 1): RatFun.from_fraction(Fraction(1, 2))})
     col = Column.from_body(2, body)
+    t_body = body.scaled(RF_T) + SymFunc({(2,): RatFun.from_int(3)})
+    t_col = Column.from_body(2, t_body)
+    assert (col.deg, t_col.deg) == (0, 1)
     q_pairs = [(RatFun.from_fraction(Fraction(-3, 7)), col), (RatFun.from_int(2), col)]
     assert _apply(q_pairs) == linear_combination((c, body) for c, _ in q_pairs) and calls == []
-    q_t_pairs = [(RF_T, col), (RatFun.from_int(2), col)]
-    assert _apply(q_t_pairs) == linear_combination((c, body) for c, _ in q_t_pairs) and calls == [1]
-    assert Column.from_body(2, body.scaled(RF_T)) is None
+    poly_pairs = [(RF_T, col), (RF_T * RF_T - RatFun.from_fraction(Fraction(2, 5)), t_col)]
+    assert _apply(poly_pairs) == linear_combination([(RF_T, body), (poly_pairs[1][0], t_body)]) and calls == []
+    inv = rf_inv_one_minus_t_pow(1)
+    q_t_pairs = [(inv, col), (RatFun.from_int(2), t_col)]
+    assert _apply(q_t_pairs) == linear_combination([(inv, body), (RatFun.from_int(2), t_body)]) and calls == [1]
+    assert Column.from_body(2, body.scaled(inv)) is None
+
+
+# ---------------------------------------------------------------------------
+# packed Z[t]-valued columns against linear_combination, the reference
+
+# digits of the bodies: small, past 2**63 and 2**127, and the edges around
+# those powers, of either sign; coefficient digits stay below 2**40 and
+# denominators divide 12, so every sum fits the 192-bit limbs of the
+# reference and of the RatFun coefficients it is unpacked to
+_BODY_DIGITS = st.one_of(
+    st.integers(-(2**12), 2**12),
+    st.integers(-(2**129), 2**129),
+    st.sampled_from([2**63, -(2**63) - 1, 2**127 - 1, -(2**127), 2**128 + 1, 2**30 - 1, -(2**62) + 1]),
+)
+_COEFF_DIGITS = st.one_of(st.integers(-(2**8), 2**8), st.integers(-(2**40), 2**40))
+_DENS = st.sampled_from([1, 2, 3, 4, 6, 12])
+
+
+@st.composite
+def _poly(draw, digits):
+    """A nonzero polynomial of t-degree 0..12 over a denominator dividing 12;
+    a flat one (all digits equal) makes a product's convolution sums peak."""
+    if draw(st.booleans()):
+        ds = [draw(digits.filter(bool))] * draw(st.integers(1, 13))
+    else:
+        ds = draw(st.lists(digits, min_size=1, max_size=13))
+        ds[-1] = ds[-1] or 1
+    return RatFun.from_poly(ds, draw(_DENS))
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(coefficient, body) pairs over weights 0..4 with Z[t]/den coefficients;
+    with cancel set every pair also enters negated and the sum is zero."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 6))):
+        las = list(partitions_of(draw(st.integers(0, 4))))
+        chosen = draw(st.lists(st.sampled_from(las), min_size=1, max_size=len(las), unique=True))
+        body = SymFunc({la: draw(_poly(_BODY_DIGITS)) for la in chosen})
+        pairs.append((draw(_poly(_COEFF_DIGITS)), body))
+    cancel = draw(st.booleans())
+    if cancel:
+        pairs += [(-c, body) for c, body in pairs]
+    return pairs, cancel
+
+
+# a product whose convolution sums 13 digits of 30 bits: it needs the
+# ceil(log2(min deg + 1)) term of the bound to get a 64-bit width
+_FULL_CONVOLUTION = (
+    [(RatFun.from_poly([1] * 13, 1), SymFunc({(1,): RatFun.from_poly([2**30 - 1] * 13, 1)}))],
+    False,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pairs())
+@example(_FULL_CONVOLUTION)
+def test_packed_poly_apply_matches_linear_combination(case):
+    pairs, cancel = case
+    with mock.patch.dict(fock._grades, clear=True):
+        columns = [(c, Column.from_body(weight(next(iter(body.terms))), body)) for c, body in pairs]
+        assert all(col.bits < col.width and col.deg < col.stride for _, col in columns)
+        assert [col.body for _, col in columns] == [body for _, body in pairs]
+        got = _apply(columns)
+    assert got == linear_combination(pairs)
+    assert got.is_zero() == cancel
+
+
+def test_stride_grows_mid_run():
+    low = SymFunc({(3,): RatFun.from_poly([5, -1], 1), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
+    high = SymFunc({(1, 1, 1): RatFun.from_poly([1, 0, 0, 0, 0, 0, 0, 0, 0, 2], 1), (3,): RF_T})
+    with mock.patch.dict(fock._grades, clear=True):
+        a = Column.from_body(3, low)
+        short = a.stride
+        first = _apply([(RatFun.from_int(3), a)])
+        b = Column.from_body(3, high)  # grows the stride of weight 3; a keeps its packing
+        assert b.stride == fock._grades[3].stride > short == a.stride
+        pairs = [(RF_T * RF_T, a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
+        got = _apply(pairs)
+        # the t**2 multiple of a needs t-degree 3, below the stride of b
+        assert a.stride == b.stride == fock._grades[3].stride  # a repacked once, in place
+        assert a.body == low and b.body == high
+        # a Q column keeps stride 1 beside them, until a t-dependent sum needs more
+        q_body = SymFunc({(2, 1): RatFun.from_int(4)})
+        q = Column.from_body(3, q_body)
+        q_sum = _apply([(RatFun.from_int(3), q), (RatFun.from_int(-1), q)])
+        assert q.stride == 1
+        t_sum = _apply([(RF_T, q), (RatFun.from_int(1), b)])
+        assert q.stride == b.stride and q.body == q_body
+    assert first == low.scaled(3)
+    assert got == linear_combination((c, col.body) for c, col in pairs)
+    assert q_sum == q_body.scaled(2)
+    assert t_sum == q_body.scaled(RF_T) + high
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=lambda k: k.name)
+def test_mode_bodies_are_packed_unless_deformed(kernel):
+    # fermion+- and twisted+- bodies lie in Z[t]/den and are cached as
+    # columns; a nonzero deformed+- body on p_la, la nonempty, carries the
+    # denominator D_la and stays a dict (on p_() it is the polynomial
+    # A_(-shift), D_() = 1, and is packed like the others)
+    deformed = kernel.name.startswith("deformed")
+    for la in partitions_up_to(5):
+        for shift in range(-2, weight(la) + 1):
+            entry = kernel.mode_on_basis(shift - 1, 0, la)
+            want = FockVector if deformed and la and not entry.is_zero() else Column
+            assert type(entry) is want, (la, shift)

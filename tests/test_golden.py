@@ -14,7 +14,11 @@ ignored.  The last three cases run with packed mode columns wider than
 packed.  `kp-search --degree-bound 4`, `kp --schur 4,3,2,2,1` and
 `kp --dualschur` on 3,3,2,1 and 5,4,2,1 (`--deformed`) were recorded
 before the KP check read its diagonal modes from one translation of tau
-per leg.  Commands run in `data/`, which holds the `--file` inputs.
+per leg.  The `twisted-fermion` pair (the `--corrupt` witness carries
+Z[t] bodies) and `kernel-factorization --max-degree 5 --max-mode 4`
+(twisted modes through `mode_apply`) were recorded before the Z[t]-valued
+modes were packed.  Commands run in `data/`, which holds the `--file`
+inputs.
 """
 
 import hashlib
@@ -60,6 +64,9 @@ GOLDEN = {
     ("kp", "--dualschur", "5,4,2,1", "--deformed"): (0, "2fec472a11fc42ec948c15918b6fc0fcebd8117cd3ab38ed7ff398881c82ce27"),
     ("verify", "heisenberg", "--max-degree", "4", "--max-mode", "4"): (0, "297d1b486ae28ba9bf6242450779ffe98d593fdf296bc3c489736b0bee07df2b"),
     ("verify", "fermion", "--max-degree", "6", "--max-mode", "4"): (0, "188ce3ff20fa3943b3783bac8c741445ccabc11e626049809b6f46250bec2558"),
+    ("verify", "twisted-fermion", *WINDOW, "--corrupt"): (1, "9032705bd40bba3764298c51f34d88e278d54f60d1f0ca508d386228ee855830"),
+    ("verify", "twisted-fermion", "--max-degree", "4", "--max-mode", "3"): (0, "e493ecb281ce0041efcb75cea0ff0208b511f2ea64af4c716c816ed2fc6836fb"),
+    ("verify", "kernel-factorization", "--max-degree", "5", "--max-mode", "4"): (0, "e1546c0301f9371935fa246618c7113aba916d706694b3bbc79e157a0c0a5add"),
 }
 
 

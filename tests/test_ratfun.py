@@ -266,6 +266,8 @@ def test_slim_matches_digitwise(n, d):
 
 @settings(max_examples=60, deadline=None)
 @given(packed_polys(digit_bits=40), packed_polys(digit_bits=40), st.integers(1, 30))
+@example(TPoly(_encode([6, 0, -9]), 12), ONE, 1)  # content 3 shared with nd over den 1
+@example(TPoly(_encode([-4]), 2), ONE, 5)
 def test_ratfun_hash_matches_digitwise(n, d, k):
     assume(d.enc != 0)
     x = RatFun._raw(n.enc, n.den, d.enc, d.den)
@@ -274,6 +276,10 @@ def test_ratfun_hash_matches_digitwise(n, d, k):
     assert h == hash(want)
     # an equal value with a scaled representative hashes alike
     assert hash(RatFun._raw(n.enc * k, n.den * k, d.enc, d.den)) == h
+    # over den 1, a num whose digits share the content k with its nd
+    y = RatFun(TPoly(n.enc * k, n.den * k))
+    assert hash(y) == hash((*digitwise_normalized(n), 1, 1))
+    assert (y.num.enc, y.num.den) == digitwise_normalized(n)
 
 
 # -- values never change once built
@@ -291,7 +297,7 @@ def _observe(x):
         pass
     rat_to_json(x)
     x.slim()
-    x.q_parts()
+    x.poly_parts()
 
 
 observed_rat_funs = st.one_of(

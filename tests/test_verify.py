@@ -125,3 +125,17 @@ def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, 
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == keys
+
+
+@pytest.mark.parametrize("params", [("pp", -2), ("pm", -1)], ids=["pp", "pm-delta"])
+def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
+    # each part of the packed zero test can fail: the t-shifted compositions
+    # (pp) and the delta (1-t)**2 p_la term (pm at a+b = -1)
+    item = ("twisted-fermion", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
+    assert _execute_item(item).ok
+    plus, minus, t = verify.ANTICOMMUTATOR_KERNELS["twisted-fermion"]
+    monkeypatch.setitem(verify.ANTICOMMUTATOR_KERNELS, "twisted-fermion", (plus, minus, t + t))
+    result = _execute_item(item)
+    assert not result.ok
+    assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
+    assert result.witness["lhs"] != result.witness["rhs"]
