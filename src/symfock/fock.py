@@ -69,7 +69,9 @@ An operator applied to a vector with coefficients in Z[t]/den groups the
 input terms by weight and, per weight, sums c_i(t) * enc_i over the
 common denominator: one multiply of enc_i by c_i's digits repacked at
 t = 2**w per input term.  The sum is unpacked to a SymFunc, one gcd per
-coefficient, only for the FockVector it returns.  `composition` builds
+coefficient, only for the FockVector it returns; `mode_apply` on a basis
+vector returns the cached column's view, built once and kept with the
+column (`Column.kept_body`).  `composition` builds
 K1[j1] K2[j2] z^m p_la the same way, from the digits of the inner column
 and the cached outer columns, for the anticommutator and bilinear sums.
 
@@ -87,11 +89,22 @@ stride 1); both only grow, and a column packed otherwise than an
 operation needs is repacked once, in place.
 Packing and unpacking go through one to_bytes/from_bytes each, with half
 a digit added to every slot, so both are linear in the number of slots;
-at 32- and 64-bit widths the unpacked slots are read as machine words.
+at 32- and 64-bit widths the slots are written and read as machine words.
 
-Only the deformed+- bodies on a nonempty la stay SymFuncs: their
-coefficients carry the denominators D_la.  A vector with a coefficient
-whose denominator depends on t (or a deformed body) goes through
+A body missing from a mode cache is built straight into its Column when
+the coefficients of la's translation table and the A_k lie in Z[t]/den
+(fermion+-, twisted+-, their corrupted copies, and deformed+- on p_()).
+Each kernel keeps A_k as a Column, built by m A_m = sum_n a_n p_n A_(m-n)
+on digits, and la's table with each coefficient as c(t)/b.  The body
+sum_r A_(r-shift) C_r p_la is accumulated as integer digits, one entry
+per partition of its weight and power of t, over one common denominator
+(p_nu p_mu is found through a per-weight index map), and packed once by
+`Column.from_digits`; no SymFunc is built.  The SymFunc A_k
+(`mult_coefficient`) are still what `mode_body` reads, for kp and for
+the deformed+- bodies on a nonempty la, which stay SymFuncs: their
+coefficients carry the denominators D_la, so `mode_body` sums them
+through `linear_combination`.  A vector with a coefficient whose
+denominator depends on t (or a deformed body) goes through
 `linear_combination` on the SymFunc views of its columns.
 
 An identity side is a plain function on Fock vectors, composed from the
@@ -184,14 +197,25 @@ class _Grade:
     every column of weight n, and the digit width and t-stride those
     columns share."""
 
-    __slots__ = ("parts", "index", "width", "stride", "_offsets")
+    __slots__ = ("weight", "parts", "index", "width", "stride", "_offsets", "_times")
 
     def __init__(self, n: int):
+        self.weight = n
         self.parts = tuple(partitions_of(n))
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.width = _WIDTH_STEP
         self.stride = 1
         self._offsets: dict[tuple[int, int], tuple[bytes, int]] = {}
+        self._times: dict[Partition, list[int]] = {}
+
+    def times(self, mu: Partition) -> list[int]:
+        """For the i-th partition nu of this weight, the index of nu + mu
+        (the partition of p_nu p_mu) in the grade of weight n + |mu|."""
+        out = self._times.get(mu)
+        if out is None:
+            index = _grade(self.weight + weight(mu)).index
+            out = self._times[mu] = [index[tuple(sorted(nu + mu, reverse=True))] for nu in self.parts]
+        return out
 
     def fit(self, bits: int, deg: int) -> tuple[int, int]:
         """The (width, stride) for digits below 2**bits and polynomials of
@@ -215,12 +239,19 @@ class _Grade:
         return out
 
     def pack(self, slots: Iterable[tuple[int, int]], width: int, stride: int) -> int:
-        """sum d * 2**(width*s) over (s, d), every |d| < 2**(width-1): one from_bytes."""
+        """sum d * 2**(width*s) over (s, d), every |d| < 2**(width-1): one from_bytes
+        (slots written as machine words at 32- and 64-bit widths)."""
         size, half = width // 8, 1 << (width - 1)
         pattern, offset = self.offset(width, stride)
         buf = bytearray(pattern)
-        for i, d in slots:
-            buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
+        word = _WORDS.get(width)
+        if word is not None:
+            view = memoryview(buf).cast(word)
+            for i, d in slots:
+                view[i] = d + half
+        else:
+            for i, d in slots:
+                buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
         return int.from_bytes(buf, "little") - offset
 
     def unpack(self, enc: int, width: int, stride: int) -> list[tuple[int, int]]:
@@ -259,10 +290,11 @@ class Column:
     bits < width, and no coefficient has t-degree above deg < stride.
     A Q-valued body is the case deg = 0.  The digits are unpacked once,
     on first read; the `body` property is the SymFunc view, built on each
-    read.
+    read, and `kept_body` the same view built once and kept with the
+    column (for a cached column that is read whole again and again).
     """
 
-    __slots__ = ("weight", "enc", "den", "bits", "deg", "width", "stride", "_digits")
+    __slots__ = ("weight", "enc", "den", "bits", "deg", "width", "stride", "_digits", "_body")
 
     def __init__(self, weight: int, enc: int, den: int, bits: int, deg: int, width: int, stride: int):
         self.weight = weight
@@ -273,6 +305,7 @@ class Column:
         self.width = width
         self.stride = stride
         self._digits: list[tuple[Partition, Digits]] | None = None
+        self._body: SymFunc | None = None
 
     @classmethod
     def zero(cls, n: int) -> "Column":
@@ -285,22 +318,18 @@ class Column:
         digits = [(la, c) for la, c in digits if c]
         if not digits:
             return cls.zero(n)
-        g = den
-        for _, c in digits:
-            if type(c) is int:
-                g = gcd(g, c)
-            else:
-                g = gcd(g, *c)
+        polys = [c for _, c in digits if type(c) is not int]
+        flat = [c for _, c in digits if type(c) is int]
+        for c in polys:
+            flat += c
+        g = gcd(den, *flat)
+        top = max(max(flat), -min(flat))
         if g > 1:
             den //= g
+            top //= g
             digits = [(la, c // g if type(c) is int else tuple(d // g for d in c)) for la, c in digits]
-        bits = deg = 0
-        for _, c in digits:
-            if type(c) is int:
-                bits = max(bits, abs(c).bit_length())
-            else:
-                bits = max(bits, max(max(c), -min(c)).bit_length())
-                deg = max(deg, len(c) - 1)
+        bits = top.bit_length()
+        deg = max(map(len, polys), default=1) - 1
         grade = _grade(n)
         width, stride = grade.fit(bits, deg)
         slots = []
@@ -309,7 +338,7 @@ class Column:
             if type(c) is int:
                 slots.append((i, c))
             else:
-                slots += ((i + k, d) for k, d in enumerate(c) if d)
+                slots += zip(range(i, i + len(c)), c)
         return cls(n, grade.pack(slots, width, stride), den, bits, deg, width, stride)
 
     @classmethod
@@ -380,6 +409,12 @@ class Column:
             },
             _clean=True,
         )
+
+    def kept_body(self) -> SymFunc:
+        """The `body` view, built on the first call and kept."""
+        if self._body is None:
+            self._body = self.body
+        return self._body
 
 
 def _spread(c: tuple[int, ...], width: int) -> int:
@@ -458,6 +493,63 @@ def combine(pairs: Iterable[tuple[RatFun, Column]]) -> Column | None:
     return _combine(n or 0, pieces)
 
 
+# A_k of a kernel as a Column, with its digits as (index in its grade, t-digits) pairs
+MultColumn = tuple[Column, list[tuple[int, tuple[int, ...]]]]
+
+
+def _poly(c: Digits) -> tuple[int, ...]:
+    """The t-digits of a coefficient, a constant as a 1-tuple."""
+    return (c,) if type(c) is int else c
+
+
+def _digit_sum(n: int, pieces: list[tuple[Digits, int, MultColumn, Partition]]) -> Column:
+    """sum (c(t)/b) * A * p_mu over pieces (c, b, A, mu) with |mu| + A.weight = n,
+    b > 0, as one Column.
+
+    Over the common denominator each piece adds c * A's digits, scaled,
+    into one integer entry per t-degree of the partition nu + mu of n that
+    p_nu p_mu lands on (`_Grade.times`), so no SymFunc is built; the
+    entries are packed once by `Column.from_digits`, which also divides
+    out their content.
+    """
+    if not pieces:
+        return Column.zero(n)
+    parts = _grade(n).parts
+    den = 1
+    stride = 0
+    for c, b, (col, _), _ in pieces:
+        t = b * col.den
+        if den % t:
+            den = den // gcd(den, t) * t
+        stride = max(stride, (0 if type(c) is int else len(c) - 1) + col.deg)
+    stride += 1
+    acc = [0] * (len(parts) * stride)
+    for c, b, (col, slots), mu in pieces:
+        f = den // (b * col.den)
+        into = _grade(col.weight).times(mu)
+        if stride == 1:
+            c *= f
+            for i, (d,) in slots:
+                acc[into[i]] += c * d
+            continue
+        for kc, x in enumerate(_poly(c)):
+            if x:
+                x *= f
+                for i, d in slots:
+                    for k, y in enumerate(d, into[i] * stride + kc):
+                        acc[k] += x * y
+    if stride == 1:
+        return Column.from_digits(n, [(la, v) for la, v in zip(parts, acc) if v], den)
+    digits = []
+    for i, la in enumerate(parts):
+        poly = acc[i * stride : (i + 1) * stride]
+        while poly and not poly[-1]:
+            poly.pop()
+        if poly:
+            digits.append((la, tuple(poly)))
+    return Column.from_digits(n, digits, den)
+
+
 def _apply(pairs: list[tuple[RatFun, "Column | FockVector"]]) -> SymFunc:
     """sum c * body over (c, body) pairs with nonzero bodies.
 
@@ -495,7 +587,11 @@ class VertexKernel:
         self.a = a
         self.c = c
         self._mult: list[SymFunc] = [SymFunc.one()]
+        # A_k as a Column (None when it does not pack), and the translation
+        # tables with each coefficient as (c, b) of value c(t)/b
+        self._mult_cols: list[MultColumn | None] = []
         self._tables: dict[Partition, Translations] = {}
+        self._digit_tables: dict[Partition, dict[int, list[tuple[Digits, int, Partition]]] | None] = {}
         # keyed by (shift, la): a Column for a Z[t]-valued body, else a FockVector
         # that keeps the charge of its first request and is re-wrapped for others
         self._modes: dict[tuple[int, Partition], Column | FockVector] = {}
@@ -515,19 +611,31 @@ class VertexKernel:
             self._mult.append(acc.scaled(Fraction(1, m)).map_coeffs(lambda r: r.slim()))
         return self._mult[k]
 
-    def translation_table(self, la: Partition) -> Translations:
-        """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
+    def _mult_column(self, k: int) -> MultColumn | None:
+        """A_k as a Column, by m A_m = sum_n a_n p_n A_(m-n) on digits; None
+        when some a_n with n <= k is not in Z[t]/den."""
+        cols = self._mult_cols
+        while len(cols) <= k:
+            m = len(cols)
+            if m == 0:
+                col = Column.from_digits(0, [((), 1)], 1)
+            else:
+                pieces = []
+                for n in range(1, m + 1):
+                    a, low = self.a(n).poly_parts(), cols[m - n]
+                    if a is None or low is None:
+                        col = None
+                        break
+                    pieces.append((a[0], a[1] * m, low, (n,)))
+                else:
+                    col = _digit_sum(m, pieces)
+            index = _grade(m).index
+            cols.append(None if col is None else (col, [(index[la], _poly(c)) for la, c in col.digits()]))
+        return cols[k]
 
-        Taking k_v of the m_v parts equal to v contributes
-        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.  With
-        c_v = n_v/d_v every coefficient is written over the one denominator
-        D_la = prod_v d_v**m_v, as c_v**k_v = n_v**k_v d_v**(m_v-k_v) / d_v**m_v,
-        on the packed and the scalar parts alike.
-        """
-        table = self._tables.get(la)
-        if table is not None:
-            return table
-        # (r, numerator enc, numerator scalar, la minus S), all over (de, dd)
+    def _table_terms(self, la: Partition) -> tuple[list[tuple[int, int, int, Partition]], int, int]:
+        """The terms (r, numerator enc, numerator scalar, la minus S) of C_r p_la,
+        all over the one denominator (de, dd): see `translation_table`."""
         terms: list[tuple[int, int, int, Partition]] = [(0, 1, 1, ())]
         de = dd = 1
         for v, mult in multiplicities(la).items():
@@ -543,11 +651,40 @@ class VertexKernel:
             ]
             de *= c.de**mult
             dd *= c.dd**mult
-        table = {}
-        for r, ne, nd, rest in terms:
-            table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
-        self._tables[la] = table
+        return terms, de, dd
+
+    def translation_table(self, la: Partition) -> Translations:
+        """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
+
+        Taking k_v of the m_v parts equal to v contributes
+        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.  With
+        c_v = n_v/d_v every coefficient is written over the one denominator
+        D_la = prod_v d_v**m_v, as c_v**k_v = n_v**k_v d_v**(m_v-k_v) / d_v**m_v,
+        on the packed and the scalar parts alike.
+        """
+        table = self._tables.get(la)
+        if table is None:
+            terms, de, dd = self._table_terms(la)
+            table = self._tables[la] = {}
+            for r, ne, nd, rest in terms:
+                table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
         return table
+
+    def _digit_table(self, la: Partition) -> dict[int, list[tuple[Digits, int, Partition]]] | None:
+        """The translation table of la as {r: [(c, b, mu)]}, coefficient c(t)/b,
+        built from the same terms and kept instead of it on the packed path;
+        None when a coefficient is not in Z[t]/den."""
+        if la not in self._digit_tables:
+            terms, de, dd = self._table_terms(la)
+            rows: dict[int, list[tuple[Digits, int, Partition]]] | None = {}
+            for r, ne, nd, rest in terms:
+                p = RatFun._raw(ne, nd, de, dd).poly_parts()
+                if p is None:
+                    rows = None
+                    break
+                rows.setdefault(r, []).append((*p, rest))
+            self._digit_tables[la] = rows
+        return self._digit_tables[la]
 
     def translate(self, f: SymFunc) -> Translations:
         """C_r f = sum_la c_la C_r p_la for every r, as {r: [(coeff, mu)]}.
@@ -592,22 +729,43 @@ class VertexKernel:
             for c, mu in terms
         )
 
+    def _mode_column(self, shift: int, la: Partition) -> Column | None:
+        """sum_{r >= shift} A_(r-shift) C_r p_la as one digit sum; None unless
+        every coefficient of la's table and every A_k in reach is in Z[t]/den."""
+        table = self._digit_table(la)
+        if table is None:
+            return None
+        pieces = []
+        for r, rows in table.items():
+            if r >= shift:
+                a = self._mult_column(r - shift)
+                if a is None:
+                    return None
+                pieces += [(c, b, a, mu) for c, b, mu in rows]
+        return _digit_sum(weight(la) - shift, pieces)
+
     def mode_on_basis(self, j: int, m: int, la: Partition) -> Column | FockVector:
         """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
 
-        The body has weight |la| - shift; it is returned as a Column when
-        every coefficient is in Z[t]/den (fermion+-, twisted+-), else as a
-        FockVector of charge m + eps (deformed+-, whose coefficients carry
-        the denominators D_la).
+        The body has weight |la| - shift.  On a miss it is built as a
+        digit sum straight into a Column (`_mode_column`) when the
+        coefficients of la's translation table and the A_k lie in Z[t]/den:
+        fermion+-, twisted+-, their corrupted copies, and deformed+- on
+        p_().  Otherwise (deformed+- on a nonempty la, whose table carries
+        D_la) it is built by `mode_body`, and cached as a FockVector of
+        charge m + eps, or as a Column when every coefficient of the
+        sum turns out to be in Z[t]/den (the zero body).
         """
         shift = j + self.eps * m + 1
         key = (shift, la)
         out = self._modes.get(key)
         if out is None:
-            body = self.mode_body(shift, self.translation_table(la))
-            out = Column.from_body(weight(la) - shift, body)
+            out = self._mode_column(shift, la)
             if out is None:
-                out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))
+                body = self.mode_body(shift, self.translation_table(la))
+                out = Column.from_body(weight(la) - shift, body)
+                if out is None:
+                    out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))
             self._modes[key] = out
         elif type(out) is FockVector and out.charge != m + self.eps:
             out = FockVector(m + self.eps, out.body)
@@ -622,11 +780,14 @@ def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
         entry = kernel.mode_on_basis(j, v.charge, la)
         if not entry.is_zero():
             pairs.append((c, entry))
-    if len(pairs) == 1 and type(pairs[0][1]) is FockVector:
-        c, basis = pairs[0]
-        if c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1:
-            return basis
-        return basis.scaled(c)
+    if len(pairs) == 1:
+        c, entry = pairs[0]
+        one = c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1
+        if type(entry) is FockVector:
+            return entry if one else entry.scaled(c)
+        if one:
+            # a basis vector: the cached column's view, built once
+            return FockVector(charge, entry.kept_body())
     return FockVector(charge, _apply(pairs))
 
 

@@ -434,9 +434,12 @@ def _execute_item(item: Item) -> CheckResult:
 
 
 def thread_count() -> int:
-    """Worker count: SF_THREADS, a positive integer, else available parallelism."""
+    """Worker count: SF_THREADS, a positive integer, else available parallelism
+    (the CPUs this process may run on, where the platform reports them)."""
     raw = os.environ.get("SF_THREADS")
     if raw is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0)) or 1
         return os.cpu_count() or 1
     try:
         n = int(raw)
@@ -486,6 +489,7 @@ def _results(items: list[Item], threads: int) -> Iterator[CheckResult]:
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    chunk = max(1, len(items) // (threads * 8))
-    with ctx.Pool(threads) as pool:
+    workers = min(threads, len(items))
+    chunk = max(1, len(items) // (workers * 8))
+    with ctx.Pool(workers) as pool:
         yield from pool.imap(_execute_item, items, chunksize=chunk)

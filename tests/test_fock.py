@@ -1,6 +1,7 @@
 """Mode actions of the vertex kernels and the derived operator algebras."""
 
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
@@ -505,3 +506,66 @@ def test_mode_bodies_are_packed_unless_deformed(kernel):
             entry = kernel.mode_on_basis(shift - 1, 0, la)
             want = FockVector if deformed and la and not entry.is_zero() else Column
             assert type(entry) is want, (la, shift)
+
+
+def _fresh(kernel):
+    """A copy of kernel with empty caches."""
+    return fock.VertexKernel(kernel.name, kernel.eps, kernel.a, kernel.c)
+
+
+_PACKED_KERNELS = [
+    FERMION_PLUS,
+    FERMION_MINUS,
+    TWISTED_PLUS,
+    TWISTED_MINUS,
+    corrupted_kernel(FERMION_PLUS),
+    corrupted_kernel(TWISTED_PLUS),
+]
+
+
+@pytest.mark.parametrize("kernel", _PACKED_KERNELS, ids=lambda k: k.name)
+def test_digit_sum_modes_match_mode_body(kernel):
+    # the column built on a miss is the body mode_body sums through
+    # linear_combination, over its least denominator
+    kernel = _fresh(kernel)
+    for la in partitions_up_to(6):
+        for shift in range(-3, weight(la) + 2):
+            col = kernel.mode_on_basis(shift - 1, 0, la)
+            assert type(col) is Column, (la, shift)
+            assert col.body == kernel.mode_body(shift, kernel.translation_table(la)), (la, shift)
+            flat = [d for _, c in col.digits() for d in ((c,) if type(c) is int else c)]
+            assert gcd(col.den, *flat) == 1, (la, shift)
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=lambda k: k.name)
+def test_vacuum_modes_are_the_mult_coefficients(kernel):
+    # K[j] p_() = A_(-shift): the digit recursion for A_k against the SymFunc one
+    kernel = _fresh(kernel)
+    for k in range(8):
+        col = kernel.mode_on_basis(-k - 1, 0, ())
+        assert type(col) is Column and col.body == kernel.mult_coefficient(k), k
+
+
+def test_cold_modes_skip_linear_combination_and_from_body(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cold mode built through a SymFunc")
+
+    kernels = [_fresh(k) for k in (FERMION_PLUS, FERMION_MINUS, TWISTED_PLUS, TWISTED_MINUS)]
+    monkeypatch.setattr(fock, "linear_combination", refuse)
+    monkeypatch.setattr(Column, "from_body", classmethod(refuse))
+    for kernel in kernels:
+        for la in partitions_up_to(5):
+            for shift in range(-3, weight(la) + 2):
+                assert type(kernel.mode_on_basis(shift - 1, 0, la)) is Column, (kernel, la, shift)
+
+
+def test_mode_apply_on_a_basis_vector_keeps_one_view():
+    kernel = _fresh(TWISTED_PLUS)
+    v = FockVector(0, SymFunc.monomial((2, 1)))
+    first = mode_apply(kernel, -2, v)
+    again = mode_apply(kernel, -2, v)
+    assert first.body is again.body and first == again
+    assert first.body == kernel.mode_body(-1, kernel.translation_table((2, 1)))
+    # a scaled basis vector is a new vector, not the kept view
+    scaled = mode_apply(kernel, -2, v.scaled(RF_T))
+    assert scaled.body is not first.body and scaled.body == first.body.scaled(RF_T)

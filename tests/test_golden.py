@@ -17,8 +17,10 @@ before the KP check read its diagonal modes from one translation of tau
 per leg.  The `twisted-fermion` pair (the `--corrupt` witness carries
 Z[t] bodies) and `kernel-factorization --max-degree 5 --max-mode 4`
 (twisted modes through `mode_apply`) were recorded before the Z[t]-valued
-modes were packed.  Commands run in `data/`, which holds the `--file`
-inputs.
+modes were packed.  `virasoro --max-degree 5 --max-mode 3` and
+`kp --dualschur 4,3,2,1 --deformed` were recorded before the fermion and
+twisted mode columns were built as integer digit sums.  Commands run in
+`data/`, which holds the `--file` inputs.
 """
 
 import hashlib
@@ -67,6 +69,8 @@ GOLDEN = {
     ("verify", "twisted-fermion", *WINDOW, "--corrupt"): (1, "9032705bd40bba3764298c51f34d88e278d54f60d1f0ca508d386228ee855830"),
     ("verify", "twisted-fermion", "--max-degree", "4", "--max-mode", "3"): (0, "e493ecb281ce0041efcb75cea0ff0208b511f2ea64af4c716c816ed2fc6836fb"),
     ("verify", "kernel-factorization", "--max-degree", "5", "--max-mode", "4"): (0, "e1546c0301f9371935fa246618c7113aba916d706694b3bbc79e157a0c0a5add"),
+    ("verify", "virasoro", "--max-degree", "5", "--max-mode", "3"): (0, "00ef374f110c6edc6ccf05243be3c2f282f761b21f519185622aaf37c044e525"),
+    ("kp", "--dualschur", "4,3,2,1", "--deformed"): (0, "77e9d246803c466d8d0ec89d6026b0059942679a0a60393c5894598c5bd36145"),
 }
 
 

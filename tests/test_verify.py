@@ -1,6 +1,9 @@
 """Sweep validation and negative controls of the mode-identity suites."""
 
+import multiprocessing
+import os
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -139,3 +142,41 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
     assert result.witness["lhs"] != result.witness["rhs"]
+
+
+def test_thread_count_reads_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("SF_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    assert verify.thread_count() == 2
+    # platforms without sched_getaffinity fall back to the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert verify.thread_count() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify.thread_count() == 1
+
+
+def test_pool_never_outnumbers_items(monkeypatch):
+    # a stand-in fork context: no process is started
+    sizes = []
+
+    class Pool:
+        def __init__(self, workers):
+            sizes.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize):
+            assert chunksize >= 1
+            return map(fn, items)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    monkeypatch.setattr(verify, "_execute_item", lambda item: -item)
+    for items, threads in (([1, 2, 3, 4, 5], 16), ([1, 2, 3, 4, 5], 2), (list(range(40)), 8), ([1, 2, 3], 8)):
+        assert list(verify._results(items, threads)) == [-i for i in items]
+    # three items run in this process
+    assert sizes == [5, 2, 8]
