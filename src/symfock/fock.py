@@ -26,19 +26,6 @@ k_v of the m_v parts equal to v taken into S, the term is
 prod_v binom(m_v, k_v) c_v**k_v times p_{la minus S}.  Each kernel keeps
 that table once per la, and memoises mode actions under the key
 (shift, la) with shift = j + eps*m + 1, the only way j and m enter.
-The coefficients of one table share one denominator: with c_v = n_v/d_v
-they are written over D_la = prod_v d_v**m_v, so every piece of a mode
-body has the same denominator and the body's coefficients keep it (for
-the deformed kernels D_la = prod_v (1-t^v)**m_v, of degree |la|; for the
-others D_la = 1).
-
-The identity is linear, so a whole vector f = sum_la c_la p_la is
-translated at once: `translate` sums C_r f = sum_la c_la C_r p_la from
-the tables of f's support, and `mode_body` reads any mode
-sum_{r >= shift} A_(r-shift) C_r f from that, the same function that
-builds K[j] p_la from p_la's table.  The rows of each la are rescaled by
-the exact quotient M / D_la, M = prod_v d_v**(max_la m_v(la)), so when
-f has polynomial coefficients all of C_r f shares the one denominator M.
 
 Kernel instances:
 
@@ -47,7 +34,9 @@ Kernel instances:
 * twisted+ / twisted-   (1-t^n, -1) and (t^n-1, +1): the twisted fermions
   generating Hall-Littlewood data;
 * deformed+ / deformed- (1-t^n, -1/(1-t^n)) and (t^n-1, 1/(1-t^n)): the
-  images of the classical fermions under p_n -> (1-t^n) p_n.
+  images of the classical fermions under p_n -> (1-t^n) p_n, built from
+  these tables of their own (the `conj+-` items of kernel-factorization
+  check the conjugation against the classical kernels).
 
 Half-integer mode labels used in the vertex-algebra literature map to
 this indexing by K_{k+1/2} <-> K[-+k]; the normal ordering below splits
@@ -55,57 +44,54 @@ the fermion+ modes at a <= -1 (applied outermost) versus a >= 0 (applied
 innermost, with a fermionic sign), which is the unique split for which
 every mode sum terminates on each vector.
 
-Bodies in Z[t]/den are packed.  A mode body K[j] p_la has weight
-n = |la| - shift.  When every coefficient is a polynomial in t over a
-scalar denominator (every body of fermion+-, twisted+-, their corrupted
-copies, and the Heisenberg and Virasoro bilinears) it is cached as a
-`Column`: one integer whose slot i*s + k holds the t**k coefficient of
-the i-th partition of n (`partitions_of` order) as a balanced
-base-2**w digit, over one positive scalar denominator, together with a
-bound b on the digits' bit length and a bound d on their t-degree, d < s.
-This is Kronecker substitution on two levels (t = 2**w inside a slot,
-X = 2**(w*s) between partitions); a Q-valued body is the case d = 0.
-An operator applied to a vector with coefficients in Z[t]/den groups the
-input terms by weight and, per weight, sums c_i(t) * enc_i over the
-common denominator: one multiply of enc_i by c_i's digits repacked at
-t = 2**w per input term.  The sum is unpacked to a SymFunc, one gcd per
-coefficient, only for the FockVector it returns; `mode_apply` on a basis
-vector returns the cached column's view, built once and kept with the
-column (`Column.kept_body`).  `composition` builds
-K1[j1] K2[j2] z^m p_la the same way, from the digits of the inner column
-and the cached outer columns, for the anticommutator and bilinear sums.
+Denominators.  The kernels' a_n lie in Z[t]/b and their c_v in
+Z[t]/(b (1-t^v)**k); data of any other form raises ValueError when it is
+first read.  So every denominator here is b * prod_v (1-t^v)**e_v, b a
+positive integer and e an exponent vector (empty for b alone), and la's
+table shares one, D_la = prod_v b_v**m_v (1-t^v)**(k_v m_v): its exponent
+vector is m(la) for the deformed kernels and empty for the others.  A sum
+of pieces over several such denominators is written over the lcm of the
+b's times prod_v (1-t^v)**(max e_v), each piece's numerator multiplied
+by its exact quotient, so denominators are never multiplied together.
 
-Neither the width w nor the t-stride s is set by an option.  A sum needs
-digits below 2**bits with bits = max_i (bits(c_i) + b_i +
-ceil(log2(min(deg c_i, d_i) + 1))) + ceil(log2(terms)), the first log
-counting the products that meet in one slot of c_i(t) * col_i, and
-w >= bits + 1 (a sign bit); its t-degree is at most max_i (deg c_i + d_i),
-and s must exceed it.  So no digit ever carries into its neighbour, and no
-polynomial runs into the next partition's slots.  Both bounds are carried
-with each column, never re-read from the packed integer (which cannot show
-a carry).  Columns of one weight share a width, a multiple of 32 bits,
-and those of positive t-degree a stride, a multiple of 4 (a Q column has
-stride 1); both only grow, and a column packed otherwise than an
-operation needs is repacked once, in place.
-Packing and unpacking go through one to_bytes/from_bytes each, with half
-a digit added to every slot, so both are linear in the number of slots;
-at 32- and 64-bit widths the slots are written and read as machine words.
+Packing.  A mode body K[j] p_la has weight n = |la| - shift and is cached
+as a `Column`: one integer whose slot i*s + k holds the t**k digit of
+the numerator of the i-th partition of n (`partitions_of` order) as a
+balanced base-2**w digit, with the denominator (b, e), a bound on the
+digits' bit length and a bound d < s on their t-degree (Kronecker
+substitution on two levels: t = 2**w inside a slot, X = 2**(w*s)
+between partitions).  On a miss the body is built as one digit sum
+(`_digit_sum`) of A_(r-shift) C_r p_la over r, with A_k kept per kernel
+as a Column (m A_m = sum_n a_n p_n A_(m-n) on digits) and p_nu p_mu
+found through a per-weight index map; no SymFunc is built.  An operator
+applied to a vector sums c_i(t) * enc_i per weight over the common
+denominator (`combine`), one multiply per input term, and unpacks the
+sum to a SymFunc, one gcd per coefficient and every digit over a
+t-denominator checked against the limb bound of `ratfun`; on a basis
+vector `mode_apply` returns the cached column's view, built once
+(`Column.kept_body`).  `composition` builds K1[j1] K2[j2] z^m p_la the
+same way, for the anticommutator and bilinear sums.
 
-A body missing from a mode cache is built straight into its Column when
-the coefficients of la's translation table and the A_k lie in Z[t]/den
-(fermion+-, twisted+-, their corrupted copies, and deformed+- on p_()).
-Each kernel keeps A_k as a Column, built by m A_m = sum_n a_n p_n A_(m-n)
-on digits, and la's table with each coefficient as c(t)/b.  The body
-sum_r A_(r-shift) C_r p_la is accumulated as integer digits, one entry
-per partition of its weight and power of t, over one common denominator
-(p_nu p_mu is found through a per-weight index map), and packed once by
-`Column.from_digits`; no SymFunc is built.  The SymFunc A_k
-(`mult_coefficient`) are still what `mode_body` reads, for kp and for
-the deformed+- bodies on a nonempty la, which stay SymFuncs: their
-coefficients carry the denominators D_la, so `mode_body` sums them
-through `linear_combination`.  A vector with a coefficient whose
-denominator depends on t (or a deformed body) goes through
-`linear_combination` on the SymFunc views of its columns.
+Neither the width w nor the t-stride s is set by an option: both follow
+from bounds on the digits and t-degrees carried with each column (never
+re-read from the packed integer, which cannot show a carry; see
+`_combine`), so no digit carries into its neighbour and no polynomial
+into the next partition's slots.  Columns of one weight share a width,
+a multiple of 32 bits, and those of positive t-degree a stride, a
+multiple of 4; both only grow, and a column packed otherwise than an
+operation needs is repacked once, in place.  Packing and unpacking are
+one to_bytes/from_bytes each, slots read as machine words at 32 and 64
+bits.
+
+Vectors.  The identity is linear, so `translate` builds C_r f for a
+whole f = sum_la c_la p_la by the same digit sum (with A_0 = 1) from the
+tables of f's support, over M = prod_v (1-t^v)**(max_la k_v m_v(la)),
+and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
+those rows.  A coefficient with any other t-denominator (1/(1-t^k) from
+`twisted_heisenberg_mode`, a tau read from a file, or a body unpacked
+over (1-t^v) factors) is handled once per operation: the lcm Q of those
+denominators is pulled out in front, Q c is summed packed, and the
+result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
@@ -118,13 +104,13 @@ import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from math import comb, gcd
 from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import RF_ONE, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from .symfunc import SymFunc, linear_combination, symfunc_to_json
+from .ratfun import ONE, RF_ONE, RatFun, TPoly, poly_divmod, poly_gcd, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .symfunc import SymFunc, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
 
@@ -190,6 +176,9 @@ _WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "li
 # a coefficient of a column or of a packed sum: an int for a constant, else
 # the integer digits of a polynomial ascending in t
 Digits = int | tuple[int, ...]
+# the exponents e_v of a denominator b * prod_v (1-t^v)**e_v, by v = 1, 2, ...,
+# with no trailing zero (empty for b alone)
+Exponents = tuple[int, ...]
 
 
 class _Grade:
@@ -282,24 +271,30 @@ def _grade(n: int) -> _Grade:
 
 
 class Column:
-    """A homogeneous body of weight n with coefficients in Z[t]/den as one integer.
+    """A homogeneous body of weight n as one integer over a factored denominator.
 
-    Slot i*stride + k of enc holds the t**k coefficient of the i-th
-    partition of n (in `partitions_of` order) times den, as a balanced
-    base-2**width digit; every digit is below 2**bits in absolute value,
-    bits < width, and no coefficient has t-degree above deg < stride.
-    A Q-valued body is the case deg = 0.  The digits are unpacked once,
-    on first read; the `body` property is the SymFunc view, built on each
-    read, and `kept_body` the same view built once and kept with the
-    column (for a cached column that is read whole again and again).
+    The body's value is sum_la c_la(t) p_la / (den * prod_v (1-t^v)**ex[v-1]),
+    den > 0 and ex an exponent vector with no trailing zero (empty for a
+    scalar denominator).  Slot i*stride + k of enc holds the t**k digit of
+    c_la for the i-th partition la of n (in `partitions_of` order), as a
+    balanced base-2**width digit; every digit is below 2**bits in absolute
+    value, bits < width, and no c_la has t-degree above deg < stride.  A
+    Q-valued body is the case deg = 0 and ex = ().  The digits are
+    unpacked once, on first read; the `body` property is the SymFunc
+    view, built on each read, and `kept_body` the same view built once
+    and kept with the column (for a cached column that is read whole
+    again and again).
     """
 
-    __slots__ = ("weight", "enc", "den", "bits", "deg", "width", "stride", "_digits", "_body")
+    __slots__ = ("weight", "enc", "den", "ex", "bits", "deg", "width", "stride", "_digits", "_body")
 
-    def __init__(self, weight: int, enc: int, den: int, bits: int, deg: int, width: int, stride: int):
+    def __init__(
+        self, weight: int, enc: int, den: int, ex: Exponents, bits: int, deg: int, width: int, stride: int
+    ):
         self.weight = weight
         self.enc = enc
         self.den = den
+        self.ex = ex
         self.bits = bits
         self.deg = deg
         self.width = width
@@ -309,12 +304,13 @@ class Column:
 
     @classmethod
     def zero(cls, n: int) -> "Column":
-        return cls(n, 0, 1, 0, 0, 0, 1)
+        return cls(n, 0, 1, (), 0, 0, 0, 1)
 
     @classmethod
-    def from_digits(cls, n: int, digits: list[tuple[Partition, Digits]], den: int) -> "Column":
-        """sum (c/den) p_la over (la, c), all |la| = n, den > 0, with the content of
-        the digits and den divided out and packed at the shared width and stride."""
+    def from_digits(cls, n: int, digits: list[tuple[Partition, Digits]], den: int, ex: Exponents = ()) -> "Column":
+        """sum c p_la / (den prod_v (1-t^v)**ex[v-1]) over (la, c), all |la| = n,
+        den > 0, with the content of the digits and den divided out and
+        packed at the shared width and stride."""
         digits = [(la, c) for la, c in digits if c]
         if not digits:
             return cls.zero(n)
@@ -339,25 +335,7 @@ class Column:
                 slots.append((i, c))
             else:
                 slots += zip(range(i, i + len(c)), c)
-        return cls(n, grade.pack(slots, width, stride), den, bits, deg, width, stride)
-
-    @classmethod
-    def from_body(cls, n: int, body: SymFunc) -> "Column | None":
-        """The column of a body of weight n, or None if a coefficient is not in Z[t]/den."""
-        polys = []
-        den = 1
-        for la, c in body.terms.items():
-            p = c.poly_parts()
-            if p is None:
-                return None
-            polys.append((la, *p))
-            if den % p[1]:
-                den = den // gcd(den, p[1]) * p[1]
-        digits = []
-        for la, c, b in polys:
-            s = den // b
-            digits.append((la, c * s if type(c) is int else tuple(d * s for d in c)))
-        return cls.from_digits(n, digits, den)
+        return cls(n, grade.pack(slots, width, stride), den, ex, bits, deg, width, stride)
 
     def is_zero(self) -> bool:
         return self.enc == 0
@@ -400,21 +378,64 @@ class Column:
 
     @property
     def body(self) -> SymFunc:
-        """The SymFunc view, every coefficient reduced by one gcd per digit."""
-        den = self.den
-        return SymFunc(
-            {
-                la: RatFun.from_ratio(c, den) if type(c) is int else RatFun.from_poly(c, den)
-                for la, c in self.digits()
-            },
-            _clean=True,
-        )
+        """The SymFunc view, every coefficient reduced by one gcd per digit with
+        den; over a t-denominator every digit, and those of prod_v (1-t^v)**ex,
+        is checked against the limb bound of the packed RatFun fields."""
+        den, ex = self.den, self.ex
+        out = {
+            la: RatFun.from_ratio(c, den) if type(c) is int and not ex else RatFun.from_poly(_poly(c), den)
+            for la, c in self.digits()
+        }
+        if ex:
+            over = RatFun.from_poly(_lift(ex, ()), 1)
+            out = {la: c / over for la, c in out.items()}
+        return SymFunc(out, _clean=True)
 
     def kept_body(self) -> SymFunc:
         """The `body` view, built on the first call and kept."""
         if self._body is None:
             self._body = self.body
         return self._body
+
+
+def _poly(c: Digits) -> tuple[int, ...]:
+    """The t-digits of a coefficient, a constant as a 1-tuple."""
+    return (c,) if type(c) is int else c
+
+
+def _pmul(a: Digits, b: Digits) -> Digits:
+    """The product of two coefficients, an int when it is a constant."""
+    if type(a) is int and type(b) is int:
+        return a * b
+    a, b = _poly(a), _poly(b)
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _top(a: Exponents, b: Exponents) -> Exponents:
+    """The per-v maximum of two exponent vectors."""
+    return tuple(map(max, zip_longest(a, b, fillvalue=0)))
+
+
+_lifts: dict[tuple[Exponents, Exponents], tuple[int, ...]] = {}
+
+
+def _lift(top: Exponents, ex: Exponents) -> tuple[int, ...]:
+    """The digits of prod_v (1-t^v)**(top[v-1] - ex[v-1]), ex <= top: the exact
+    quotient that rewrites a fraction over ex as one over top."""
+    out = _lifts.get((top, ex))
+    if out is None:
+        out = (1,)
+        for v, k in enumerate(top, 1):
+            factor = (1,) + (0,) * (v - 1) + (-1,)
+            for _ in range(k - (ex[v - 1] if v <= len(ex) else 0)):
+                out = _pmul(out, factor)
+        _lifts[top, ex] = out
+    return out
 
 
 def _spread(c: tuple[int, ...], width: int) -> int:
@@ -425,15 +446,39 @@ def _spread(c: tuple[int, ...], width: int) -> int:
     return out
 
 
+_halves: dict[tuple[int, int], int] = {}
+
+
+def _unspread(x: int, width: int) -> Digits:
+    """The balanced base-2**width digits of x != 0, ascending with no trailing
+    zero, an int for a constant: the inverse of `_spread` (width a multiple of 32)."""
+    size, half = width // 8, 1 << (width - 1)
+    count = x.bit_length() // width + 1
+    offset = _halves.get((width, count))
+    if offset is None:
+        offset = _halves[width, count] = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = (x + offset).to_bytes(size * count, "little")
+    word = _WORDS.get(width)
+    if word is not None:
+        out = [v - half for v in memoryview(raw).cast(word).tolist()]
+    else:
+        out = [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(count)]
+    while not out[-1]:
+        out.pop()
+    return out[0] if len(out) == 1 else tuple(out)
+
+
 def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
     """sum (c(t)/b) col over pieces (c, b, col) of weight n, b > 0, c and col nonzero.
 
-    Over the common denominator D each piece contributes c_s(t) * col
-    with c_s = c * D / (b * col.den), one multiply of col.enc by c_s at
-    t = 2**width.  A digit of the sum is below 2**bits with
-    bits = max(bits(c_s) + col.bits + ceil(log2(min(deg c, col.deg) + 1)))
+    The common denominator is D * prod_v (1-t^v)**top[v-1], D the lcm of
+    the b * col.den and top the per-v maximum of the col.ex; each piece
+    contributes c_s(t) * col with c_s = c * D / (b * col.den) times
+    `_lift(top, col.ex)`, one multiply of col.enc by c_s at t = 2**width.
+    A digit of the sum is below 2**bits with
+    bits = max(bits(c_s) + col.bits + ceil(log2(min(deg c_s, col.deg) + 1)))
     + ceil(log2(pieces)), and its t-degree is at most
-    deg = max(deg c + col.deg), so one shared width of at least bits + 1
+    deg = max(deg c_s + col.deg), so one shared width of at least bits + 1
     (a sign bit) and stride above deg hold it without a carry; columns
     packed otherwise are repacked to them once.
     """
@@ -442,14 +487,19 @@ def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
     if len(pieces) == 1 and pieces[0][0] == 1 and pieces[0][1] == 1:
         return pieces[0][2]
     den = 1
+    top: Exponents = ()
     for _, b, col in pieces:
         t = b * col.den
         if den % t:
             den = den // gcd(den, t) * t
+        if col.ex:
+            top = _top(top, col.ex)
     scaled = []
-    top = deg = 0
+    most = deg = 0
     for c, b, col in pieces:
         s = den // (b * col.den)
+        if top and col.ex != top:
+            c = _pmul(c, _lift(top, col.ex))
         if type(c) is int:
             c *= s
             need = abs(c).bit_length() + col.bits
@@ -460,124 +510,135 @@ def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
             k = len(c) - 1
             need = max(max(c), -min(c)).bit_length() + col.bits + min(k, col.deg).bit_length()
             d = k + col.deg
-        if need > top:
-            top = need
+        if need > most:
+            most = need
         if d > deg:
             deg = d
         scaled.append((c, col))
-    bits = top + (len(pieces) - 1).bit_length()
+    bits = most + (len(pieces) - 1).bit_length()
     width, stride = _grade(n).fit(bits, deg)
     enc = 0
     for c, col in scaled:
         if col.width != width or col.stride != stride:
             col.repack(width, stride)
         enc += (c if type(c) is int else _spread(c, width)) * col.enc
-    return Column(n, enc, den, bits, deg, width, stride)
+    return Column(n, enc, den, top, bits, deg, width, stride)
 
 
-def combine(pairs: Iterable[tuple[RatFun, Column]]) -> Column | None:
-    """sum c * col over pairs whose nonzero columns share one weight, packed;
-    None when a coefficient is not in Z[t]/den."""
-    pieces = []
-    n = None
-    for c, col in pairs:
-        if col.enc and c.ne:
-            p = c.poly_parts()
-            if p is None:
-                return None
-            if n is None:
-                n = col.weight
-            elif col.weight != n:
-                raise ValueError(f"columns of weights {n} and {col.weight} in one sum")
-            pieces.append((*p, col))
-    return _combine(n or 0, pieces)
+def _pull(pairs: list[tuple[RatFun, object]]) -> tuple[list[tuple[Digits, int, object]], RatFun | None]:
+    """Each (coeff, x) as (c, b, x) with c(t)/b = Q * coeff, and 1/Q (None for
+    Q = 1), Q the lcm of the t-denominators of the coefficients outside Z[t]/b."""
+    out = []
+    for r, x in pairs:
+        p = r.poly_parts()
+        if p is None:
+            break
+        out.append((*p, x))
+    else:
+        return out, None
+    outside = {r.de for r, _ in pairs if r.poly_parts() is None}
+    q = None
+    for de in outside:
+        d = TPoly(de, 1)
+        q = d if q is None else q * poly_divmod(d, poly_gcd(q, d))[0]
+    quotients = {de: poly_divmod(q, TPoly(de, 1))[0] for de in outside}
+    out = []
+    for r, x in pairs:
+        k = quotients.get(r.de)
+        if k is None:
+            out.append((*RatFun._raw(r.ne * q.enc, r.nd * q.den, r.de, r.dd).poly_parts(), x))
+        else:
+            out.append((*RatFun._raw(r.ne * r.dd * k.enc, r.nd * k.den, 1, 1).poly_parts(), x))
+    return out, RatFun(ONE, q)
 
 
-# A_k of a kernel as a Column, with its digits as (index in its grade, t-digits) pairs
-MultColumn = tuple[Column, list[tuple[int, tuple[int, ...]]]]
+def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
+    """The columns' bodies (of distinct weights) as one SymFunc, times scale."""
+    terms: dict[Partition, RatFun] = {}
+    for col in cols:
+        if col.enc:
+            terms.update(col.body.terms)
+    body = SymFunc(terms, _clean=True)
+    return body if scale is None else body.scaled(scale)
 
 
-def _poly(c: Digits) -> tuple[int, ...]:
-    """The t-digits of a coefficient, a constant as a 1-tuple."""
-    return (c,) if type(c) is int else c
+def combine(pairs: Iterable[tuple[RatFun, Column]]) -> SymFunc:
+    """sum c * col over (c, col) pairs, summed packed per weight and unpacked once."""
+    pieces, scale = _pull([(c, col) for c, col in pairs if c.ne and col.enc])
+    groups: dict[int, list[tuple[Digits, int, Column]]] = {}
+    for piece in pieces:
+        groups.setdefault(piece[2].weight, []).append(piece)
+    return _unpack([_combine(n, group) for n, group in groups.items()], scale)
 
 
-def _digit_sum(n: int, pieces: list[tuple[Digits, int, MultColumn, Partition]]) -> Column:
-    """sum (c(t)/b) * A * p_mu over pieces (c, b, A, mu) with |mu| + A.weight = n,
-    b > 0, as one Column.
+# A_k of a kernel as a Column, with its digits as (index in its grade, t-digits)
+# pairs and, by width w, those digits spread at t = 2**w
+MultColumn = tuple[Column, list[tuple[int, tuple[int, ...]]], dict[int, list[int]]]
 
-    Over the common denominator each piece adds c * A's digits, scaled,
-    into one integer entry per t-degree of the partition nu + mu of n that
-    p_nu p_mu lands on (`_Grade.times`), so no SymFunc is built; the
-    entries are packed once by `Column.from_digits`, which also divides
-    out their content.
+
+def _digit_sum(n: int, pieces: list[tuple[Digits, int, Exponents, MultColumn, Partition]]) -> Column:
+    """sum c(t) * A * p_mu / (b prod_v (1-t^v)**ex[v-1]) over pieces (c, b, ex, A, mu)
+    with |mu| + A.weight = n, b > 0 and A over a scalar denominator, as one Column.
+
+    Over the common denominator, as in `_combine`, each piece adds c times
+    A's digits into one integer entry per partition nu + mu of n that
+    p_nu p_mu lands on (`_Grade.times`).  A Q-valued sum adds the digits
+    themselves; a t-valued one adds c(2**w) * d(2**w) per slot d of A, at
+    a width w above the sum of the pieces' bounds
+    max|c| * 2**A.bits * min(len c, A.deg + 1) and a sign bit, so the
+    digits read back carry-free.  The entries are packed once by
+    `Column.from_digits`, which also divides out their content.
     """
     if not pieces:
         return Column.zero(n)
     parts = _grade(n).parts
     den = 1
-    stride = 0
-    for c, b, (col, _), _ in pieces:
+    top: Exponents = ()
+    for _, b, ex, (col, _, _), _ in pieces:
         t = b * col.den
         if den % t:
             den = den // gcd(den, t) * t
-        stride = max(stride, (0 if type(c) is int else len(c) - 1) + col.deg)
-    stride += 1
-    acc = [0] * (len(parts) * stride)
-    for c, b, (col, slots), mu in pieces:
-        f = den // (b * col.den)
-        into = _grade(col.weight).times(mu)
-        if stride == 1:
-            c *= f
+        if ex and ex != top:
+            top = _top(top, ex)
+    if top:
+        pieces = [(c if ex == top else _pmul(c, _lift(top, ex)), b, ex, a, mu) for c, b, ex, a, mu in pieces]
+    acc = [0] * len(parts)
+    if all(type(c) is int and not a[0].deg for c, _, _, a, _ in pieces):
+        for c, b, _, (col, slots, _), mu in pieces:
+            c *= den // (b * col.den)
+            into = _grade(col.weight).times(mu)
             for i, (d,) in slots:
                 acc[into[i]] += c * d
-            continue
-        for kc, x in enumerate(_poly(c)):
-            if x:
-                x *= f
-                for i, d in slots:
-                    for k, y in enumerate(d, into[i] * stride + kc):
-                        acc[k] += x * y
-    if stride == 1:
-        return Column.from_digits(n, [(la, v) for la, v in zip(parts, acc) if v], den)
-    digits = []
-    for i, la in enumerate(parts):
-        poly = acc[i * stride : (i + 1) * stride]
-        while poly and not poly[-1]:
-            poly.pop()
-        if poly:
-            digits.append((la, tuple(poly)))
-    return Column.from_digits(n, digits, den)
+        return Column.from_digits(n, [(la, v) for la, v in zip(parts, acc) if v], den, top)
+    scaled = []
+    total = 0
+    for c, b, _, (col, slots, spreads), mu in pieces:
+        c = _poly(c)
+        f = den // (b * col.den)
+        total += max(max(c), -min(c)) * f * min(len(c), col.deg + 1) << col.bits
+        scaled.append((c, f, slots, spreads, _grade(col.weight).times(mu)))
+    width = (total.bit_length() // _WIDTH_STEP + 1) * _WIDTH_STEP
+    for c, f, slots, spreads, into in scaled:
+        x = _spread(c, width) * f
+        ys = spreads.get(width)
+        if ys is None:
+            ys = spreads[width] = [_spread(d, width) for _, d in slots]
+        for (i, _), y in zip(slots, ys):
+            acc[into[i]] += x * y
+    return Column.from_digits(n, [(la, _unspread(v, width)) for la, v in zip(parts, acc) if v], den, top)
 
 
-def _apply(pairs: list[tuple[RatFun, "Column | FockVector"]]) -> SymFunc:
-    """sum c * body over (c, body) pairs with nonzero bodies.
-
-    When every body is a Column and every c in Z[t]/den, the pairs are
-    summed packed, one multiply-add each, per weight; otherwise (a
-    deformed body or a coefficient with a t-dependent denominator) they
-    go through linear_combination on the SymFunc views.
-    """
-    groups: dict[int, list[tuple[RatFun, Column]]] = {}
-    for c, entry in pairs:
-        if type(entry) is not Column:
-            return linear_combination((c, e.body) for c, e in pairs)
-        groups.setdefault(entry.weight, []).append((c, entry))
-    terms: dict[Partition, RatFun] = {}
-    for group in groups.values():
-        col = combine(group)
-        if col is None:
-            return linear_combination((c, e.body) for c, e in pairs)
-        terms.update(col.body.terms)
-    return SymFunc(terms, _clean=True)
-
-
-# {r: C_r f as [(coeff, mu)]}: a translation table, or the translation of a vector
-Translations = dict[int, list[tuple[RatFun, Partition]]]
+# {r: C_r f as one row per weight}, a row (n, den, ex, [(mu, c)]) holding
+# sum c(t) p_mu / (den prod_v (1-t^v)**ex[v-1]), |mu| = n: a translation
+# table, or the rows of Q f
+Rows = dict[int, list[tuple[int, int, Exponents, list[tuple[Partition, Digits]]]]]
+# the rows of Q f and 1/Q (None for Q = 1): the translation of a vector f
+Translations = tuple[Rows, RatFun | None]
 
 
 class VertexKernel:
-    """One charge-shifting vertex operator in the uniform exponential form."""
+    """One charge-shifting vertex operator in the uniform exponential form,
+    a(n) in Z[t]/b and c(v) in Z[t]/(b (1-t^v)**k) (else ValueError)."""
 
     def __init__(self, name: str, eps: int, a: Callable[[int], RatFun], c: Callable[[int], RatFun]):
         if eps not in (+1, -1):
@@ -586,34 +647,17 @@ class VertexKernel:
         self.eps = eps
         self.a = a
         self.c = c
-        self._mult: list[SymFunc] = [SymFunc.one()]
-        # A_k as a Column (None when it does not pack), and the translation
-        # tables with each coefficient as (c, b) of value c(t)/b
-        self._mult_cols: list[MultColumn | None] = []
-        self._tables: dict[Partition, Translations] = {}
-        self._digit_tables: dict[Partition, dict[int, list[tuple[Digits, int, Partition]]] | None] = {}
-        # keyed by (shift, la): a Column for a Z[t]-valued body, else a FockVector
-        # that keeps the charge of its first request and is re-wrapped for others
-        self._modes: dict[tuple[int, Partition], Column | FockVector] = {}
+        self._mult_cols: list[MultColumn] = []
+        self._tables: dict[Partition, Rows] = {}
+        # keyed by (shift, la)
+        self._modes: dict[tuple[int, Partition], Column] = {}
 
     def __repr__(self) -> str:
         return f"VertexKernel({self.name})"
 
-    def mult_coefficient(self, k: int) -> SymFunc:
-        """A_k: coefficient of u**-k in exp(sum a_n p_n u**-n / n)."""
-        if k < 0:
-            return SymFunc.zero()
-        while len(self._mult) <= k:
-            m = len(self._mult)
-            acc = SymFunc.zero()
-            for n in range(1, m + 1):
-                acc = acc + self._mult[m - n].times_p(n).scaled(self.a(n))
-            self._mult.append(acc.scaled(Fraction(1, m)).map_coeffs(lambda r: r.slim()))
-        return self._mult[k]
-
-    def _mult_column(self, k: int) -> MultColumn | None:
-        """A_k as a Column, by m A_m = sum_n a_n p_n A_(m-n) on digits; None
-        when some a_n with n <= k is not in Z[t]/den."""
+    def _mult_column(self, k: int) -> MultColumn:
+        """A_k as a Column: the coefficient of u**-k in exp(sum a_n p_n u**-n / n),
+        by m A_m = sum_n a_n p_n A_(m-n) on digits."""
         cols = self._mult_cols
         while len(cols) <= k:
             m = len(cols)
@@ -622,153 +666,116 @@ class VertexKernel:
             else:
                 pieces = []
                 for n in range(1, m + 1):
-                    a, low = self.a(n).poly_parts(), cols[m - n]
-                    if a is None or low is None:
-                        col = None
-                        break
-                    pieces.append((a[0], a[1] * m, low, (n,)))
-                else:
-                    col = _digit_sum(m, pieces)
+                    a = self.a(n).poly_parts()
+                    if a is None:
+                        raise ValueError(f"{self.name}: a_{n} is not a polynomial in t over an integer")
+                    pieces.append((a[0], a[1] * m, (), cols[m - n], (n,)))
+                col = _digit_sum(m, pieces)
             index = _grade(m).index
-            cols.append(None if col is None else (col, [(index[la], _poly(c)) for la, c in col.digits()]))
+            cols.append((col, [(index[la], _poly(c)) for la, c in col.digits()], {}))
         return cols[k]
 
-    def _table_terms(self, la: Partition) -> tuple[list[tuple[int, int, int, Partition]], int, int]:
-        """The terms (r, numerator enc, numerator scalar, la minus S) of C_r p_la,
-        all over the one denominator (de, dd): see `translation_table`."""
-        terms: list[tuple[int, int, int, Partition]] = [(0, 1, 1, ())]
-        de = dd = 1
-        for v, mult in multiplicities(la).items():
-            c = self.c(v)
-            factors = [
-                (comb(mult, k) * c.ne**k * c.de ** (mult - k), c.nd**k * c.dd ** (mult - k))
-                for k in range(mult + 1)
-            ]
-            terms = [
-                (r + v * k, ne * fe, nd * fd, rest + (v,) * (mult - k))
-                for k, (fe, fd) in enumerate(factors)
-                for r, ne, nd, rest in terms
-            ]
-            de *= c.de**mult
-            dd *= c.dd**mult
-        return terms, de, dd
+    def _c_parts(self, v: int) -> tuple[Digits, int, int]:
+        """c_v as (c, b, k), b > 0, of value c(t) / (b (1-t^v)**k)."""
+        r = self.c(v)
+        p = r.poly_parts()
+        if p is not None:
+            return (*p, 0)
+        k, rem = divmod(TPoly(r.de, 1).degree, v)
+        s, rest = divmod(r.de, TPoly.from_coeffs(_lift((0,) * (v - 1) + (k,), ())).enc)
+        if rem or rest:
+            raise ValueError(f"{self.name}: c_{v} has a denominator other than b (1-t^{v})**k")
+        return (*RatFun._raw(r.ne, r.nd, s, r.dd).poly_parts(), k)
 
-    def translation_table(self, la: Partition) -> Translations:
-        """C_r p_la for every r, as {r: [(coeff, la minus S)]} over sub-multisets S of la.
+    def _digit_table(self, la: Partition) -> Rows:
+        """C_r p_la for every r, as {r: [row]} over the one denominator D_la.
 
-        Taking k_v of the m_v parts equal to v contributes
-        binom(m_v, k_v) c_v**k_v to the coefficient and v*k_v to r.  With
-        c_v = n_v/d_v every coefficient is written over the one denominator
-        D_la = prod_v d_v**m_v, as c_v**k_v = n_v**k_v d_v**(m_v-k_v) / d_v**m_v,
-        on the packed and the scalar parts alike.
+        Taking j of the m parts equal to v contributes binom(m, j) c_v**j
+        to the coefficient and v*j to r.  With c_v = c/(b (1-t^v)**k)
+        every coefficient is written over D_la = prod_v b**m (1-t^v)**(k m),
+        as c_v**j = c**j b**(m-j) (1-t^v)**(k (m-j)) / (b (1-t^v)**k)**m.
         """
-        table = self._tables.get(la)
-        if table is None:
-            terms, de, dd = self._table_terms(la)
-            table = self._tables[la] = {}
-            for r, ne, nd, rest in terms:
-                table.setdefault(r, []).append((RatFun._raw(ne, nd, de, dd).slim(), rest))
-        return table
+        rows = self._tables.get(la)
+        if rows is None:
+            terms: list[tuple[int, Digits, Partition]] = [(0, 1, ())]
+            den = 1
+            ex = [0] * (la[0] if la else 0)
+            for v, mult in multiplicities(la).items():
+                c, b, k = self._c_parts(v)
+                lead = (0,) * (v - 1)
+                power = 1  # c**j
+                out = []
+                for j in range(mult + 1):
+                    f = _pmul(comb(mult, j) * b ** (mult - j), _pmul(power, _lift(lead + (k * (mult - j),), ())))
+                    out += [(r + v * j, _pmul(num, f), rest + (v,) * (mult - j)) for r, num, rest in terms]
+                    power = _pmul(power, c)
+                terms = out
+                den *= b**mult
+                ex[v - 1] = k * mult
+            while ex and not ex[-1]:
+                ex.pop()
+            rows = self._tables[la] = {}
+            n = weight(la)
+            for r, num, rest in terms:
+                if r not in rows:
+                    rows[r] = [(n - r, den, tuple(ex), [])]
+                rows[r][0][3].append((rest, num))
+        return rows
 
-    def _digit_table(self, la: Partition) -> dict[int, list[tuple[Digits, int, Partition]]] | None:
-        """The translation table of la as {r: [(c, b, mu)]}, coefficient c(t)/b,
-        built from the same terms and kept instead of it on the packed path;
-        None when a coefficient is not in Z[t]/den."""
-        if la not in self._digit_tables:
-            terms, de, dd = self._table_terms(la)
-            rows: dict[int, list[tuple[Digits, int, Partition]]] | None = {}
-            for r, ne, nd, rest in terms:
-                p = RatFun._raw(ne, nd, de, dd).poly_parts()
-                if p is None:
-                    rows = None
-                    break
-                rows.setdefault(r, []).append((*p, rest))
-            self._digit_tables[la] = rows
-        return self._digit_tables[la]
-
-    def translate(self, f: SymFunc) -> Translations:
-        """C_r f = sum_la c_la C_r p_la for every r, as {r: [(coeff, mu)]}.
-
-        The tables of f's support are written over their own D_la; each
-        row is rescaled by the exact quotient M / D_la, with
-        M = prod_v d_v**(max_la m_v(la)), so that when f has polynomial
-        coefficients every piece shares the denominator M and the sum
-        stays on linear_combination's same-denominator path.
-        """
-        support = {la: multiplicities(la) for la in f.terms}
-        top: dict[int, int] = {}
-        for mults in support.values():
-            for v, mult in mults.items():
-                if mult > top.get(v, 0):
-                    top[v] = mult
-        rows: dict[int, list[tuple[RatFun, SymFunc]]] = {}
-        for la, mults in support.items():
-            qe = qd = 1
-            for v, mx in top.items():
-                k = mx - mults.get(v, 0)
-                if k:
-                    c = self.c(v)
-                    qe *= c.de**k
-                    qd *= c.dd**k
-            for r, terms in self.translation_table(la).items():
-                row = {rest: RatFun._raw(e.ne * qe, e.nd * qd, e.de * qe, e.dd * qd) for e, rest in terms}
-                rows.setdefault(r, []).append((f.terms[la], SymFunc(row, _clean=True)))
-        out = {}
-        for r, pairs in rows.items():
-            total = linear_combination(pairs)
-            if not total.is_zero():
-                out[r] = [(c, mu) for mu, c in total.terms.items()]
-        return out
-
-    def mode_body(self, shift: int, translations: Translations) -> SymFunc:
-        """sum_{r >= shift} A_(r-shift) C_r f, from {r: C_r f as [(coeff, mu)]}."""
-        return linear_combination(
-            (c, self.mult_coefficient(r - shift).times_monomial(mu))
-            for r, terms in translations.items()
-            if r >= shift
-            for c, mu in terms
-        )
-
-    def _mode_column(self, shift: int, la: Partition) -> Column | None:
-        """sum_{r >= shift} A_(r-shift) C_r p_la as one digit sum; None unless
-        every coefficient of la's table and every A_k in reach is in Z[t]/den."""
-        table = self._digit_table(la)
-        if table is None:
-            return None
-        pieces = []
-        for r, rows in table.items():
+    def _mode_sum(self, shift: int, rows: Rows) -> list[Column]:
+        """sum_{r >= shift} A_(r-shift) C_r f from the rows of C_r f, one digit sum per weight."""
+        groups: dict[int, list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
+        for r, row in rows.items():
             if r >= shift:
                 a = self._mult_column(r - shift)
-                if a is None:
-                    return None
-                pieces += [(c, b, a, mu) for c, b, mu in rows]
-        return _digit_sum(weight(la) - shift, pieces)
+                for n, den, ex, entries in row:
+                    groups.setdefault(n + r - shift, []).extend((c, den, ex, a, mu) for mu, c in entries)
+        return [_digit_sum(n, pieces) for n, pieces in groups.items()]
 
-    def mode_on_basis(self, j: int, m: int, la: Partition) -> Column | FockVector:
+    def translate(self, f: SymFunc) -> Translations:
+        """C_r f = sum_la c_la C_r p_la for every r, as the rows of Q f and 1/Q.
+
+        Each row is one digit sum (`_digit_sum` with A_0 = 1) of the tables
+        of f's support, each table rescaled from its D_la by the exact
+        quotient M / D_la, M = prod_v (1-t^v)**(max_la k_v m_v(la)): every
+        row shares the exponent vector of M.
+        """
+        parts, scale = _pull([(c, self._digit_table(la)) for la, c in f.terms.items()])
+        top: Exponents = ()
+        for _, _, rows in parts:
+            top = _top(top, rows[0][0][2])
+        one = self._mult_column(0)
+        groups: dict[tuple[int, int], list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
+        for c, b, rows in parts:
+            c = _pmul(c, _lift(top, rows[0][0][2]))
+            for r, row in rows.items():
+                for n, den, _, entries in row:
+                    groups.setdefault((r, n), []).extend((_pmul(c, d), b * den, top, one, mu) for mu, d in entries)
+        out: Rows = {}
+        for (r, n), pieces in groups.items():
+            col = _digit_sum(n, pieces)
+            if not col.is_zero():
+                out.setdefault(r, []).append((n, col.den, col.ex, col.digits()))
+        return out, scale
+
+    def mode_body(self, shift: int, translations: Translations) -> SymFunc:
+        """sum_{r >= shift} A_(r-shift) C_r f, from the translation of f."""
+        rows, scale = translations
+        return _unpack(self._mode_sum(shift, rows), scale)
+
+    def mode_on_basis(self, j: int, m: int, la: Partition) -> Column:
         """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
 
-        The body has weight |la| - shift.  On a miss it is built as a
-        digit sum straight into a Column (`_mode_column`) when the
-        coefficients of la's translation table and the A_k lie in Z[t]/den:
-        fermion+-, twisted+-, their corrupted copies, and deformed+- on
-        p_().  Otherwise (deformed+- on a nonempty la, whose table carries
-        D_la) it is built by `mode_body`, and cached as a FockVector of
-        charge m + eps, or as a Column when every coefficient of the
-        sum turns out to be in Z[t]/den (the zero body).
+        The body has weight |la| - shift.  On a miss it is built by one
+        digit sum from la's table and the A_k (`_mode_sum`) straight into a
+        Column over D_la, for every kernel.
         """
         shift = j + self.eps * m + 1
         key = (shift, la)
         out = self._modes.get(key)
         if out is None:
-            out = self._mode_column(shift, la)
-            if out is None:
-                body = self.mode_body(shift, self.translation_table(la))
-                out = Column.from_body(weight(la) - shift, body)
-                if out is None:
-                    out = FockVector(m + self.eps, body.map_coeffs(lambda c: c.slim()))
-            self._modes[key] = out
-        elif type(out) is FockVector and out.charge != m + self.eps:
-            out = FockVector(m + self.eps, out.body)
+            cols = self._mode_sum(shift, self._digit_table(la))
+            out = self._modes[key] = cols[0] if cols else Column.zero(weight(la) - shift)
         return out
 
 
@@ -777,18 +784,15 @@ def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
     charge = v.charge + kernel.eps
     pairs = []
     for la, c in v.body.terms.items():
-        entry = kernel.mode_on_basis(j, v.charge, la)
-        if not entry.is_zero():
-            pairs.append((c, entry))
+        col = kernel.mode_on_basis(j, v.charge, la)
+        if not col.is_zero():
+            pairs.append((c, col))
     if len(pairs) == 1:
-        c, entry = pairs[0]
-        one = c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1
-        if type(entry) is FockVector:
-            return entry if one else entry.scaled(c)
-        if one:
+        c, col = pairs[0]
+        if c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1:
             # a basis vector: the cached column's view, built once
-            return FockVector(charge, entry.kept_body())
-    return FockVector(charge, _apply(pairs))
+            return FockVector(charge, col.kept_body())
+    return FockVector(charge, combine(pairs))
 
 
 FERMION_PLUS = VertexKernel("fermion+", +1, lambda n: RF_ONE, lambda n: RF_MINUS_ONE)
@@ -832,9 +836,9 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 def _composition_pieces(
     outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition, w: Fraction | int = 1
 ) -> list[tuple[Digits, int, Column]]:
-    """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for kernels
-    whose modes are Columns: one per nonzero coefficient c_mu of the inner
-    column, on the cached outer column of p_mu."""
+    """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for an inner
+    kernel whose modes have scalar denominators: one per nonzero coefficient
+    c_mu of the inner column, on the cached outer column of p_mu."""
     col = inner.mode_on_basis(j2, m, la)
     num, den = w.numerator, w.denominator * col.den
     pieces = []
@@ -893,7 +897,7 @@ def _bilinear_mode(cache: dict, key: tuple, k: int, v: FockVector, weight_fn) ->
             col = cache[full_key] = _normal_ordered_pair(k - 1, v.charge, la, weight_fn)
         if not col.is_zero():
             pairs.append((c, col))
-    return FockVector(v.charge, _apply(pairs))
+    return FockVector(v.charge, combine(pairs))
 
 
 def heisenberg_mode(k: int, v: FockVector) -> FockVector:

@@ -17,15 +17,17 @@ kernels the same pairing tests the t-deformed hierarchy.
 Each leg is translated once.  A charge-0 mode is
 K[a] tau = sum_{r >= s} A_(r-s) C_r tau, with s = a + 1 for the plus
 leg and s = -a for minus[-1-a], so the whole diagonal is read from the
-translations {r: C_r tau} (`VertexKernel.translate`, `mode_body`).
-With the deformed kernels C_r tau is written over one common
-denominator M = prod_v (1-t^v)**(max_la m_v(la)), so the sums never
-multiply the denominators of different la together.  Nothing is cached
-per basis vector: a body K[a] p_la of one tau's support is used exactly
-once, and in the sum over la almost all of its terms cancel (a fermion
-mode sends a Schur function to 0 or to one Schur function, up to sign),
-so building one body per (shift, la), as `mode_apply` does, costs far
-more than reading the modes from C_r tau.
+digit rows {r: C_r tau} (`VertexKernel.translate`) by the digit sum that
+builds every mode body (`mode_body`).  With the deformed kernels the
+rows are written over the one denominator
+M = prod_v (1-t^v)**(max_la m_v(la)), and a tau whose coefficients have
+t-denominators has their lcm pulled out in front, so no sum multiplies
+the denominators of different la together.  Nothing is cached per basis
+vector: a body K[a] p_la of one tau's support is used exactly once, and
+in the sum over la almost all of its terms cancel (a fermion mode sends
+a Schur function to 0 or to one Schur function, up to sign), so reading
+the modes from C_r tau costs far less than building one body per
+(shift, la), as `mode_apply` does.
 """
 
 from __future__ import annotations

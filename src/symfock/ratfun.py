@@ -510,12 +510,6 @@ class RatFun:
             raise ZeroDivisionError(f"pole at t = {t0}")
         return TPoly(c.ne, c.nd).eval_at(t0) / dv
 
-    def slim(self) -> "RatFun":
-        """Content-normalised copy (cheap; no polynomial gcd)."""
-        n = TPoly(self.ne, self.nd).content_normalized()
-        d = TPoly(self.de, self.dd).content_normalized()
-        return RatFun._raw(n.enc, n.den, d.enc, d.den, self._canon)
-
     def __repr__(self) -> str:
         c = self._reduce()
         if c.de == 1 and c.dd == 1:

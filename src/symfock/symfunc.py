@@ -203,9 +203,6 @@ class SymFunc:
                 out[la] = v
         return SymFunc(out, _clean=True)
 
-    def map_coeffs(self, fn: Callable[[RatFun], RatFun]) -> "SymFunc":
-        return SymFunc({la: fn(c) for la, c in self.terms.items()})
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented

@@ -163,6 +163,7 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     reach = 1 if t else 0
     shifts = range(window.start - reach, window.stop + reach)
     delta = (RF_ONE - t) * (RF_ONE - t) if rel == "pm" and d == -1 else RF_ZERO
+    delta_digits, delta_den = delta.poly_parts()
     minus_one, minus_t = -RF_ONE, -t
     name = f"{rel}[a+b={d}]"
     for m in sorted(opts.charges):
@@ -170,12 +171,12 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
             X = {x: composition(K1, x, K2, d - x, m, la) for x in shifts}
             Y = X if K1 is K2 else {y: composition(K2, y, K1, d - y, m, la) for y in shifts}
             want = FockVector(m, SymFunc.monomial(la, delta))
-            want_col = Column.from_body(weight(la), want.body)
+            want_col = Column.from_digits(weight(la), [(la, delta_digits)], delta_den)
             for a, b in pairs:
                 terms = [(RF_ONE, X[a]), (RF_ONE, Y[b]), (minus_one, want_col)]
                 diff = combine(terms + [(minus_t, X[a + e]), (minus_t, Y[b + e])] if t else terms)
                 if not diff.is_zero():
-                    got = FockVector(m + K1.eps + K2.eps, diff.body + want.body)
+                    got = FockVector(m + K1.eps + K2.eps, diff + want.body)
                     witness = Verdict(False, m, la, got, want).witness_json()
                     return CheckResult(suite, name, False, {"relation": rel, "a": a, "b": b, **witness})
     return CheckResult(suite, name, True, None)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from symfock import fock
-from symfock.bases import complete_h, dual_schur, elementary_e, q_coefficient
+from symfock.bases import complete_h, dual_schur, elementary_e, q_coefficient, schur
 from symfock.fock import (
     DEFORMED_MINUS,
     DEFORMED_PLUS,
@@ -20,8 +20,8 @@ from symfock.fock import (
     KERNELS,
     Column,
     FockVector,
-    _apply,
     check_mode_identity,
+    combine,
     corrupted_kernel,
     heisenberg_mode,
     mode_apply,
@@ -29,7 +29,14 @@ from symfock.fock import (
     virasoro_mode,
 )
 from symfock.partitions import multiplicities, partitions_of, partitions_up_to, weight
-from symfock.ratfun import RatFun, TPoly, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.ratfun import (
+    PackingOverflow,
+    RatFun,
+    TPoly,
+    rat_to_json,
+    rf_inv_one_minus_t_pow,
+    rf_one_minus_t_pow,
+)
 from symfock.symfunc import SymFunc, linear_combination, perp_apply
 
 RF_T = RatFun(TPoly.from_coeffs([0, 1]))
@@ -58,12 +65,30 @@ def test_mode_apply_generates_h_and_e():
         assert r.body == elementary_e(k).scaled(Fraction((-1) ** k))
 
 
+def _mult_reference(kernel, k, _cache={}):
+    """A_k, the coefficient of u**-k in exp(sum a_n p_n u**-n / n), by the
+    SymFunc recursion m A_m = sum_n a_n p_n A_(m-n)."""
+    out = _cache.setdefault(kernel, [SymFunc.one()])
+    while len(out) <= k:
+        m = len(out)
+        acc = SymFunc.zero()
+        for n in range(1, m + 1):
+            acc = acc + out[m - n].times_p(n).scaled(kernel.a(n))
+        out.append(acc.scaled(Fraction(1, m)))
+    return out[k]
+
+
+def _mult(kernel, k):
+    """The kernel's own A_k, read from its column."""
+    return kernel._mult_column(k)[0].body
+
+
 def test_mult_coefficients_match_bases():
     for k in range(6):
-        assert FERMION_PLUS.mult_coefficient(k) == complete_h(k)
-        assert FERMION_MINUS.mult_coefficient(k) == elementary_e(k).scaled(Fraction((-1) ** k))
-        assert TWISTED_PLUS.mult_coefficient(k) == q_coefficient(k)
-        assert DEFORMED_PLUS.mult_coefficient(k) == q_coefficient(k)
+        assert _mult(FERMION_PLUS, k) == complete_h(k)
+        assert _mult(FERMION_MINUS, k) == elementary_e(k).scaled(Fraction((-1) ** k))
+        assert _mult(TWISTED_PLUS, k) == q_coefficient(k)
+        assert _mult(DEFORMED_PLUS, k) == q_coefficient(k)
 
 
 def _translation_oracle(kernel, f):
@@ -86,9 +111,10 @@ def _translation_oracle(kernel, f):
 
 def _table_action(kernel, la, r):
     """C_r p_la read off the kernel's sub-multiset table."""
-    return linear_combination(
-        (c, SymFunc.monomial(rest)) for c, rest in kernel.translation_table(la).get(r, ())
-    )
+    out = SymFunc.zero()
+    for n, den, ex, entries in kernel._digit_table(la).get(r, ()):
+        out = out + Column.from_digits(n, entries, den, ex).body
+    return out
 
 
 def test_translation_table_examples():
@@ -106,17 +132,25 @@ def test_translation_table_examples():
             assert _table_action(kernel, la, 0) == f
 
 
+def _exponents(la):
+    """m(la) as an exponent vector: m_v(la) at index v-1, no trailing zero."""
+    mults = multiplicities(la)
+    return tuple(mults.get(v, 0) for v in range(1, max(la, default=0) + 1))
+
+
 @pytest.mark.parametrize("kernel", [DEFORMED_PLUS, DEFORMED_MINUS], ids=lambda k: k.name)
 def test_deformed_denominators_stay_bounded(kernel):
     # one common denominator D_la = prod_v (1-t^v)^m_v per table, of degree |la|,
-    # so assembling a mode body never multiplies denominators together
+    # so assembling a mode body never multiplies denominators together: every
+    # row of la's table and every nonzero body on p_la has exponent vector m(la)
     for la in partitions_up_to(6):
-        table = kernel.translation_table(la)
-        dens = {(c.de, c.dd) for terms in table.values() for c, _ in terms}
-        assert len(dens) == 1, la
+        table = kernel._digit_table(la)
+        assert {ex for rows in table.values() for _, _, ex, _ in rows} == {_exponents(la)}, la
         for shift in range(-2, weight(la) + 2):
-            body = kernel.mode_on_basis(shift - 1, 0, la).body
-            for c in body.terms.values():
+            col = kernel.mode_on_basis(shift - 1, 0, la)
+            if not col.is_zero():
+                assert col.ex == _exponents(la), (la, shift)
+            for c in col.body.terms.values():
                 assert TPoly(c.de, c.dd).degree <= weight(la), (la, shift)
 
 
@@ -130,20 +164,20 @@ def test_deformed_vector_translation_shares_one_denominator(kernel):
     taus.append(dual_schur((3, 1)) + dual_schur((2, 2)))
     taus.append(SymFunc.one() + dual_schur((2, 2)).scaled(RF_T) + dual_schur((4,)))
     for tau in taus:
-        top = {}
+        most = {}
         for la in tau.terms:
             for v, m in multiplicities(la).items():
-                top[v] = max(top.get(v, 0), m)
-        bound = sum(v * m for v, m in top.items())
+                most[v] = max(most.get(v, 0), m)
+        top = tuple(most.get(v, 0) for v in range(1, max(most, default=0) + 1))
         before = kernel.translate(tau)
-        for v in top:
+        for v in range(1, len(top) + 1):
             rat_to_json(rf_inv_one_minus_t_pow(v))
             hash(rf_inv_one_minus_t_pow(v))
         after = kernel.translate(tau)
-        dens = {(c.de, c.dd) for t in (before, after) for terms in t.values() for c, _ in terms}
-        assert len(dens) == 1, tau
-        ((de, dd),) = dens
-        assert TPoly(de, dd).degree <= bound, tau
+        for rows, scale in (before, after):
+            assert scale is None, tau
+            assert {ex for row in rows.values() for _, _, ex, _ in row} == {top}, tau
+        assert before == after, tau
 
 
 @pytest.mark.parametrize(
@@ -156,7 +190,7 @@ def test_modes_match_translation_oracle(kernel):
             want = SymFunc.zero()
             for r, f in cr.items():
                 if r >= shift:
-                    want = want + kernel.mult_coefficient(r - shift) * f
+                    want = want + _mult_reference(kernel, r - shift) * f
             for m in (-1, 0, 1):
                 got = mode_apply(kernel, shift - 1 - kernel.eps * m, FockVector(m, SymFunc.monomial(la)))
                 assert got.charge == m + kernel.eps
@@ -317,6 +351,20 @@ def test_charge_mismatch_rejected():
 # ---------------------------------------------------------------------------
 # packed Q-valued columns against linear_combination, the reference
 
+
+def _column(n, body):
+    """A body of weight n with coefficients in Z[t]/b as a Column over the lcm of the b."""
+    parts = {la: c.poly_parts() for la, c in body.terms.items()}
+    den = 1
+    for _, b in parts.values():
+        den = den * b // gcd(den, b)
+    digits = []
+    for la, (c, b) in parts.items():
+        s = den // b
+        digits.append((la, c * s if type(c) is int else tuple(d * s for d in c)))
+    return Column.from_digits(n, digits, den)
+
+
 # small digits, digits past 2**63 and 2**127 (so sums need widths above 64
 # and 128 bits), and the edges around those powers, of either sign
 _INTS = st.one_of(
@@ -355,10 +403,10 @@ def _q_pairs(draw):
 def test_packed_apply_matches_linear_combination(case):
     pairs, cancel = case
     with mock.patch.dict(fock._grades, clear=True):
-        columns = [(c, Column.from_body(weight(next(iter(body.terms))), body)) for c, body in pairs]
+        columns = [(c, _column(weight(next(iter(body.terms))), body)) for c, body in pairs]
         assert all(col.bits < col.width for _, col in columns)
         assert [col.body for _, col in columns] == [body for _, body in pairs]
-        got = _apply(columns)
+        got = combine(columns)
     assert got == linear_combination(pairs)
     assert got.is_zero() == cancel
 
@@ -367,38 +415,41 @@ def test_width_grows_mid_run():
     small = SymFunc({(3,): RatFun.from_int(5), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
     wide = SymFunc({(1, 1, 1): RatFun.from_int(2**150), (3,): RatFun.from_int(-1)})
     with mock.patch.dict(fock._grades, clear=True):
-        a = Column.from_body(3, small)
+        a = _column(3, small)
         narrow = a.width
-        first = _apply([(RatFun.from_int(3), a)])
-        b = Column.from_body(3, wide)  # grows the width of weight 3; a keeps its packing
+        first = combine([(RatFun.from_int(3), a)])
+        b = _column(3, wide)  # grows the width of weight 3; a keeps its packing
         assert b.width == fock._grades[3].width > narrow == a.width
         pairs = [(RatFun.from_int(3), a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
-        got = _apply(pairs)
+        got = combine(pairs)
         assert a.width == b.width == fock._grades[3].width  # a repacked once, in place
         assert a.body == small and b.body == wide
     assert first == small.scaled(3)
     assert got == linear_combination((c, col.body) for c, col in pairs)
 
 
-def test_only_q_t_data_goes_through_linear_combination(monkeypatch):
-    # coefficients in Z[t]/den, on Q and on Z[t] columns alike, stay packed;
-    # only a coefficient with a t-dependent denominator such as 1/(1-t)
-    # reaches linear_combination
-    calls = []
-    monkeypatch.setattr(fock, "linear_combination", lambda pairs: calls.append(1) or linear_combination(pairs))
+def test_t_denominator_coefficients_match_linear_combination():
+    # coefficients in Z[t]/den, on Q and on Z[t] columns alike, and those with
+    # t-dependent denominators (one shared, or several with a proper lcm such
+    # as 1/(1-t) and t/(1-t^2)) are summed packed; deformed columns over
+    # different (1-t^v) exponents are rewritten over their per-v maximum
     body = SymFunc({(2,): RatFun.from_int(4), (1, 1): RatFun.from_fraction(Fraction(1, 2))})
-    col = Column.from_body(2, body)
+    col = _column(2, body)
     t_body = body.scaled(RF_T) + SymFunc({(2,): RatFun.from_int(3)})
-    t_col = Column.from_body(2, t_body)
+    t_col = _column(2, t_body)
     assert (col.deg, t_col.deg) == (0, 1)
-    q_pairs = [(RatFun.from_fraction(Fraction(-3, 7)), col), (RatFun.from_int(2), col)]
-    assert _apply(q_pairs) == linear_combination((c, body) for c, _ in q_pairs) and calls == []
-    poly_pairs = [(RF_T, col), (RF_T * RF_T - RatFun.from_fraction(Fraction(2, 5)), t_col)]
-    assert _apply(poly_pairs) == linear_combination([(RF_T, body), (poly_pairs[1][0], t_body)]) and calls == []
-    inv = rf_inv_one_minus_t_pow(1)
-    q_t_pairs = [(inv, col), (RatFun.from_int(2), t_col)]
-    assert _apply(q_t_pairs) == linear_combination([(inv, body), (RatFun.from_int(2), t_body)]) and calls == [1]
-    assert Column.from_body(2, body.scaled(inv)) is None
+    inv, inv2 = rf_inv_one_minus_t_pow(1), rf_inv_one_minus_t_pow(2)
+    deformed = [DEFORMED_PLUS.mode_on_basis(-2, 0, la) for la in ((1, 1), (2,), (2, 1))]
+    assert [c.ex for c in deformed] == [(2,), (0, 1), (1, 1)]
+    cases = [
+        [(RatFun.from_fraction(Fraction(-3, 7)), col), (RatFun.from_int(2), col)],
+        [(RF_T, col), (RF_T * RF_T - RatFun.from_fraction(Fraction(2, 5)), t_col)],
+        [(inv, col), (RatFun.from_int(2), t_col)],
+        [(inv, col), (RF_T * inv2, t_col), (RatFun.from_fraction(Fraction(5, 3)), col), (inv2.scale(3), t_col)],
+        [(RF_T, deformed[0]), (inv, deformed[1]), (RatFun.from_int(-2), deformed[2])],
+    ]
+    for pairs in cases:
+        assert combine(pairs) == linear_combination((c, x.body) for c, x in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +510,10 @@ _FULL_CONVOLUTION = (
 def test_packed_poly_apply_matches_linear_combination(case):
     pairs, cancel = case
     with mock.patch.dict(fock._grades, clear=True):
-        columns = [(c, Column.from_body(weight(next(iter(body.terms))), body)) for c, body in pairs]
+        columns = [(c, _column(weight(next(iter(body.terms))), body)) for c, body in pairs]
         assert all(col.bits < col.width and col.deg < col.stride for _, col in columns)
         assert [col.body for _, col in columns] == [body for _, body in pairs]
-        got = _apply(columns)
+        got = combine(columns)
     assert got == linear_combination(pairs)
     assert got.is_zero() == cancel
 
@@ -471,22 +522,22 @@ def test_stride_grows_mid_run():
     low = SymFunc({(3,): RatFun.from_poly([5, -1], 1), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
     high = SymFunc({(1, 1, 1): RatFun.from_poly([1, 0, 0, 0, 0, 0, 0, 0, 0, 2], 1), (3,): RF_T})
     with mock.patch.dict(fock._grades, clear=True):
-        a = Column.from_body(3, low)
+        a = _column(3, low)
         short = a.stride
-        first = _apply([(RatFun.from_int(3), a)])
-        b = Column.from_body(3, high)  # grows the stride of weight 3; a keeps its packing
+        first = combine([(RatFun.from_int(3), a)])
+        b = _column(3, high)  # grows the stride of weight 3; a keeps its packing
         assert b.stride == fock._grades[3].stride > short == a.stride
         pairs = [(RF_T * RF_T, a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
-        got = _apply(pairs)
+        got = combine(pairs)
         # the t**2 multiple of a needs t-degree 3, below the stride of b
         assert a.stride == b.stride == fock._grades[3].stride  # a repacked once, in place
         assert a.body == low and b.body == high
         # a Q column keeps stride 1 beside them, until a t-dependent sum needs more
         q_body = SymFunc({(2, 1): RatFun.from_int(4)})
-        q = Column.from_body(3, q_body)
-        q_sum = _apply([(RatFun.from_int(3), q), (RatFun.from_int(-1), q)])
+        q = _column(3, q_body)
+        q_sum = combine([(RatFun.from_int(3), q), (RatFun.from_int(-1), q)])
         assert q.stride == 1
-        t_sum = _apply([(RF_T, q), (RatFun.from_int(1), b)])
+        t_sum = combine([(RF_T, q), (RatFun.from_int(1), b)])
         assert q.stride == b.stride and q.body == q_body
     assert first == low.scaled(3)
     assert got == linear_combination((c, col.body) for c, col in pairs)
@@ -495,17 +546,16 @@ def test_stride_grows_mid_run():
 
 
 @pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=lambda k: k.name)
-def test_mode_bodies_are_packed_unless_deformed(kernel):
-    # fermion+- and twisted+- bodies lie in Z[t]/den and are cached as
-    # columns; a nonzero deformed+- body on p_la, la nonempty, carries the
-    # denominator D_la and stays a dict (on p_() it is the polynomial
-    # A_(-shift), D_() = 1, and is packed like the others)
+def test_mode_bodies_are_columns(kernel):
+    # every kernel's bodies are cached as columns: over a scalar denominator
+    # for fermion+- and twisted+-, over D_la = prod_v (1-t^v)^m_v for deformed+-
     deformed = kernel.name.startswith("deformed")
     for la in partitions_up_to(5):
         for shift in range(-2, weight(la) + 1):
-            entry = kernel.mode_on_basis(shift - 1, 0, la)
-            want = FockVector if deformed and la and not entry.is_zero() else Column
-            assert type(entry) is want, (la, shift)
+            col = kernel.mode_on_basis(shift - 1, 0, la)
+            assert type(col) is Column, (la, shift)
+            if not col.is_zero():
+                assert col.ex == (_exponents(la) if deformed else ()), (la, shift)
 
 
 def _fresh(kernel):
@@ -513,26 +563,30 @@ def _fresh(kernel):
     return fock.VertexKernel(kernel.name, kernel.eps, kernel.a, kernel.c)
 
 
-_PACKED_KERNELS = [
-    FERMION_PLUS,
-    FERMION_MINUS,
-    TWISTED_PLUS,
-    TWISTED_MINUS,
-    corrupted_kernel(FERMION_PLUS),
-    corrupted_kernel(TWISTED_PLUS),
-]
+_ALL_KERNELS = [*KERNELS.values(), corrupted_kernel(FERMION_PLUS), corrupted_kernel(TWISTED_PLUS)]
 
 
-@pytest.mark.parametrize("kernel", _PACKED_KERNELS, ids=lambda k: k.name)
+def _reference_mode(kernel, shift, la):
+    """sum_{r >= shift} A_(r-shift) C_r p_la from the SymFunc references."""
+    want = SymFunc.zero()
+    for r, f in _translation_oracle(kernel, SymFunc.monomial(la)).items():
+        if r >= shift:
+            want = want + _mult_reference(kernel, r - shift) * f
+    return want
+
+
+@pytest.mark.parametrize("kernel", _ALL_KERNELS, ids=lambda k: k.name)
 def test_digit_sum_modes_match_mode_body(kernel):
-    # the column built on a miss is the body mode_body sums through
-    # linear_combination, over its least denominator
+    # the column built on a miss from la's table is the body mode_body reads
+    # from the translation of p_la and the SymFunc reference, over its least
+    # scalar denominator
     kernel = _fresh(kernel)
     for la in partitions_up_to(6):
+        translations = kernel.translate(SymFunc.monomial(la))
         for shift in range(-3, weight(la) + 2):
             col = kernel.mode_on_basis(shift - 1, 0, la)
             assert type(col) is Column, (la, shift)
-            assert col.body == kernel.mode_body(shift, kernel.translation_table(la)), (la, shift)
+            assert col.body == kernel.mode_body(shift, translations) == _reference_mode(kernel, shift, la), (la, shift)
             flat = [d for _, c in col.digits() for d in ((c,) if type(c) is int else c)]
             assert gcd(col.den, *flat) == 1, (la, shift)
 
@@ -543,20 +597,41 @@ def test_vacuum_modes_are_the_mult_coefficients(kernel):
     kernel = _fresh(kernel)
     for k in range(8):
         col = kernel.mode_on_basis(-k - 1, 0, ())
-        assert type(col) is Column and col.body == kernel.mult_coefficient(k), k
+        assert type(col) is Column and col.body == _mult_reference(kernel, k), k
 
 
 def test_cold_modes_skip_linear_combination_and_from_body(monkeypatch):
+    # every kernel's cold modes, a sum with a 1/(1-t^k) coefficient and the
+    # translation of a tau with t-denominators are built without a SymFunc
+    # sum; Column.from_body, the old way from a SymFunc to a column, is gone
     def refuse(*args):
-        raise AssertionError("cold mode built through a SymFunc")
+        raise AssertionError("mode built through a SymFunc sum")
 
-    kernels = [_fresh(k) for k in (FERMION_PLUS, FERMION_MINUS, TWISTED_PLUS, TWISTED_MINUS)]
-    monkeypatch.setattr(fock, "linear_combination", refuse)
-    monkeypatch.setattr(Column, "from_body", classmethod(refuse))
-    for kernel in kernels:
-        for la in partitions_up_to(5):
-            for shift in range(-3, weight(la) + 2):
-                assert type(kernel.mode_on_basis(shift - 1, 0, la)) is Column, (kernel, la, shift)
+    kernels = [_fresh(k) for k in KERNELS.values()]
+    tau = (
+        schur((2, 1))
+        + SymFunc.monomial((2,), rf_inv_one_minus_t_pow(1))
+        + SymFunc.monomial((1, 1, 1), RF_T * rf_inv_one_minus_t_pow(2))
+    )
+    got = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(fock, "linear_combination", refuse, raising=False)
+        for name in ("__add__", "__sub__", "__mul__", "times_monomial", "times_p"):
+            patch.setattr(SymFunc, name, refuse)
+        for kernel in kernels:
+            for la in partitions_up_to(5):
+                for shift in range(-3, weight(la) + 2):
+                    assert type(kernel.mode_on_basis(shift - 1, 0, la)) is Column, (kernel, la, shift)
+            translations = kernel.translate(tau)
+            for shift in range(-2, 5):
+                applied = mode_apply(kernel, shift - 1, FockVector(0, tau)).body
+                got[kernel, shift] = (kernel.mode_body(shift, translations), applied)
+    assert not hasattr(Column, "from_body")
+    for (kernel, shift), (body, applied) in got.items():
+        want = SymFunc.zero()
+        for la, c in tau.terms.items():
+            want = want + _reference_mode(kernel, shift, la).scaled(c)
+        assert body == applied == want, (kernel, shift)
 
 
 def test_mode_apply_on_a_basis_vector_keeps_one_view():
@@ -565,7 +640,44 @@ def test_mode_apply_on_a_basis_vector_keeps_one_view():
     first = mode_apply(kernel, -2, v)
     again = mode_apply(kernel, -2, v)
     assert first.body is again.body and first == again
-    assert first.body == kernel.mode_body(-1, kernel.translation_table((2, 1)))
+    assert first.body == kernel.mode_body(-1, kernel.translate(v.body))
     # a scaled basis vector is a new vector, not the kept view
     scaled = mode_apply(kernel, -2, v.scaled(RF_T))
     assert scaled.body is not first.body and scaled.body == first.body.scaled(RF_T)
+
+
+def test_kernel_data_outside_the_supported_form_is_rejected():
+    # a_n must lie in Z[t]/b and c_v in Z[t]/(b (1-t^v)^k)
+    one = lambda n: RatFun.from_int(1)
+    with pytest.raises(ValueError):
+        fock.VertexKernel("bad-a", +1, rf_inv_one_minus_t_pow, one).mode_on_basis(-2, 0, ())
+    bad_c = [
+        lambda v: RatFun(TPoly.from_coeffs([1]), TPoly.from_coeffs([1, 2])),  # 1/(1+2t)
+        lambda v: rf_inv_one_minus_t_pow(v + 1),
+        lambda v: rf_inv_one_minus_t_pow(1) * rf_inv_one_minus_t_pow(2),
+    ]
+    for c in bad_c:
+        for la in ((1,), (2,)):
+            with pytest.raises(ValueError):
+                fock.VertexKernel("bad-c", +1, one, c).mode_on_basis(-1, 0, la)
+    # c_v = -3t / (2 (1-t^v)^2) is of the supported form, with k = 2
+    def c(v):
+        return RatFun(TPoly.from_coeffs([0, -3])) / (rf_one_minus_t_pow(v) * rf_one_minus_t_pow(v)).scale(2)
+
+    kernel = fock.VertexKernel("k2", -1, lambda n: -rf_one_minus_t_pow(n), c)
+    for la in partitions_up_to(4):
+        for shift in range(-2, weight(la) + 1):
+            col = kernel.mode_on_basis(shift - 1, 0, la)
+            assert col.body == _reference_mode(kernel, shift, la), (la, shift)
+            if not col.is_zero():
+                assert col.ex == tuple(2 * m for m in _exponents(la)), (la, shift)
+
+
+def test_t_denominator_column_digit_past_the_limb_bound_raises():
+    # unpacking over prod_v (1-t^v)^e checks every digit, as RatFun.from_poly does
+    over = rf_inv_one_minus_t_pow(1)
+    edge = Column.from_digits(1, [((1,), 2**191 - 1)], 1, (1,))
+    assert edge.body == SymFunc.monomial((1,), RatFun.from_int(2**191 - 1) * over)
+    for d in (2**191, -(2**191), (3, 2**191)):
+        with pytest.raises(PackingOverflow):
+            Column.from_digits(1, [((1,), d)], 1, (1,)).body

@@ -19,8 +19,11 @@ Z[t] bodies) and `kernel-factorization --max-degree 5 --max-mode 4`
 (twisted modes through `mode_apply`) were recorded before the Z[t]-valued
 modes were packed.  `virasoro --max-degree 5 --max-mode 3` and
 `kp --dualschur 4,3,2,1 --deformed` were recorded before the fermion and
-twisted mode columns were built as integer digit sums.  Commands run in
-`data/`, which holds the `--file` inputs.
+twisted mode columns were built as integer digit sums.  The
+`expand dualschur` cases on 4,2,2,2 and 5,2,2,1 and both `kp --file
+kp_tdenominator.json` cases were recorded before the deformed mode bodies
+were packed as columns over a factored (1-t^v) denominator.  Commands run
+in `data/`, which holds the `--file` inputs.
 """
 
 import hashlib
@@ -71,6 +74,11 @@ GOLDEN = {
     ("verify", "kernel-factorization", "--max-degree", "5", "--max-mode", "4"): (0, "e1546c0301f9371935fa246618c7113aba916d706694b3bbc79e157a0c0a5add"),
     ("verify", "virasoro", "--max-degree", "5", "--max-mode", "3"): (0, "00ef374f110c6edc6ccf05243be3c2f282f761b21f519185622aaf37c044e525"),
     ("kp", "--dualschur", "4,3,2,1", "--deformed"): (0, "77e9d246803c466d8d0ec89d6026b0059942679a0a60393c5894598c5bd36145"),
+    ("expand", "dualschur", "4,2,2,2", "--route", "vertex"): (0, "4cc658cf49910489ac10a26b4de29f9848f8518becf0a56a62f99e26bcf40504"),
+    ("expand", "dualschur", "5,2,2,1", "--route", "vertex"): (0, "86db385226ddf34af28a671cf6ab0c3a2680c31a5c0b51714f6a4281a299701e"),
+    # s_21 + p_2/(1-t) + t p_111/(1-t^2): coefficients with t-denominators
+    ("kp", "--file", "kp_tdenominator.json"): (1, "52e248b070910d854f2c0a1537ecdec149bee417544241e04a2af45097f506f3"),
+    ("kp", "--deformed", "--file", "kp_tdenominator.json"): (1, "dc0f012a6174f4f1c9614436aa95aa0978dc3c831f713757c9fa24fb8aa00462"),
 }
 
 

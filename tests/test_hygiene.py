@@ -46,6 +46,27 @@ def test_unused_import_is_reported():
     assert _unused_imports(source) == ["Iterable (line 1)", "os (line 2)"]
 
 
+def _imported_names(source: str) -> set[str]:
+    """Every name bound by an import statement of the source."""
+    return {
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def test_fock_builds_modes_without_linear_combination():
+    # every mode body is one packed digit sum; a SymFunc sum beside it would
+    # be a second implementation of the same operation
+    assert "linear_combination" not in _imported_names((SRC / "fock.py").read_text())
+
+
+def test_imported_names_are_read():
+    source = "import os.path\nfrom a import b as c, d\n\ndef f():\n    from e import g\n"
+    assert _imported_names(source) == {"os", "c", "d", "g"}
+
+
 def _dead_definitions(sources: dict[str, str], referencing: list[str]) -> list[str]:
     """Top-level functions and classes, and their methods, of the modules in
     sources whose name is never read as a name or an attribute in any of the

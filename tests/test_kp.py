@@ -108,7 +108,7 @@ def test_tensor_json_shape():
 
 
 # tau candidates for the diagonal-mode oracle: taus, non-taus, and
-# coefficients with t-denominators (which leave the common-denominator path)
+# coefficients with t-denominators (whose lcm is pulled out in front)
 ORACLE_TAUS = [
     *(schur(la) for la in partitions_up_to(6)),
     *(dual_schur(la) for la in partitions_up_to(5)),

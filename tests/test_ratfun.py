@@ -253,17 +253,6 @@ def test_content_normalized_matches_digitwise(p):
     assert hash(p) == hash(digitwise_normalized(p))
 
 
-@settings(max_examples=200, deadline=None)
-@given(packed_polys(), packed_polys())
-def test_slim_matches_digitwise(n, d):
-    assume(d.enc != 0)
-    x = RatFun._raw(n.enc, n.den, d.enc, d.den)
-    y = x.slim()
-    assert (y.ne, y.nd) == digitwise_normalized(n)
-    assert (y.de, y.dd) == digitwise_normalized(d)
-    assert y == x
-
-
 @settings(max_examples=60, deadline=None)
 @given(packed_polys(digit_bits=40), packed_polys(digit_bits=40), st.integers(1, 30))
 @example(TPoly(_encode([6, 0, -9]), 12), ONE, 1)  # content 3 shared with nd over den 1
@@ -296,7 +285,6 @@ def _observe(x):
     except ZeroDivisionError:
         pass
     rat_to_json(x)
-    x.slim()
     x.poly_parts()
 
 

@@ -100,7 +100,7 @@ def test_unknown_kind_rejected():
         generating_coefficient_direct("nope", (1,))
 
 
-@pytest.mark.parametrize("la", [(5, 2, 2, 1), (4, 4, 1, 1), (4, 2, 2, 2)])
+@pytest.mark.parametrize("la", [(5, 2, 2, 1), (4, 4, 1, 1), (4, 2, 2, 2), (3, 3, 3, 1)])
 def test_dual_schur_vertex_route_matches_det(la):
     # serialising reduces every coefficient; on these partitions the
     # quotients by the gcds exceed the 2**64 input cap
