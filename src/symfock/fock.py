@@ -838,8 +838,11 @@ def _composition_pieces(
 ) -> list[tuple[Digits, int, Column]]:
     """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for an inner
     kernel whose modes have scalar denominators: one per nonzero coefficient
-    c_mu of the inner column, on the cached outer column of p_mu."""
+    c_mu of the inner column, on the cached outer column of p_mu.  An inner
+    column over a (1-t^v) denominator raises ValueError."""
     col = inner.mode_on_basis(j2, m, la)
+    if col.ex:
+        raise ValueError(f"{inner.name}[{j2}] z^{m} p_{list(la)} is over (1-t^v); composition needs a scalar den")
     num, den = w.numerator, w.denominator * col.den
     pieces = []
     for mu, c in col.digits():

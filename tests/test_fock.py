@@ -22,6 +22,7 @@ from symfock.fock import (
     FockVector,
     check_mode_identity,
     combine,
+    composition,
     corrupted_kernel,
     heisenberg_mode,
     mode_apply,
@@ -315,6 +316,14 @@ def test_corrupted_kernel_breaks_relations():
     lhs = lambda v: KK(bad, 0, FERMION_MINUS, -1, v) + KK(FERMION_MINUS, -1, bad, 0, v)
     verdict = check_mode_identity(lhs, lambda v: v, 3, (0,))
     assert not verdict.equal
+
+
+def test_composition_rejects_an_inner_column_over_a_t_denominator():
+    # the pieces read the inner digits over its scalar den alone, so an
+    # inner deformed mode would give a wrong sum
+    assert DEFORMED_MINUS.mode_on_basis(0, 0, (2, 1)).ex == (1, 1)
+    with pytest.raises(ValueError):
+        composition(DEFORMED_PLUS, -2, DEFORMED_MINUS, 0, 0, (2, 1))
 
 
 def test_kernel_factorization_sample():

@@ -22,8 +22,12 @@ modes were packed.  `virasoro --max-degree 5 --max-mode 3` and
 twisted mode columns were built as integer digit sums.  The
 `expand dualschur` cases on 4,2,2,2 and 5,2,2,1 and both `kp --file
 kp_tdenominator.json` cases were recorded before the deformed mode bodies
-were packed as columns over a factored (1-t^v) denominator.  Commands run
-in `data/`, which holds the `--file` inputs.
+were packed as columns over a factored (1-t^v) denominator.  The two
+`--corrupt` cases at `--max-degree 4 --max-mode 3` (`fermion` over the
+charges 2,-2,0) were recorded before each charge-relabelled anticommutator
+check ran once per process; there the passing `mm` and `pm` items that
+follow the failing ones skip checks already passed at another charge.
+Commands run in `data/`, which holds the `--file` inputs.
 """
 
 import hashlib
@@ -79,6 +83,8 @@ GOLDEN = {
     # s_21 + p_2/(1-t) + t p_111/(1-t^2): coefficients with t-denominators
     ("kp", "--file", "kp_tdenominator.json"): (1, "52e248b070910d854f2c0a1537ecdec149bee417544241e04a2af45097f506f3"),
     ("kp", "--deformed", "--file", "kp_tdenominator.json"): (1, "dc0f012a6174f4f1c9614436aa95aa0978dc3c831f713757c9fa24fb8aa00462"),
+    ("verify", "twisted-fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3"): (1, "277e992b21fae116ec53eff09d8c6fff5f75aaeef501a4a10a418dc4cacfc45e"),
+    ("verify", "fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3", "--charges=2,-2,0"): (1, "26f5575e60b0079aa25694b569fd5af8a15bc161a36a0fd812671c38a11f1aca"),
 }
 
 

@@ -2,6 +2,7 @@
 
 import multiprocessing
 import os
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -9,6 +10,9 @@ import pytest
 
 from symfock import fock, verify, vertex
 from symfock.bases import complete_h, elementary_e
+from symfock.fock import TWISTED_MINUS, TWISTED_PLUS, combine, composition, corrupted_kernel
+from symfock.partitions import partitions_up_to
+from symfock.ratfun import RF_ONE, RF_T
 from symfock.verify import SweepOptions, _execute_item, run_suite
 from symfock.vertex import basis_via_vertex
 
@@ -142,6 +146,59 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
     assert result.witness["lhs"] != result.witness["rhs"]
+
+
+def _packed_diff(K1, K2, e, a, b, m, la):
+    """{K1[a], K2[b]} - t K1[a+e] K2[b-e] - t K2[b+e] K1[a-e] on z^m p_la, the
+    packed zero test of the twisted suite off the delta diagonal a+b = -1."""
+    X = lambda x: composition(K1, x, K2, a + b - x, m, la)
+    Y = lambda y: composition(K2, y, K1, a + b - y, m, la)
+    return combine([(RF_ONE, X(a)), (RF_ONE, Y(b)), (-RF_T, X(a + e)), (-RF_T, Y(b + e))])
+
+
+@pytest.mark.parametrize(
+    "rel, a, b, m",
+    [("pm", -2, 0, 1), ("pp", -2, -1, -1)],  # pp lands on the diagonal a+b+2m = -5
+    ids=["pm", "pp"],
+)
+def test_charge_relabelling_holds_on_a_corrupted_kernel(rel, a, b, m):
+    # the check at (a, b, m) is the one at (a + eps1 m, b + eps2 m, 0), also
+    # where it fails: the key the anticommutator executor skips on
+    bad = corrupted_kernel(TWISTED_PLUS)
+    K1, K2, e = (bad, TWISTED_MINUS, 1) if rel == "pm" else (bad, bad, -1)
+    la = (2, 1)
+    at_m = _packed_diff(K1, K2, e, a, b, m, la)
+    at_0 = _packed_diff(K1, K2, e, a + K1.eps * m, b + K2.eps * m, 0, la)
+    assert at_m == at_0
+    assert not at_m.is_zero()
+
+
+def test_each_relabelled_check_runs_once(monkeypatch):
+    # every check calls combine once; a key seen passing is never tested again
+    opts = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
+    monkeypatch.setattr(verify, "_passed", set())
+    calls = []
+    monkeypatch.setattr(verify, "combine", lambda terms: calls.append(1) or combine(terms))
+    assert all(r.ok for r in run_suite("twisted-fermion", opts, threads=1))
+    eps = {"pp": (1, 1), "mm": (-1, -1), "pm": (1, -1)}
+    keys, checks, W = set(), 0, opts.max_mode
+    for rel, d in verify._items_anticommutators(opts):
+        window = range(max(-W, d - W), min(W, d + W) + 1)
+        for m in opts.charges:
+            for la in partitions_up_to(3):
+                for a in window:
+                    if rel == "pm" or a <= d - a:
+                        keys.add((rel, a + eps[rel][0] * m, d - a + eps[rel][1] * m, la))
+                        checks += 1
+    assert len(calls) == len(keys) == len(verify._passed) < checks
+
+
+def test_passing_keys_do_not_hide_a_corrupted_kernel():
+    # the corrupted copy is its own kernel object, so its keys are its own
+    opts = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
+    assert _execute_item(("fermion", ("pm", -1), opts)).ok
+    result = _execute_item(("fermion", ("pm", -1), replace(opts, corrupt=True)))
+    assert not result.ok and result.witness["relation"] == "pm"
 
 
 def test_thread_count_reads_cpu_affinity(monkeypatch):
