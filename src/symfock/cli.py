@@ -251,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-degree", type=int, default=None)
     p_verify.add_argument("--max-mode", type=int, default=None)
     p_verify.add_argument("--charges", default=None, help="comma-separated, e.g. --charges=-2,-1,0,1,2")
-    p_verify.add_argument("--beta", action="append", default=None, help="repeatable rational")
+    p_verify.add_argument("--beta", action="append", default=None, help="repeatable rational; negative as --beta=-1/3")
     p_verify.add_argument("--corrupt", action="store_true", default=None, help=argparse.SUPPRESS)
     p_verify.set_defaults(func=_cmd_verify)
 

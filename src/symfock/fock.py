@@ -834,7 +834,7 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 
 
 def _composition_pieces(
-    outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition, w: Fraction | int = 1
+    outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition, w: int = 1
 ) -> list[tuple[Digits, int, Column]]:
     """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for an inner
     kernel whose modes have scalar denominators: one per nonzero coefficient
@@ -843,14 +843,13 @@ def _composition_pieces(
     col = inner.mode_on_basis(j2, m, la)
     if col.ex:
         raise ValueError(f"{inner.name}[{j2}] z^{m} p_{list(la)} is over (1-t^v); composition needs a scalar den")
-    num, den = w.numerator, w.denominator * col.den
     pieces = []
     for mu, c in col.digits():
         out = outer.mode_on_basis(j1, m + inner.eps, mu)
         if not out.is_zero():
-            if num != 1:
-                c = c * num if type(c) is int else tuple(d * num for d in c)
-            pieces.append((c, den, out))
+            if w != 1:
+                c = c * w if type(c) is int else tuple(d * w for d in c)
+            pieces.append((c, col.den, out))
     return pieces
 
 
@@ -860,11 +859,10 @@ def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: i
     return _combine(n, _composition_pieces(outer, j1, inner, j2, m, la))
 
 
-def _normal_ordered_pair(
-    pair_sum: int, m: int, la: Partition, weight_fn: Callable[[int, int], Fraction] | None
-) -> Column:
+def _normal_ordered_pair(pair_sum: int, m: int, la: Partition, weighted: bool) -> Column:
     """sum over a+b = pair_sum of w(a,b) :fermion+[a] fermion-[b]: applied to z^m p_la,
-    built as one packed weighted sum of compositions.
+    one packed sum of compositions: w = b (L^0) if weighted, else w = 1
+    (alpha); beta-free, as L^beta_k = L^0_k - beta (k-1) alpha_k.
 
     The split sends a <= -1 outermost and a >= 0 innermost with a minus
     sign; both branches terminate by the mode vanishing bound.
@@ -873,7 +871,7 @@ def _normal_ordered_pair(
     pieces = []
     for a in chain(range(pair_sum - (deg + m - 1), 0), range(0, deg - m)):
         b = pair_sum - a
-        w = Fraction(1) if weight_fn is None else weight_fn(a, b)
+        w = b if weighted else 1
         if w == 0:
             continue
         if a < 0:
@@ -884,23 +882,18 @@ def _normal_ordered_pair(
     return Column.from_digits(out.weight, out.digits(), out.den)
 
 
-# keyed by (*key, charge, la), holding the column of the bilinear on z^charge p_la
+# (k, charge, la) -> mode k of alpha (_heis_cache) or L^0 (_vir_cache) on z^charge p_la
 _heis_cache: dict[tuple[int, int, Partition], Column] = {}
-_vir_cache: dict[tuple[Fraction, int, int, Partition], Column] = {}
+_vir_cache: dict[tuple[int, int, Partition], Column] = {}
 
 
-def _bilinear_mode(cache: dict, key: tuple, k: int, v: FockVector, weight_fn) -> FockVector:
-    """Mode k of a weighted fermion bilinear on v, memoised per basis vector
-    under key + (charge, la)."""
-    pairs = []
-    for la, c in v.body.terms.items():
-        full_key = (*key, v.charge, la)
-        col = cache.get(full_key)
-        if col is None:
-            col = cache[full_key] = _normal_ordered_pair(k - 1, v.charge, la, weight_fn)
-        if not col.is_zero():
-            pairs.append((c, col))
-    return FockVector(v.charge, combine(pairs))
+def _bilinear_column(k: int, m: int, la: Partition, weighted: bool) -> Column:
+    """Mode k of L^0 (weighted) or alpha on z^m p_la, memoised per basis vector."""
+    cache = _vir_cache if weighted else _heis_cache
+    col = cache.get((k, m, la))
+    if col is None:
+        col = cache[k, m, la] = _normal_ordered_pair(k - 1, m, la, weighted)
+    return col
 
 
 def heisenberg_mode(k: int, v: FockVector) -> FockVector:
@@ -909,7 +902,8 @@ def heisenberg_mode(k: int, v: FockVector) -> FockVector:
     Realised as the coefficient of u**(k-1) of the normal-ordered product
     :fermion+(u) fermion-(u): .
     """
-    return _bilinear_mode(_heis_cache, (k,), k, v, None)
+    pairs = [(c, _bilinear_column(k, v.charge, la, False)) for la, c in v.body.terms.items()]
+    return FockVector(v.charge, combine(pairs))
 
 
 def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
@@ -928,20 +922,23 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     are naturally indexed by, which is 1/u; together with the mode
     labelling fixed so the bracket closes with positive structure
     constants this makes the pair (a, b) with a + b = k - 1 enter with
-    weight (1-beta)*b - beta*a.  The resulting modes satisfy
+    weight (1-beta)*b - beta*a = b - beta*(k-1), so L^(beta)_k =
+    L^0_k - beta (k-1) alpha_k: one packed sum over two beta-free cached
+    columns per basis vector, alpha_k's skipped when beta (k-1) = 0.  The
+    resulting modes satisfy
 
         [L_j, L_k] = (j - k) L_{j+k} + c/12 (j**3 - j) delta_{j,-k}
 
     with central charge c = -12 beta**2 + 12 beta - 2, and L_0 acts on
     the charge-m vacuum by m(m-1)/2 + beta*m.
     """
-    beta = Fraction(beta)
-    p, q = beta.numerator, beta.denominator
-
-    def w(a: int, b: int) -> Fraction:
-        return Fraction((q - p) * b - p * a, q)
-
-    return _bilinear_mode(_vir_cache, (beta, k), k, v, w)
+    shift = Fraction(beta) * (1 - k)
+    pairs = []
+    for la, c in v.body.terms.items():
+        pairs.append((c, _bilinear_column(k, v.charge, la, True)))
+        if shift:
+            pairs.append((c.scale(shift), _bilinear_column(k, v.charge, la, False)))
+    return FockVector(v.charge, combine(pairs))
 
 
 # ---------------------------------------------------------------------------

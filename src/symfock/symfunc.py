@@ -227,8 +227,8 @@ class SymFunc:
 def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
     """Sum of c * f over the given pairs, accumulated in one dict pass.
 
-    The hot loop of every operator application; works on the raw packed
-    fields and defers object construction to the final pass.
+    Fock operators sum packed columns instead (`fock.combine`); this serves
+    the kernel-factorization items of `verify` and is the tests' reference.
     """
     buckets: dict[Partition, list] = {}
     get = buckets.get
@@ -349,16 +349,16 @@ def symfunc_to_json(f: SymFunc) -> dict:
 
 
 def symfunc_from_json(obj: object) -> SymFunc:
-    if not isinstance(obj, dict) or "terms" not in obj or not isinstance(obj["terms"], list):
+    """Parse {"terms": [{"p": [...], "coeff": {...}}, ...]}: no other key, each
+    partition at most once (with a zero coefficient too)."""
+    if not isinstance(obj, dict) or set(obj) != {"terms"} or not isinstance(obj["terms"], list):
         raise ValueError("symmetric function JSON must be {'terms': [...]}")
     out: dict[Partition, RatFun] = {}
     for entry in obj["terms"]:
-        if not isinstance(entry, dict) or "p" not in entry or "coeff" not in entry:
+        if not isinstance(entry, dict) or set(entry) != {"p", "coeff"}:
             raise ValueError(f"malformed term entry: {entry!r}")
         la = partition_from_json(entry["p"])
-        c = rat_from_json(entry["coeff"])
         if la in out:
             raise ValueError(f"duplicate partition in terms: {la}")
-        if not c.is_zero():
-            out[la] = c
-    return SymFunc(out, _clean=True)
+        out[la] = rat_from_json(entry["coeff"])
+    return SymFunc({la: c for la, c in out.items() if not c.is_zero()}, _clean=True)

@@ -15,7 +15,8 @@ Every mode identity outside the anticommutator suites (commutation,
 heisenberg, twisted-heisenberg, virasoro, kernel-factorization) states
 its two sides as plain functions on Fock vectors and goes through
 `check_mode_identity`; the Heisenberg and Virasoro brackets share one
-commutator, [op(j), op(k)].
+commutator, [op(j), op(k)].  L^beta_k = L^0_k - beta (k-1) alpha_k is read
+from two beta-free cached fermion bilinears, so the betas share every column.
 
 The classical fermion suite is the t = 0 case of the twisted one: at
 t = 0 the twisted kernels are the classical ones, and both suites check,
@@ -85,8 +86,8 @@ ANTICOMMUTATOR_KERNELS = {
 
 # one corrupted copy per kernel, so its mode cache survives across items
 _corrupted = cache(corrupted_kernel)
-# the relabelled keys (K1, K2, t, rel, a + K1.eps m, b + K2.eps m, la) of the
-# anticommutator checks that passed in this process (each pool worker has its own)
+# the keys (K1, K2, t, a + K1.eps m, b + K2.eps m, la) of the anticommutator checks
+# that passed in this process (each pool worker has its own); K1, K2 fix the relation
 _passed: set[tuple] = set()
 
 
@@ -176,7 +177,7 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
             Y = X if K1 is K2 else cache(lambda y: composition(K2, y, K1, d - y, m, la))
             want_col = Column.from_digits(weight(la), [(la, delta_digits)], delta_den)
             for a, b in pairs:
-                key = (K1, K2, t, rel, a + K1.eps * m, b + K2.eps * m, la)
+                key = (K1, K2, t, a + K1.eps * m, b + K2.eps * m, la)
                 if key in _passed:
                     continue
                 terms = [(RF_ONE, X(a)), (RF_ONE, Y(b)), (minus_one, want_col)]

@@ -256,6 +256,26 @@ def test_kp_file_rejects_malformed_coefficient(tmp_path, capsys, coeff):
     assert code == 2 and "malformed" in err and out == ""
 
 
+ONE = {"num": ["1"]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"terms": [{"p": [True], "coeff": ONE}]},  # a JSON boolean is not part 1
+        {"terms": [{"p": [1], "cofef": ONE, "coeff": ONE}]},  # unknown term key
+        {"terms": [{"p": [1], "coeff": ONE}], "extra": 1},  # unknown top-level key
+        {"terms": [{"p": [1], "coeff": {"num": ["0"]}}, {"p": [1], "coeff": ONE}]},  # repeated partition
+    ],
+    ids=["bool-part", "term-key", "top-key", "repeat-after-zero"],
+)
+def test_kp_file_is_never_reinterpreted(tmp_path, capsys, payload):
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "kp", "--file", str(path))
+    assert code == 2 and "malformed" in err and out == ""
+
+
 def test_kp_search_rejects_negative_degree_bound(capsys):
     code, out, err = run_cli(capsys, "kp-search", "--degree-bound", "-1")
     assert code == 2 and "error" in err and out == ""

@@ -261,6 +261,45 @@ def test_virasoro_central_term(beta):
         assert comm == want
 
 
+def _virasoro_reference(beta, k, v):
+    """L^beta_k v as the sum over a + b = k - 1 of ((1-beta) b - beta a) times
+    :fermion+[a] fermion-[b]:, a <= -1 outermost and a >= 0 innermost with a
+    minus sign, from explicit modes over a range past both vanishing bounds."""
+    reach = max(map(weight, v.body.terms), default=0) + abs(v.charge) + 2
+    out = FockVector.zero(v.charge)
+    for a in range(k - 1 - reach, reach):
+        b = k - 1 - a
+        w = (1 - beta) * b - beta * a
+        if a < 0:
+            out = out + KK(FERMION_PLUS, a, FERMION_MINUS, b, v).scaled(w)
+        else:
+            out = out + KK(FERMION_MINUS, b, FERMION_PLUS, a, v).scaled(-w)
+    return out
+
+
+@pytest.mark.parametrize("beta", [Fraction(-1, 3), Fraction(3, 2), Fraction(5)])
+def test_virasoro_matches_the_weighted_bilinear(beta):
+    for m in (-1, 0, 1):
+        for la in partitions_up_to(3):
+            v = FockVector(m, SymFunc.monomial(la))
+            for k in range(-3, 4):
+                assert virasoro_mode(beta, k, v) == _virasoro_reference(beta, k, v)
+
+
+def test_virasoro_caches_are_beta_free(monkeypatch):
+    # L^beta_k = L^0_k - beta (k-1) alpha_k: no column is built per beta
+    monkeypatch.setattr(fock, "_vir_cache", {})
+    monkeypatch.setattr(fock, "_heis_cache", {})
+    v = FockVector(1, SymFunc.monomial((2, 1)) + SymFunc.p(1))
+    virasoro_mode(Fraction(0), -2, v)
+    built = len(fock._vir_cache)
+    assert built == 2 and not fock._heis_cache  # no alpha term at beta = 0
+    virasoro_mode(Fraction(2), -2, v)
+    assert len(fock._vir_cache) == built and len(fock._heis_cache) == 2
+    virasoro_mode(Fraction(2), 1, v)  # no alpha term at k = 1
+    assert len(fock._vir_cache) == built + 2 and len(fock._heis_cache) == 2
+
+
 def test_central_charge_at_beta_zero():
     beta = Fraction(0)
     assert -12 * beta * beta + 12 * beta - 2 == -2

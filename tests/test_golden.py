@@ -27,6 +27,8 @@ were packed as columns over a factored (1-t^v) denominator.  The two
 charges 2,-2,0) were recorded before each charge-relabelled anticommutator
 check ran once per process; there the passing `mm` and `pm` items that
 follow the failing ones skip checks already passed at another charge.
+`virasoro` at the betas -1/3 and 3/2 was recorded before L^beta_k was
+built as L^0_k - beta (k-1) alpha_k from two beta-free columns.
 Commands run in `data/`, which holds the `--file` inputs.
 """
 
@@ -85,6 +87,7 @@ GOLDEN = {
     ("kp", "--deformed", "--file", "kp_tdenominator.json"): (1, "dc0f012a6174f4f1c9614436aa95aa0978dc3c831f713757c9fa24fb8aa00462"),
     ("verify", "twisted-fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3"): (1, "277e992b21fae116ec53eff09d8c6fff5f75aaeef501a4a10a418dc4cacfc45e"),
     ("verify", "fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3", "--charges=2,-2,0"): (1, "26f5575e60b0079aa25694b569fd5af8a15bc161a36a0fd812671c38a11f1aca"),
+    ("verify", "virasoro", "--max-degree", "4", "--max-mode", "3", "--charges=-2,0,2", "--beta=-1/3", "--beta=3/2"): (0, "de9dce24146d91623fd4f86e00b9daf046f533e90744946e9539dac50b41e510"),
 }
 
 
