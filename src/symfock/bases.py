@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .partitions import Partition, as_partition, multiplicities
-from .ratfun import RF_ONE, RatFun, TPoly, one_minus_t_pow, rat_to_json
+from .ratfun import ONE, RF_ONE, RatFun, TPoly, one_minus_t_pow, poly_divmod, rat_to_json
 from .symfunc import SymFunc
 
 # ---------------------------------------------------------------------------
@@ -270,17 +270,21 @@ def hall_littlewood_oracle(la, n: int) -> VarPoly:
         var_add_into(symmetrized, image, sign)
     quotient = _divide_vandermonde(symmetrized, n)
 
-    prefactor = RF_ONE
+    # the prefactor as num/den in Z[t]; each coefficient times num is
+    # divided exactly by den, and a nonzero remainder raises
+    num, den = ONE, ONE
     mults = multiplicities(la)
     mults[0] = n - len(la)
     for _, m in mults.items():
         for j in range(1, m + 1):
-            prefactor = prefactor * RatFun(one_minus_t_pow(1), one_minus_t_pow(j))
+            num = num * one_minus_t_pow(1)
+            den = den * one_minus_t_pow(j)
     out: VarPoly = {}
-    var_add_into(out, quotient, prefactor)
-    for c in out.values():
-        if c.den.degree > 0:
+    for key, c in quotient.items():
+        q, r = poly_divmod(TPoly(c.ne, c.nd) * num, TPoly(c.de, c.dd) * den)
+        if r:
             raise ArithmeticError("Hall-Littlewood oracle produced a non-polynomial coefficient")
+        out[key] = RatFun(q)
     return out
 
 

@@ -19,8 +19,8 @@ and the adjoint ("perp") of multiplication with respect to either one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Iterable
+from math import gcd, perm, prod
+from typing import Callable, Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -41,6 +41,10 @@ from .ratfun import (
 )
 
 Coeff = RatFun | Fraction | int
+# a partition and the raw fields (ne, nd, de, dd) of its RatFun coefficient
+RawTerm = tuple[Partition, int, int, int, int]
+# a perp plan entry: multiplicity items of mu and raw coefficient fields
+PlanEntry = tuple[tuple[tuple[int, int], ...], int, int, int, int]
 
 
 def _coerce(c: Coeff) -> RatFun:
@@ -56,7 +60,8 @@ def _merge(la: Partition, mu: Partition) -> Partition:
 class SymFunc:
     """A symmetric function: finite sum of p-monomials with Q(t) coefficients."""
 
-    __slots__ = ("terms",)
+    # _perp_plans is unset until perp_apply first reads f's plan
+    __slots__ = ("terms", "_perp_plans")
 
     def __init__(self, terms: dict[Partition, RatFun] | None = None, _clean: bool = False):
         if terms is None:
@@ -229,18 +234,19 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
 
     Fock operators sum packed columns instead (`fock.combine`); this serves
     the kernel-factorization items of `verify` and is the tests' reference.
+    Its bucket sum `_sum_raw` has a second user, `perp_apply`.
     """
-    buckets: dict[Partition, list] = {}
-    get = buckets.get
+    return _sum_raw(_scaled_terms(pairs))
+
+
+def _scaled_terms(pairs: Iterable[tuple[RatFun, SymFunc]]) -> Iterator[RawTerm]:
+    """The raw fields of c * v for every term v of every f."""
     for c, f in pairs:
         cne = c.ne
         if cne == 0:
             continue
         cnd, cde, cdd = c.nd, c.de, c.dd
         for la, v in f.terms.items():
-            pne = v.ne * cne
-            pnd = v.nd * cnd
-            pdd = v.dd * cdd
             vde = v.de
             if vde == 1:
                 pde = cde
@@ -248,28 +254,41 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
                 pde = vde
             else:
                 pde = vde * cde
-            acc = get(la)
-            if acc is None:
-                buckets[la] = [pne, pnd, pde, pdd]
-                continue
-            if acc[2] == pde and acc[3] == pdd:
-                and_ = acc[1]
-                if and_ == pnd:
-                    acc[0] += pne
-                else:
-                    g = gcd(and_, pnd)
-                    m1 = pnd // g
-                    acc[0] = acc[0] * m1 + pne * (and_ // g)
-                    acc[1] = and_ * m1
+            yield la, v.ne * cne, v.nd * cnd, pde, v.dd * cdd
+
+
+def _sum_raw(terms: Iterable[RawTerm]) -> SymFunc:
+    """Sum of raw RatFun fields (la, ne, nd, de, dd) per partition.
+
+    Each partition keeps one 4-int bucket (ne, nd, de, dd), merged with the
+    packed bigint operations of `RatFun.__add__`; one RatFun is built per
+    partition whose sum is nonzero.
+    """
+    buckets: dict[Partition, list] = {}
+    get = buckets.get
+    for la, pne, pnd, pde, pdd in terms:
+        acc = get(la)
+        if acc is None:
+            buckets[la] = [pne, pnd, pde, pdd]
+            continue
+        if acc[2] == pde and acc[3] == pdd:
+            and_ = acc[1]
+            if and_ == pnd:
+                acc[0] += pne
             else:
-                b1 = acc[1] * pdd
-                b2 = pnd * acc[3]
-                g = gcd(b1, b2)
-                m1 = b2 // g
-                acc[0] = acc[0] * pde * m1 + pne * acc[2] * (b1 // g)
-                acc[1] = b1 * m1
-                acc[2] = acc[2] * pde
-                acc[3] = acc[3] * pdd
+                g = gcd(and_, pnd)
+                m1 = pnd // g
+                acc[0] = acc[0] * m1 + pne * (and_ // g)
+                acc[1] = and_ * m1
+        else:
+            b1 = acc[1] * pdd
+            b2 = pnd * acc[3]
+            g = gcd(b1, b2)
+            m1 = b2 // g
+            acc[0] = acc[0] * pde * m1 + pne * acc[2] * (b1 // g)
+            acc[1] = b1 * m1
+            acc[2] = acc[2] * pde
+            acc[3] = acc[3] * pdd
     out: dict[Partition, RatFun] = {}
     for la, fields in buckets.items():
         if fields[0]:
@@ -298,46 +317,62 @@ def perp_apply(f: SymFunc, g: SymFunc, deformed: bool = False) -> SymFunc:
 
     Classically p_n acts as n d/dp_n; for the t-deformed product as
     n/(1 - t**n) d/dp_n.  Both substitutions turn any f into a finite
-    differential polynomial.
+    differential polynomial: p_mu-perp p_nu is
+    prod_v v**m_v (m'_v)_(m_v) p_(nu - mu), with m_v and m'_v the
+    multiplicities of v in mu and nu and (m')_(m) = m'(m'-1)...(m'-m+1)
+    the falling factorial, times prod_i 1/(1 - t**mu_i) when deformed.
+
+    f's plan (`_perp_plan`) holds, per term mu, its multiplicity items and
+    the raw fields of every factor but the falling factorials.  Each term
+    nu of g reads its multiplicities once; each plan entry then costs an
+    integer falling factorial, a residual partition and a few bigint
+    products, summed in the 4-int buckets of `_sum_raw` with no object
+    built per (mu, nu) pair.
     """
-    out: dict[Partition, RatFun] = {}
-    for mu, c in f.terms.items():
-        for value, mult in multiplicities(mu).items():
-            factor = RatFun.from_fraction(Fraction(value**mult))
+    return _sum_raw(_perp_terms(_perp_plan(f, deformed), g))
+
+
+def _perp_plan(f: SymFunc, deformed: bool) -> tuple[PlanEntry, ...]:
+    """Per term c p_mu of f: the multiplicity items of mu and the raw fields
+    of c prod_i mu_i, times prod_i 1/(1 - t**mu_i) when deformed.
+
+    Memoised on f, one plan per product; a SymFunc never changes, so the
+    plan holds as long as f does.
+    """
+    plans = getattr(f, "_perp_plans", None)
+    if plans is None:
+        plans = f._perp_plans = {}
+    plan = plans.get(deformed)
+    if plan is None:
+        entries = []
+        for mu, c in f.terms.items():
+            c = c.scale(prod(mu))
             if deformed:
-                for _ in range(mult):
-                    factor = factor * rf_inv_one_minus_t_pow(value)
-            c = c * factor
-        for nu, d in g.terms.items():
-            coeff, key = _apply_monomial_derivative(mu, nu)
-            if coeff == 0:
-                continue
-            contrib = (c * d).scale(coeff)
-            acc = out.get(key)
-            s = contrib if acc is None else acc + contrib
-            if s.is_zero():
-                out.pop(key, None)
+                for part in mu:
+                    c = c * rf_inv_one_minus_t_pow(part)
+            entries.append((tuple(multiplicities(mu).items()), c.ne, c.nd, c.de, c.dd))
+        plan = plans[deformed] = tuple(entries)
+    return plan
+
+
+def _perp_terms(plan: tuple[PlanEntry, ...], g: SymFunc) -> Iterator[RawTerm]:
+    """The raw fields of p_mu-perp applied to every term of g, per plan entry."""
+    for nu, d in g.terms.items():
+        dne, dnd, dde, ddd = d.ne, d.nd, d.de, d.dd
+        counts = multiplicities(nu)
+        for items, cne, cnd, cde, cdd in plan:
+            k = 1
+            rest = nu
+            for value, mult in items:
+                have = counts.get(value, 0)
+                if have < mult:
+                    break
+                k *= perm(have, mult)
+                # nu is sorted, so its parts equal to value are one run
+                i = rest.index(value)
+                rest = rest[:i] + rest[i + mult :]
             else:
-                out[key] = s
-    return SymFunc(out, _clean=True)
-
-
-def _apply_monomial_derivative(mu: Partition, nu: Partition) -> tuple[Fraction, Partition]:
-    """Coefficient and partition from applying prod_i d/dp_{mu_i} to p_nu."""
-    counts = multiplicities(nu)
-    coeff = 1
-    for value, k in multiplicities(mu).items():
-        m = counts.get(value, 0)
-        if m < k:
-            return Fraction(0), ()
-        for j in range(k):
-            coeff *= m - j
-        counts[value] = m - k
-    rest: list[int] = []
-    for value, m in counts.items():
-        rest.extend([value] * m)
-    rest.sort(reverse=True)
-    return Fraction(coeff), tuple(rest)
+                yield rest, cne * dne * k, cnd * dnd, cde * dde, cdd * ddd
 
 
 def symfunc_to_json(f: SymFunc) -> dict:

@@ -29,6 +29,8 @@ check ran once per process; there the passing `mm` and `pm` items that
 follow the failing ones skip checks already passed at another charge.
 `virasoro` at the betas -1/3 and 3/2 was recorded before L^beta_k was
 built as L^0_k - beta (k-1) alpha_k from two beta-free columns.
+`commutation --max-degree 6 --max-mode 4` was recorded before f-perp was
+applied from a per-operator plan with integer falling factorials.
 Commands run in `data/`, which holds the `--file` inputs.
 """
 
@@ -88,6 +90,7 @@ GOLDEN = {
     ("verify", "twisted-fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3"): (1, "277e992b21fae116ec53eff09d8c6fff5f75aaeef501a4a10a418dc4cacfc45e"),
     ("verify", "fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3", "--charges=2,-2,0"): (1, "26f5575e60b0079aa25694b569fd5af8a15bc161a36a0fd812671c38a11f1aca"),
     ("verify", "virasoro", "--max-degree", "4", "--max-mode", "3", "--charges=-2,0,2", "--beta=-1/3", "--beta=3/2"): (0, "de9dce24146d91623fd4f86e00b9daf046f533e90744946e9539dac50b41e510"),
+    ("verify", "commutation", "--max-degree", "6", "--max-mode", "4"): (0, "7231ee497b463d25f197bc457c47d7b09bf7cbaa7567ba05963767d045cb0950"),
 }
 
 

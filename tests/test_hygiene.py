@@ -111,14 +111,21 @@ def test_dead_definition_is_reported():
     assert _dead_definitions({"m": source}, [source]) == ["m.A.unused", "m.helper"]
 
 
-# a RatFun is a value: only its two constructors write the packed fields
+# a RatFun is a value: only its two constructors write the packed fields;
+# a SymFunc's terms are written once by its constructor (kp's TensorState
+# has a terms field of its own, also written only by its constructor), and
+# its perp plan only by the memo that perp_apply reads
 PACKED_FIELDS = {"ne", "nd", "de", "dd"}
-FIELD_WRITERS = {"RatFun.__init__", "RatFun._raw"}
+FIELD_WRITERS = {
+    **dict.fromkeys(PACKED_FIELDS, {"RatFun.__init__", "RatFun._raw"}),
+    "terms": {"SymFunc.__init__", "TensorState.__init__"},
+    "_perp_plans": {"_perp_plan"},
+}
 
 
-def _packed_field_writes(sources: dict[str, str]) -> list[str]:
-    """Assignments, deletions and setattr calls on an attribute ne, nd, de
-    or dd outside FIELD_WRITERS, as module.scope:line."""
+def _guarded_field_writes(sources: dict[str, str]) -> list[str]:
+    """Assignments, deletions and setattr calls on an attribute named in
+    FIELD_WRITERS outside the scopes listed for it, as module.scope:line."""
     found = []
 
     def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
@@ -135,7 +142,7 @@ def _packed_field_writes(sources: dict[str, str]) -> list[str]:
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in ("setattr", "__setattr__") and isinstance(child.args[1], ast.Constant):
                     written = child.args[1].value
-            if written in PACKED_FIELDS and ".".join(scope) not in FIELD_WRITERS:
+            if written in FIELD_WRITERS and ".".join(scope) not in FIELD_WRITERS[written]:
                 found.append(f"{module}.{'.'.join(scope) or '<module>'}:{child.lineno}")
             visit(child, module, scope)
 
@@ -146,7 +153,7 @@ def _packed_field_writes(sources: dict[str, str]) -> list[str]:
 
 def test_packed_fields_written_only_by_constructors():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert _packed_field_writes(sources) == []
+    assert _guarded_field_writes(sources) == []
 
 
 def test_packed_field_write_is_reported():
@@ -157,10 +164,25 @@ def test_packed_field_write_is_reported():
         "def bump(r):\n    r.dd += 1\n    setattr(r, 'de', 2)\n    return r.ne\n\n\n"
         "r = RatFun(1)\ndel r.de\n"
     )
-    assert _packed_field_writes({"m": source}) == [
+    assert _guarded_field_writes({"m": source}) == [
         "m.<module>:22",
         "m.RatFun._reduce:12",
         "m.RatFun._reduce:12",
         "m.bump:16",
         "m.bump:17",
+    ]
+
+
+def test_symfunc_field_write_is_reported():
+    source = (
+        "class SymFunc:\n    def __init__(self, terms):\n        self.terms = terms\n\n"
+        "    def scaled(self, c):\n        self.terms = {}\n        self._perp_plans = None\n\n\n"
+        "def _perp_plan(f):\n    f._perp_plans = {}\n    f.terms = {}\n\n\n"
+        "def perp_apply(f):\n    setattr(f, '_perp_plans', {})\n    return f.terms\n"
+    )
+    assert _guarded_field_writes({"m": source}) == [
+        "m.SymFunc.scaled:6",
+        "m.SymFunc.scaled:7",
+        "m._perp_plan:12",
+        "m.perp_apply:16",
     ]

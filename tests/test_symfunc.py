@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfock.partitions import partitions_of, partitions_up_to, z_factor
-from symfock.ratfun import RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.ratfun import RF_T, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import (
     SymFunc,
     perp_apply,
@@ -81,6 +81,9 @@ def test_perp_examples():
     e2 = mono((1, 1), Fraction(1, 2)) - p(2).scaled(Fraction(1, 2))
     assert scalar_product(e2, e2) == RatFun.from_int(1)
     assert perp_apply(e2, e2) == SymFunc.one()
+    # 4 p_1-perp and p_2-perp send p_21 + p_22 to opposite multiples of p_2
+    f = p(1).scaled(4) - p(2)
+    assert perp_apply(f, mono((2, 1)) + mono((2, 2))).terms == {(1,): RatFun.from_int(-2)}
 
 
 def test_adjointness_both_products():
@@ -102,13 +105,24 @@ small_coeff = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
 @st.composite
-def symfuncs(draw, max_weight=4, max_terms=3):
+def qt_coeffs(draw):
+    """c t**a, divided by (1 - t**k) when k > 0: nonzero, with unequal scalar
+    and t-denominators across draws."""
+    c = RatFun.from_fraction(draw(small_coeff.filter(bool)))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        c = c * RF_T
+    k = draw(st.integers(min_value=0, max_value=3))
+    return c * rf_inv_one_minus_t_pow(k) if k else c
+
+
+@st.composite
+def symfuncs(draw, max_weight=4, max_terms=3, coeffs=small_coeff):
     pool = list(partitions_up_to(max_weight))
     n = draw(st.integers(min_value=0, max_value=max_terms))
     f = SymFunc.zero()
     for _ in range(n):
         la = draw(st.sampled_from(pool))
-        c = draw(small_coeff)
+        c = draw(coeffs)
         f = f + mono(la, c)
     return f
 
@@ -126,6 +140,59 @@ def test_ring_axioms(f, g, h):
 def test_scalar_product_symmetric(f, g):
     assert scalar_product(f, g) == scalar_product(g, f)
     assert scalar_product(f, g, deformed=True) == scalar_product(g, f, deformed=True)
+
+
+def _perp_by_derivations(f, g, deformed):
+    """f-perp g with p_n-perp = n d/dp_n, or n/(1 - t**n) d/dp_n when deformed."""
+    out = SymFunc.zero()
+    for mu, c in f.terms.items():
+        term = g
+        for n in mu:
+            term = term.diff_p(n).scaled(n)
+            if deformed:
+                term = term.scaled(rf_inv_one_minus_t_pow(n))
+        out = out + term.scaled(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    symfuncs(max_terms=4, coeffs=qt_coeffs()),
+    symfuncs(max_weight=6, max_terms=5, coeffs=qt_coeffs()),
+    st.booleans(),
+)
+def test_perp_matches_derivations(f, g, deformed):
+    got = perp_apply(f, g, deformed)
+    assert got == _perp_by_derivations(f, g, deformed)
+    assert not any(c.is_zero() for c in got.terms.values())
+    assert perp_apply(f, g - g, deformed).terms == {}
+    # f's memoised plan is f's own: a scaled copy and the other product get theirs
+    assert perp_apply(f.scaled(2), g, deformed) == got.scaled(2)
+    assert perp_apply(f, g, not deformed) == _perp_by_derivations(f, g, not deformed)
+    assert perp_apply(f, g, deformed) == got
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.sampled_from([la for la in partitions_up_to(3) if la]), min_size=2, max_size=2, unique=True),
+    st.sampled_from(list(partitions_up_to(3))),
+    qt_coeffs(),
+    symfuncs(max_weight=3, max_terms=2, coeffs=qt_coeffs()),
+    st.booleans(),
+)
+def test_perp_bucket_sums_cancel(mus, rho, c, extra, deformed):
+    # f = c p_mu1 - c (a1/a2) p_mu2 sends g = p_mu1 p_rho + p_mu2 p_rho to
+    # a sum whose p_rho coefficient c a1 - c (a1/a2) a2 cancels in its bucket
+    mu1, mu2 = mus
+    g = mono(mu1).times_monomial(rho) + mono(mu2).times_monomial(rho)
+    a1 = perp_apply(mono(mu1), mono(mu1).times_monomial(rho), deformed).terms[rho]
+    a2 = perp_apply(mono(mu2), mono(mu2).times_monomial(rho), deformed).terms[rho]
+    f = mono(mu1, c) - mono(mu2, c * a1 / a2) + extra
+    got = perp_apply(f, g, deformed)
+    assert got == _perp_by_derivations(f, g, deformed)
+    assert not any(v.is_zero() for v in got.terms.values())
+    if not extra:
+        assert rho not in got.terms
 
 
 def test_specialize_t():

@@ -61,6 +61,8 @@ def _doubled_at(op, at):
 # each control swaps one operator that symfock.verify reads for a wrong one
 NEGATIVE_CONTROLS = [
     pytest.param("commutation", ("ee", 1, 1), "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
+    # the lower pair h_1-perp e_1 on the right side of he
+    pytest.param("commutation", ("he", 2, 2), "complete_h", _doubled_at(complete_h, 1), id="commutation-he"),
     pytest.param(
         "heisenberg", ("comm", -1, 1), "heisenberg_mode", _doubled_at(fock.heisenberg_mode, 1), id="heisenberg-comm"
     ),
