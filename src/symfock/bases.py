@@ -14,6 +14,17 @@ x_1..x_n, straight from the determinant-ratio and symmetrisation
 definitions, so they share no code path with the p-basis constructors.
 Alternants are divided exactly by the Vandermonde factor by factor;
 division is synthetic, hence exact, and any nonzero remainder raises.
+
+Inside the oracles and `expand_in_variables` an exponent vector is one
+int key in base B = (total x-degree of the polynomial) + 1, with the
+t exponent of the Hall-Littlewood oracle in the slot above the x slots:
+a monomial product is a key sum, and times x_j adds B**j.  Every
+intermediate of the Vandermonde division has total degree at most that
+of its dividend, so no slot ever carries into the next, also on an input
+that is not divisible.  Coefficients are unbounded Python ints (in
+`expand_in_variables`, the raw fields of the input's RatFuns); RatFuns
+are built once per output monomial, so the oracles do not depend on the
+packed limb width LIMB_BITS of `ratfun`.
 """
 
 from __future__ import annotations
@@ -21,10 +32,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
+from typing import Sequence
 
-from .partitions import Partition, as_partition, multiplicities
-from .ratfun import ONE, RF_ONE, RatFun, TPoly, one_minus_t_pow, poly_divmod, rat_to_json
-from .symfunc import SymFunc
+from .partitions import Partition, as_partition, multiplicities, weight
+from .ratfun import RF_ONE, RatFun, TPoly, one_minus_t_pow, rat_to_json
+from .symfunc import SymFunc, sum_raw_fields
 
 # ---------------------------------------------------------------------------
 # p-basis constructors
@@ -133,97 +146,95 @@ def hl_norm_factor(la: Partition) -> RatFun:
 
 
 # ---------------------------------------------------------------------------
-# finite-variable polynomials (exponent vector -> coefficient)
+# finite-variable polynomials: exponent vector -> RatFun, computed on dicts
+# from packed keys (x^e t^k -> sum_i e_i B**i + k B**n) to ints
 
 VarPoly = dict
 
 
-def var_const(n: int, c: RatFun) -> VarPoly:
-    if c.is_zero():
-        return {}
-    return {(0,) * n: c}
-
-
-def var_add_into(acc: VarPoly, other: VarPoly, scale: RatFun = RF_ONE) -> None:
-    for key, c in other.items():
-        v = c * scale
-        old = acc.get(key)
-        s = v if old is None else old + v
-        if s.is_zero():
-            acc.pop(key, None)
-        else:
-            acc[key] = s
-
-
-def var_mul(a: VarPoly, b: VarPoly) -> VarPoly:
-    out: VarPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(x + y for x, y in zip(ka, kb))
-            prod = ca * cb
-            old = out.get(key)
-            s = prod if old is None else old + prod
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return out
-
-
-def power_sum_in_vars(k: int, n: int) -> VarPoly:
-    out: VarPoly = {}
-    for i in range(n):
-        key = tuple(k if j == i else 0 for j in range(n))
-        out[key] = RF_ONE
-    return out
+def _unpack(key: int, base: int, n: int) -> tuple[int, ...]:
+    """The x exponent vector of a packed key."""
+    return tuple(key // base**i % base for i in range(n))
 
 
 def expand_in_variables(f: SymFunc, n: int) -> VarPoly:
-    """Substitute p_k -> x_1**k + ... + x_n**k and expand."""
-    out: VarPoly = {}
-    for la, c in f.terms.items():
-        prod = var_const(n, RF_ONE)
-        for part in la:
-            prod = var_mul(prod, power_sum_in_vars(part, n))
-        var_add_into(out, prod, c)
-    return out
+    """Substitute p_k -> x_1**k + ... + x_n**k and expand.
+
+    Each p_la(x) is built once per prefix of la; the coefficients of f,
+    scaled by its int coefficients, are summed in the raw-field buckets
+    of `sum_raw_fields`.
+    """
+    base = max(f.degree(), 0) + 1
+    powers = [base**i for i in range(n)]
+    products: dict[Partition, dict[int, int]] = {(): {0: 1}}
+
+    def power_product(la: Partition) -> dict[int, int]:
+        got = products.get(la)
+        if got is None:
+            got = {}
+            for key, c in power_product(la[:-1]).items():
+                for w in powers:
+                    k = key + la[-1] * w
+                    got[k] = got.get(k, 0) + c
+            products[la] = got
+        return got
+
+    terms = (
+        (key, c.ne * k, c.nd, c.de, c.dd)
+        for la, c in f.terms.items()
+        for key, k in power_product(la).items()
+    )
+    return {_unpack(key, base, n): c for key, c in sum_raw_fields(terms).items()}
 
 
-def _divide_linear(p: VarPoly, i: int, j: int, n: int) -> VarPoly:
-    """Exact division of p by (x_i - x_j); raises if the remainder is nonzero."""
-    buckets: dict[int, VarPoly] = {}
-    top = 0
+def _divide_linear(p: dict[int, int], wi: int, wj: int, base: int) -> dict[int, int]:
+    """Exact division of p by (x_i - x_j), the slots of x_i and x_j at key
+    weights wi and wj; raises if the remainder is nonzero."""
+    buckets: dict[int, dict[int, int]] = {}
     for key, c in p.items():
-        d = key[i]
-        stripped = key[:i] + (0,) + key[i + 1 :]
-        buckets.setdefault(d, {})[stripped] = c
-        top = max(top, d)
-    quotient: VarPoly = {}
-    carry: VarPoly = {}
-    for d in range(top, 0, -1):
-        cur: VarPoly = dict(buckets.get(d, {}))
-        shifted: VarPoly = {}
+        d = key // wi % base
+        buckets.setdefault(d, {})[key - d * wi] = c
+    quotient: dict[int, int] = {}
+    carry: dict[int, int] = {}
+    for d in range(max(buckets, default=0), -1, -1):
+        cur = buckets.get(d, {})
         for key, c in carry.items():
-            shifted[key[:j] + (key[j] + 1,) + key[j + 1 :]] = c
-        var_add_into(cur, shifted)
+            key += wj
+            s = cur.get(key, 0) + c
+            if s:
+                cur[key] = s
+            else:
+                del cur[key]
+        if d == 0:
+            if cur:
+                raise ArithmeticError("alternant not divisible by Vandermonde factor")
+            break
+        shift = (d - 1) * wi
         for key, c in cur.items():
-            quotient[key[:i] + (d - 1,) + key[i + 1 :]] = c
+            quotient[key + shift] = c
         carry = cur
-    remainder: VarPoly = dict(buckets.get(0, {}))
-    shifted = {}
-    for key, c in carry.items():
-        shifted[key[:j] + (key[j] + 1,) + key[j + 1 :]] = c
-    var_add_into(remainder, shifted)
-    if remainder:
-        raise ArithmeticError("alternant not divisible by Vandermonde factor")
     return quotient
 
 
-def _divide_vandermonde(p: VarPoly, n: int) -> VarPoly:
+def _divide_vandermonde(p: dict[int, int], n: int, base: int) -> dict[int, int]:
+    powers = [base**i for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            p = _divide_linear(p, i, j, n)
+            p = _divide_linear(p, powers[i], powers[j], base)
     return p
+
+
+def _alternant(reps: dict[tuple[tuple[int, ...], int], int], powers: list[int]) -> dict[int, int]:
+    """sum of c * x^rest * sum_sigma sgn(sigma) x^(beta o sigma) over the
+    entries (beta, rest) -> c, beta strictly decreasing and rest packed
+    outside the x slots.  Distinct beta share no monomial."""
+    signs = [_perm_sign(sigma) for sigma in permutations(range(len(powers)))]
+    out: dict[int, int] = {}
+    for (beta, rest), c in reps.items():
+        if c:
+            for sign, e in zip(signs, permutations(beta)):
+                out[rest + sum(map(mul, e, powers))] = sign * c
+    return out
 
 
 def schur_oracle(la, n: int) -> VarPoly:
@@ -231,13 +242,26 @@ def schur_oracle(la, n: int) -> VarPoly:
     la = as_partition(la)
     if n < len(la):
         raise ValueError("need at least len(la) variables")
-    exps = [la[j] + n - (j + 1) if j < len(la) else n - (j + 1) for j in range(n)]
-    numerator: VarPoly = {}
-    for sigma in permutations(range(n)):
-        key = tuple(exps[sigma[i]] for i in range(n))
-        sign = _perm_sign(sigma)
-        var_add_into(numerator, {key: RatFun.from_int(sign)})
-    return _divide_vandermonde(numerator, n)
+    exps = tuple(la[j] + n - (j + 1) if j < len(la) else n - (j + 1) for j in range(n))
+    base = sum(exps) + 1
+    numerator = _alternant({(exps, 0): 1}, [base**i for i in range(n)])
+    quotient = _divide_vandermonde(numerator, n, base)
+    return {_unpack(key, base, n): RatFun.from_int(c) for key, c in quotient.items()}
+
+
+def _divide_qint(coeffs: list[int], j: int) -> list[int]:
+    """Exact division in Z[t] of coeffs (ascending in t) by [j]_t = 1 + t +
+    ... + t^(j-1); raises if the remainder is nonzero."""
+    r = list(coeffs)
+    q = [0] * max(len(r) - j + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = q[k] = r[k + j - 1]
+        if c:
+            for m in range(k, k + j):
+                r[m] -= c
+    if any(r):
+        raise ArithmeticError("Hall-Littlewood oracle produced a non-polynomial coefficient")
+    return q
 
 
 def hall_littlewood_oracle(la, n: int) -> VarPoly:
@@ -245,50 +269,55 @@ def hall_littlewood_oracle(la, n: int) -> VarPoly:
 
     Computes sum_sigma sgn(sigma) sigma(x^la prod_{i<j} (x_i - t x_j)),
     divides exactly by the Vandermonde, and multiplies by the prefactor
-    prod_{i>=0} prod_{j=1}^{m(i)} (1-t)/(1-t^j) with m(0) = n - len(la).
+    prod_{i>=0} prod_{j=1}^{m(i)} (1-t)/(1-t^j) with m(0) = n - len(la),
+    that is, divides exactly by every [j]_t = (1-t^j)/(1-t).
     The result always has polynomial coefficients in t.
     """
     la = as_partition(la)
     if n < len(la):
         raise ValueError("need at least len(la) variables")
-    if n == 0:
-        return var_const(0, RF_ONE)
-    base: VarPoly = {tuple(la[i] if i < len(la) else 0 for i in range(n)): RF_ONE}
-    minus_t = RatFun(TPoly.from_coeffs([0, -1]))
+    base = weight(la) + n * (n - 1) // 2 + 1
+    powers = [base**i for i in range(n)]
+    t_unit = base**n
+    poly = {sum(map(mul, la, powers)): 1}
     for i in range(n):
         for j in range(i + 1, n):
-            factor: VarPoly = {}
-            ei = tuple(1 if k == i else 0 for k in range(n))
-            ej = tuple(1 if k == j else 0 for k in range(n))
-            factor[ei] = RF_ONE
-            factor[ej] = minus_t
-            base = var_mul(base, factor)
-    symmetrized: VarPoly = {}
-    for sigma in permutations(range(n)):
-        sign = RatFun.from_int(_perm_sign(sigma))
-        image = {tuple(key[sigma[i]] for i in range(n)): c for key, c in base.items()}
-        var_add_into(symmetrized, image, sign)
-    quotient = _divide_vandermonde(symmetrized, n)
+            nxt: dict[int, int] = {}
+            for key, c in poly.items():
+                k = key + powers[i]
+                nxt[k] = nxt.get(k, 0) + c
+                k = key + powers[j] + t_unit
+                nxt[k] = nxt.get(k, 0) - c
+            poly = nxt
+    # a monomial with a repeated x exponent has signed orbit sum 0; any
+    # other lands on its decreasing rearrangement with the sorting sign
+    reps: dict[tuple[tuple[int, ...], int], int] = {}
+    for key, c in poly.items():
+        e = _unpack(key, base, n)
+        if c and len(set(e)) == n:
+            order = sorted(range(n), key=e.__getitem__, reverse=True)
+            rep = (tuple(e[i] for i in order), key - key % t_unit)
+            reps[rep] = reps.get(rep, 0) + _perm_sign(order) * c
+    quotient = _divide_vandermonde(_alternant(reps, powers), n, base)
 
-    # the prefactor as num/den in Z[t]; each coefficient times num is
-    # divided exactly by den, and a nonzero remainder raises
-    num, den = ONE, ONE
+    rows: dict[tuple[int, ...], list[int]] = {}
+    for key, c in quotient.items():
+        row = rows.setdefault(_unpack(key, base, n), [])
+        t = key // t_unit
+        row += [0] * (t + 1 - len(row))
+        row[t] = c
     mults = multiplicities(la)
     mults[0] = n - len(la)
-    for _, m in mults.items():
-        for j in range(1, m + 1):
-            num = num * one_minus_t_pow(1)
-            den = den * one_minus_t_pow(j)
     out: VarPoly = {}
-    for key, c in quotient.items():
-        q, r = poly_divmod(TPoly(c.ne, c.nd) * num, TPoly(c.de, c.dd) * den)
-        if r:
-            raise ArithmeticError("Hall-Littlewood oracle produced a non-polynomial coefficient")
-        out[key] = RatFun(q)
+    for e, row in rows.items():
+        for m in mults.values():
+            for j in range(2, m + 1):
+                row = _divide_qint(row, j)
+        out[e] = RatFun.from_poly(row, 1)
     return out
 
 
-def _perm_sign(sigma: tuple[int, ...]) -> int:
+def _perm_sign(sigma: Sequence[int]) -> int:
     sign = 1
     seen = [False] * len(sigma)
     for start in range(len(sigma)):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, perm, prod
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -41,8 +41,9 @@ from .ratfun import (
 )
 
 Coeff = RatFun | Fraction | int
-# a partition and the raw fields (ne, nd, de, dd) of its RatFun coefficient
-RawTerm = tuple[Partition, int, int, int, int]
+# a key (a partition, or a packed exponent key of bases.expand_in_variables)
+# and the raw fields (ne, nd, de, dd) of its RatFun coefficient
+RawTerm = tuple[Hashable, int, int, int, int]
 # a perp plan entry: multiplicity items of mu and raw coefficient fields
 PlanEntry = tuple[tuple[tuple[int, int], ...], int, int, int, int]
 
@@ -234,9 +235,10 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
 
     Fock operators sum packed columns instead (`fock.combine`); this serves
     the kernel-factorization items of `verify` and is the tests' reference.
-    Its bucket sum `_sum_raw` has a second user, `perp_apply`.
+    Its bucket sum `sum_raw_fields` has two more users, `perp_apply` and
+    `bases.expand_in_variables`.
     """
-    return _sum_raw(_scaled_terms(pairs))
+    return SymFunc(sum_raw_fields(_scaled_terms(pairs)), _clean=True)
 
 
 def _scaled_terms(pairs: Iterable[tuple[RatFun, SymFunc]]) -> Iterator[RawTerm]:
@@ -257,19 +259,19 @@ def _scaled_terms(pairs: Iterable[tuple[RatFun, SymFunc]]) -> Iterator[RawTerm]:
             yield la, v.ne * cne, v.nd * cnd, pde, v.dd * cdd
 
 
-def _sum_raw(terms: Iterable[RawTerm]) -> SymFunc:
-    """Sum of raw RatFun fields (la, ne, nd, de, dd) per partition.
+def sum_raw_fields(terms: Iterable[RawTerm]) -> dict[Hashable, RatFun]:
+    """Sum of raw RatFun fields (key, ne, nd, de, dd) per key.
 
-    Each partition keeps one 4-int bucket (ne, nd, de, dd), merged with the
+    Each key keeps one 4-int bucket (ne, nd, de, dd), merged with the
     packed bigint operations of `RatFun.__add__`; one RatFun is built per
-    partition whose sum is nonzero.
+    key whose sum is nonzero.
     """
-    buckets: dict[Partition, list] = {}
+    buckets: dict[Hashable, list] = {}
     get = buckets.get
-    for la, pne, pnd, pde, pdd in terms:
-        acc = get(la)
+    for key, pne, pnd, pde, pdd in terms:
+        acc = get(key)
         if acc is None:
-            buckets[la] = [pne, pnd, pde, pdd]
+            buckets[key] = [pne, pnd, pde, pdd]
             continue
         if acc[2] == pde and acc[3] == pdd:
             and_ = acc[1]
@@ -289,11 +291,11 @@ def _sum_raw(terms: Iterable[RawTerm]) -> SymFunc:
             acc[1] = b1 * m1
             acc[2] = acc[2] * pde
             acc[3] = acc[3] * pdd
-    out: dict[Partition, RatFun] = {}
-    for la, fields in buckets.items():
-        if fields[0]:
-            out[la] = RatFun._raw(fields[0], fields[1], fields[2], fields[3])
-    return SymFunc(out, _clean=True)
+    return {
+        key: RatFun._raw(fields[0], fields[1], fields[2], fields[3])
+        for key, fields in buckets.items()
+        if fields[0]
+    }
 
 
 def scalar_product(f: SymFunc, g: SymFunc, deformed: bool = False) -> RatFun:
@@ -326,10 +328,10 @@ def perp_apply(f: SymFunc, g: SymFunc, deformed: bool = False) -> SymFunc:
     the raw fields of every factor but the falling factorials.  Each term
     nu of g reads its multiplicities once; each plan entry then costs an
     integer falling factorial, a residual partition and a few bigint
-    products, summed in the 4-int buckets of `_sum_raw` with no object
+    products, summed in the 4-int buckets of `sum_raw_fields` with no object
     built per (mu, nu) pair.
     """
-    return _sum_raw(_perp_terms(_perp_plan(f, deformed), g))
+    return SymFunc(sum_raw_fields(_perp_terms(_perp_plan(f, deformed), g)), _clean=True)
 
 
 def _perp_plan(f: SymFunc, deformed: bool) -> tuple[PlanEntry, ...]:

@@ -1,10 +1,13 @@
 """Classical bases against independent finite-variable oracles."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from symfock.bases import (
+    _divide_qint,
+    _divide_vandermonde,
     complete_h,
     dual_schur,
     elementary_e,
@@ -165,3 +168,66 @@ def test_hl_oracle_stable_under_extra_variable():
             if key[-1] == 0:
                 restricted[key[:-1]] = c
         assert restricted == hall_littlewood_oracle(la, n)
+
+
+def test_vandermonde_division_raises_on_a_remainder():
+    # keys of x_1^a x_2^b in base 4 are a + 4b: x_1^3 is homogeneous of
+    # degree 3 and not alternating, and its remainder x_2^3 sits at the top
+    # of the base, where a carry would alias it to another key
+    with pytest.raises(ArithmeticError):
+        _divide_vandermonde({3: 1}, 2, 4)
+    # x_1^3 - x_2^3 = (x_1 - x_2)(x_1^2 + x_1 x_2 + x_2^2)
+    assert _divide_vandermonde({3: 1, 12: -1}, 2, 4) == {2: 1, 5: 1, 8: 1}
+    # (x_1 - x_2) x_3^4 in base 6: the first factor divides, x_1 - x_3 does not
+    with pytest.raises(ArithmeticError):
+        _divide_vandermonde({1 + 4 * 36: 1, 6 + 4 * 36: -1}, 3, 6)
+
+
+def test_qint_division_raises_on_a_remainder():
+    # [2]_t = 1 + t: 1 - t^2 = (1 + t)(1 - t), while 1 + t^2 leaves 2
+    assert _divide_qint([1, 0, -1], 2) == [1, -1]
+    assert _divide_qint([1, 2, 2, 1], 3) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        _divide_qint([1, 0, 1], 2)
+
+
+# small (la, n) cases checked against sympy's own symmetrisation
+SYMPY_CASES = [((1,), 2), ((2, 1), 3), ((1, 1), 3), ((2,), 3), ((3, 1), 4), ((2, 2), 4)]
+
+
+def _sympy_value(sp, xs, t, p):
+    """A VarPoly as a sympy expression in xs and t."""
+    out = 0
+    for key, c in p.items():
+        num = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.num.coeff_vector()))
+        den = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.den.coeff_vector()))
+        out += num / den * sp.Mul(*(x**e for x, e in zip(xs, key)))
+    return out
+
+
+@pytest.mark.parametrize("la, n", SYMPY_CASES, ids=str)
+def test_oracles_match_sympy(la, n):
+    sp = pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation
+
+    xs = sp.symbols(f"x1:{n + 1}")
+    t = sp.Symbol("t")
+    parts = list(la) + [0] * (n - len(la))
+    vandermonde = sp.Mul(*(xs[i] - xs[j] for i in range(n) for j in range(i + 1, n)))
+    # s_la = det[x_i^(la_j + n - j)] / det[x_i^(n - j)]
+    alternant = sp.Matrix(n, n, lambda i, j: xs[i] ** (parts[j] + n - 1 - j)).det()
+    want = sp.cancel(alternant / vandermonde)
+    assert sp.expand(want - _sympy_value(sp, xs, t, schur_oracle(la, n))) == 0
+    # P_la = prod_i prod_{j<=m(i)} (1-t)/(1-t^j) sum_w sgn(w) w(x^la prod_{i<j} (x_i - t x_j)) / vandermonde
+    base = sp.Mul(*(x**e for x, e in zip(xs, parts)))
+    base *= sp.Mul(*(xs[i] - t * xs[j] for i in range(n) for j in range(i + 1, n)))
+    total = 0
+    for perm in permutations(range(n)):
+        image = base.xreplace({xs[i]: xs[perm[i]] for i in range(n)})
+        total += Permutation(list(perm)).signature() * image
+    prefactor = 1
+    for part in set(parts):
+        for j in range(1, parts.count(part) + 1):
+            prefactor *= (1 - t) / (1 - t**j)
+    want = sp.cancel(sp.cancel(total / vandermonde) * prefactor)
+    assert sp.cancel(want - _sympy_value(sp, xs, t, hall_littlewood_oracle(la, n))) == 0

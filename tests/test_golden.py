@@ -31,6 +31,9 @@ follow the failing ones skip checks already passed at another charge.
 built as L^0_k - beta (k-1) alpha_k from two beta-free columns.
 `commutation --max-degree 6 --max-mode 4` was recorded before f-perp was
 applied from a per-operator plan with integer falling factorials.
+The four `expand ... --route oracle` cases were recorded before the
+finite-variable oracles moved to packed exponent keys with int
+coefficients.
 Commands run in `data/`, which holds the `--file` inputs.
 """
 
@@ -91,6 +94,11 @@ GOLDEN = {
     ("verify", "fermion", "--corrupt", "--max-degree", "4", "--max-mode", "3", "--charges=2,-2,0"): (1, "26f5575e60b0079aa25694b569fd5af8a15bc161a36a0fd812671c38a11f1aca"),
     ("verify", "virasoro", "--max-degree", "4", "--max-mode", "3", "--charges=-2,0,2", "--beta=-1/3", "--beta=3/2"): (0, "de9dce24146d91623fd4f86e00b9daf046f533e90744946e9539dac50b41e510"),
     ("verify", "commutation", "--max-degree", "6", "--max-mode", "4"): (0, "7231ee497b463d25f197bc457c47d7b09bf7cbaa7567ba05963767d045cb0950"),
+    ("expand", "schur", "3,2,1", "--route", "oracle"): (0, "7e5ae189546fbdb2832de3cd918fd52a3c34c165ed99e206c9a01ea7a0d028b2"),
+    ("expand", "hl", "2,2,1", "--route", "oracle"): (0, "b0fa7a240b0aacf4d134faee34a87e7f8ef193db3141b6fd1314d7d0814be739"),
+    ("expand", "hl", "3,1", "--route", "oracle", "-n", "5"): (0, "ed9ab99a5349343023329400238a5a22f5c24c3513a329d309844a1d2bc3855b"),
+    # h_4 in three variables goes through expand_in_variables
+    ("expand", "h", "4", "--route", "oracle", "-n", "3"): (0, "6f9dae221528451f98f7880e89bd98c447ea36106a959cc70475941d0469405b"),
 }
 
 

@@ -1,5 +1,7 @@
-"""Source hygiene without a linter: every imported name is used, and every
-function, class and method is referenced somewhere."""
+"""Source hygiene without a linter: every imported name is used, every
+function, class and method is referenced somewhere, guarded fields are
+written only where allowed, and the finite-variable oracles stay an
+independent route."""
 
 import ast
 from pathlib import Path
@@ -186,3 +188,44 @@ def test_symfunc_field_write_is_reported():
         "m._perp_plan:12",
         "m.perp_apply:16",
     ]
+
+
+# the finite-variable oracles are a route of their own: neither they nor
+# any bases helper they reach names the p-basis, vertex or Fock routes
+ORACLES = ("schur_oracle", "hall_littlewood_oracle")
+OTHER_ROUTES = {"complete_h", "elementary_e", "q_coefficient", "schur", "dual_schur", "SymFunc", "fock", "vertex"}
+
+
+def _route_leaks(source: str, roots: tuple[str, ...], forbidden: set[str]) -> list[str]:
+    """Forbidden names read by the roots, or by any top-level function of
+    the source that they reach by name, as function:name."""
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    found: set[str] = set()
+    seen: set[str] = set()
+    todo = list(roots)
+    while todo:
+        fn = todo.pop()
+        if fn in seen:
+            continue
+        seen.add(fn)
+        for node in ast.walk(defs[fn]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in forbidden:
+                found.add(f"{fn}:{name}")
+            elif name in defs:
+                todo.append(name)
+    return sorted(found)
+
+
+def test_oracles_share_no_code_with_other_routes():
+    assert _route_leaks((SRC / "bases.py").read_text(), ORACLES, OTHER_ROUTES) == []
+
+
+def test_route_leak_is_reported():
+    source = (
+        "from .symfunc import SymFunc\n\n\ndef schur(la):\n    return la\n\n\n"
+        "def _helper(n):\n    return SymFunc.one() if n else fock.zero\n\n\n"
+        "def oracle(la):\n    return _helper(len(la)) + schur(la)\n\n\n"
+        "def unrelated():\n    return vertex.mode\n"
+    )
+    assert _route_leaks(source, ("oracle",), OTHER_ROUTES) == ["_helper:SymFunc", "_helper:fock", "oracle:schur"]

@@ -119,6 +119,25 @@ OTHER_CONTROLS = [
         ["vertex", "generating", "det"],
         id="bases-agreement",
     ),
+    # each finite-variable oracle swapped for the other: P_21 != s_21 in 3 variables
+    pytest.param(
+        "bases-agreement",
+        ("hl-oracle", (2, 1)),
+        verify,
+        "hall_littlewood_oracle",
+        verify.schur_oracle,
+        ["la", "n"],
+        id="hl-oracle",
+    ),
+    pytest.param(
+        "bases-agreement",
+        ("schur-oracle", (2, 1)),
+        verify,
+        "schur_oracle",
+        verify.hall_littlewood_oracle,
+        ["la", "n"],
+        id="schur-oracle",
+    ),
     pytest.param(
         "corollaries", ((2, 1),), vertex, "q_coefficient", _doubled_at(vertex.q_coefficient, 1), ["la", "hl_equal", "dual_equal"],
         id="corollaries",
