@@ -72,6 +72,10 @@ vector `mode_apply` returns the cached column's view, built once
 (`Column.kept_body`).  `composition` builds K1[j1] K2[j2] z^m p_la the
 same way, for the anticommutator and bilinear sums.
 
+Bilinears.  The Heisenberg and Virasoro modes of one (k, la) are built
+at every charge of a sweep at once, from one set of transient
+charge-0-frame compositions (`_normal_ordered_pair`).
+
 Neither the width w nor the t-stride s is set by an option: both follow
 from bounds on the digits and t-degrees carried with each column (never
 re-read from the packed integer, which cannot show a carry; see
@@ -95,7 +99,8 @@ result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
-basis vector z^m p_la of a window.
+basis vector z^m p_la of a window (`verify` checks the bilinear suites
+on packed columns instead, with `_combine` as the zero test).
 """
 
 from __future__ import annotations
@@ -104,7 +109,7 @@ import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from math import comb, gcd
 from typing import Callable, Iterable
 
@@ -396,6 +401,16 @@ class Column:
         if self._body is None:
             self._body = self.body
         return self._body
+
+    def over(self, ex: Exponents) -> "Column":
+        """This column divided by prod_v (1-t^v)**ex[v-1]: the same packed
+        digits over the summed exponent vector."""
+        out = Column(
+            self.weight, self.enc, self.den, tuple(map(sum, zip_longest(self.ex, ex, fillvalue=0))),
+            self.bits, self.deg, self.width, self.stride,
+        )
+        out._digits = self._digits
+        return out
 
 
 def _poly(c: Digits) -> tuple[int, ...]:
@@ -833,13 +848,12 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 # normal-ordered bilinears in the classical fermions
 
 
-def _composition_pieces(
-    outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition, w: int = 1
-) -> list[tuple[Digits, int, Column]]:
-    """The `_combine` pieces of w * outer[j1] inner[j2] z^m p_la, for an inner
-    kernel whose modes have scalar denominators: one per nonzero coefficient
-    c_mu of the inner column, on the cached outer column of p_mu.  An inner
-    column over a (1-t^v) denominator raises ValueError."""
+def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition) -> Column:
+    """outer[j1] inner[j2] z^m p_la as one packed Column, for an inner kernel
+    whose modes have scalar denominators (fermion and twisted): one piece
+    per nonzero coefficient c_mu of the inner column, on the cached outer
+    column of p_mu.  An inner column over a (1-t^v) denominator raises
+    ValueError."""
     col = inner.mode_on_basis(j2, m, la)
     if col.ex:
         raise ValueError(f"{inner.name}[{j2}] z^{m} p_{list(la)} is over (1-t^v); composition needs a scalar den")
@@ -847,39 +861,9 @@ def _composition_pieces(
     for mu, c in col.digits():
         out = outer.mode_on_basis(j1, m + inner.eps, mu)
         if not out.is_zero():
-            if w != 1:
-                c = c * w if type(c) is int else tuple(d * w for d in c)
             pieces.append((c, col.den, out))
-    return pieces
-
-
-def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition) -> Column:
-    """outer[j1] inner[j2] z^m p_la as one packed Column (fermion and twisted kernels)."""
     n = weight(la) - (j2 + inner.eps * m + 1) - (j1 + outer.eps * (m + inner.eps) + 1)
-    return _combine(n, _composition_pieces(outer, j1, inner, j2, m, la))
-
-
-def _normal_ordered_pair(pair_sum: int, m: int, la: Partition, weighted: bool) -> Column:
-    """sum over a+b = pair_sum of w(a,b) :fermion+[a] fermion-[b]: applied to z^m p_la,
-    one packed sum of compositions: w = b (L^0) if weighted, else w = 1
-    (alpha); beta-free, as L^beta_k = L^0_k - beta (k-1) alpha_k.
-
-    The split sends a <= -1 outermost and a >= 0 innermost with a minus
-    sign; both branches terminate by the mode vanishing bound.
-    """
-    deg = weight(la)
-    pieces = []
-    for a in chain(range(pair_sum - (deg + m - 1), 0), range(0, deg - m)):
-        b = pair_sum - a
-        w = b if weighted else 1
-        if w == 0:
-            continue
-        if a < 0:
-            pieces += _composition_pieces(FERMION_PLUS, a, FERMION_MINUS, b, m, la, w)
-        else:
-            pieces += _composition_pieces(FERMION_MINUS, b, FERMION_PLUS, a, m, la, -w)
-    out = _combine(deg - pair_sum - 1, pieces)
-    return Column.from_digits(out.weight, out.digits(), out.den)
+    return _combine(n, pieces)
 
 
 # (k, charge, la) -> mode k of alpha (_heis_cache) or L^0 (_vir_cache) on z^charge p_la
@@ -887,13 +871,87 @@ _heis_cache: dict[tuple[int, int, Partition], Column] = {}
 _vir_cache: dict[tuple[int, int, Partition], Column] = {}
 
 
-def _bilinear_column(k: int, m: int, la: Partition, weighted: bool) -> Column:
-    """Mode k of L^0 (weighted) or alpha on z^m p_la, memoised per basis vector."""
+def _normal_ordered_pair(k: int, la: Partition, charges: Iterable[int], kinds: Iterable[bool]) -> None:
+    """Mode k of alpha (False in kinds) and of L^0 (True) on z^m p_la, into
+    their caches, for every m in charges not cached yet.
+
+    Mode k of the bilinear sums, over a + b = k - 1, w(a, b) times
+    :fermion+[a] fermion-[b]:, with w = b for L^0 and w = 1 for alpha
+    (beta-free, as L^beta_k = L^0_k - beta (k-1) alpha_k).  The normal
+    ordering sends a <= -1 outermost and a >= 0 innermost with a minus
+    sign.  A mode sees the charge only through its shift, so at charge m
+    the pair (a, b) is, with a' = a + m, one of the charge-0-frame
+    compositions
+
+        C+(a') = fermion+[a'] fermion-[k-1-a'] p_la     (a' < m)
+        C-(a') = fermion-[k-1-a'] fermion+[a'] p_la     (a' >= m)
+
+    and  alpha_k z^m p_la = sum_{a'<m} C+(a') - sum_{a'>=m} C-(a'), L^0_k
+    the same sum weighted by b = k-1-a'+m.  C+ vanishes below a' = k - |la|
+    and C- from a' = |la| on (the mode vanishing bound), but neither
+    vanishes past the other end, so at charge m the a' run over
+    `_pair_ranges`, [k - |la|, m) for C+ and [m, |la|) for C-, which at
+    |m| > |la| reach past [k - |la|, |la|).  Each composition in the union
+    of those ranges is built once for all the charges and kinds and then
+    dropped: the mode caches of the two fermion kernels already hold
+    every column it reads, and a process-wide cache of compositions would
+    hold one column per (k, a', la) on top of them.
+    """
+    deg = weight(la)
+    built: dict[tuple[int, int], Column] = {}  # (1, a') -> C+(a'), (-1, a') -> C-(a')
+    for m in set(charges):
+        for weighted in set(kinds):
+            cache = _vir_cache if weighted else _heis_cache
+            if (k, m, la) in cache:
+                continue
+            pieces = []
+            for sign, span in zip((1, -1), _pair_ranges(k, deg, m)):
+                for a in span:
+                    col = built.get((sign, a))
+                    if col is None:
+                        if sign > 0:
+                            col = composition(FERMION_PLUS, a, FERMION_MINUS, k - 1 - a, 0, la)
+                        else:
+                            col = composition(FERMION_MINUS, k - 1 - a, FERMION_PLUS, a, 0, la)
+                        built[sign, a] = col
+                    w = k - 1 - a + m if weighted else 1
+                    if w and col.enc:
+                        pieces.append((sign * w, 1, col))
+            out = _combine(deg - k, pieces)
+            cache[k, m, la] = Column.from_digits(out.weight, out.digits(), out.den)
+
+
+def _pair_ranges(k: int, deg: int, m: int) -> tuple[range, range]:
+    """The a' of the C+ and of the C- that mode k of a bilinear sums on z^m p_la,
+    |la| = deg (`_normal_ordered_pair`): the normal-ordering split at a' = m."""
+    return range(k - deg, m), range(m, deg)
+
+
+def bilinear_column(
+    k: int, m: int, la: Partition, weighted: bool, charges: Iterable[int] = (), both: bool = False
+) -> Column:
+    """Mode k of L^0 (weighted) or alpha on z^m p_la, memoised per basis vector.
+
+    A miss builds it at m and at every charge in charges (a sweep's), and
+    with `both` the other of the two as well, from one set of compositions
+    (`_normal_ordered_pair`)."""
     cache = _vir_cache if weighted else _heis_cache
     col = cache.get((k, m, la))
     if col is None:
-        col = cache[k, m, la] = _normal_ordered_pair(k - 1, m, la, weighted)
+        _normal_ordered_pair(k, la, (m, *charges), (weighted, not weighted) if both else (weighted,))
+        col = cache[k, m, la]
     return col
+
+
+def one_minus_t_pow_ex(k: int) -> Exponents:
+    """The exponent vector of (1-t^k), k > 0."""
+    return (0,) * (k - 1) + (1,)
+
+
+def twisted_heisenberg_column(k: int, m: int, la: Partition, charges: Iterable[int] = ()) -> Column:
+    """h_k on z^m p_la: alpha_k's column, over (1-t^k) when k > 0."""
+    col = bilinear_column(k, m, la, False, charges)
+    return col.over(one_minus_t_pow_ex(k)) if k > 0 else col
 
 
 def heisenberg_mode(k: int, v: FockVector) -> FockVector:
@@ -902,16 +960,14 @@ def heisenberg_mode(k: int, v: FockVector) -> FockVector:
     Realised as the coefficient of u**(k-1) of the normal-ordered product
     :fermion+(u) fermion-(u): .
     """
-    pairs = [(c, _bilinear_column(k, v.charge, la, False)) for la, c in v.body.terms.items()]
+    pairs = [(c, bilinear_column(k, v.charge, la, False)) for la, c in v.body.terms.items()]
     return FockVector(v.charge, combine(pairs))
 
 
 def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
     """h_k = alpha_k for k <= 0 and alpha_k/(1 - t**k) for k > 0."""
-    out = heisenberg_mode(k, v)
-    if k > 0 and not out.is_zero():
-        out = out.scaled(rf_inv_one_minus_t_pow(k))
-    return out
+    pairs = [(c, twisted_heisenberg_column(k, v.charge, la)) for la, c in v.body.terms.items()]
+    return FockVector(v.charge, combine(pairs))
 
 
 def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
@@ -935,9 +991,9 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     shift = Fraction(beta) * (1 - k)
     pairs = []
     for la, c in v.body.terms.items():
-        pairs.append((c, _bilinear_column(k, v.charge, la, True)))
+        pairs.append((c, bilinear_column(k, v.charge, la, True)))
         if shift:
-            pairs.append((c.scale(shift), _bilinear_column(k, v.charge, la, False)))
+            pairs.append((c.scale(shift), bilinear_column(k, v.charge, la, False)))
     return FockVector(v.charge, combine(pairs))
 
 
@@ -986,3 +1042,4 @@ def check_mode_identity(
             if left != right:
                 return Verdict(False, m, la, left, right)
     return Verdict(True)
+

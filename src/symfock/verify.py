@@ -11,12 +11,18 @@ negative window is an error, never a vacuous "ok".  A `SweepOptions`
 field left None takes the suite's default, and a field given to a suite
 that never reads it (`SUITE_FIELDS`) is an error rather than ignored.
 
-Every mode identity outside the anticommutator suites (commutation,
-heisenberg, twisted-heisenberg, virasoro, kernel-factorization) states
-its two sides as plain functions on Fock vectors and goes through
-`check_mode_identity`; the Heisenberg and Virasoro brackets share one
-commutator, [op(j), op(k)].  L^beta_k = L^0_k - beta (k-1) alpha_k is read
-from two beta-free cached fermion bilinears, so the betas share every column.
+The commutation and kernel-factorization suites state their two sides as
+plain functions on Fock vectors and go through `check_mode_identity`.  The
+bilinear suites (heisenberg, twisted-heisenberg, virasoro) state theirs as
+`_combine` pieces on the cached bilinear columns (`fock.bilinear_column`,
+`fock.twisted_heisenberg_column`) and go through `_check_packed`, one
+packed zero test (`fock._combine`) per basis vector; the brackets share one
+builder, `_bracket`, which unpacks the inner mode's column once and puts
+each digit on the outer mode's column.  beta enters as an integer
+numerator and denominator, as L^beta_k = L^0_k - beta (k-1) alpha_k is
+read from two beta-free columns, so the betas share every column; the
+1/(1-t^k) of a twisted mode enters as the exponent vector of its column.
+A first miss of a bilinear column builds it at every charge of the sweep.
 
 The classical fermion suite is the t = 0 case of the twisted one: at
 t = 0 the twisted kernels are the classical ones, and both suites check,
@@ -61,20 +67,25 @@ from .fock import (
     DEFORMED_MINUS,
     DEFORMED_PLUS,
     Column,
+    Digits,
+    Exponents,
     FockVector,
     Operator,
     Verdict,
+    _combine,
+    _pmul,
+    _unpack,
+    bilinear_column,
     check_mode_identity,
     combine,
     composition,
     corrupted_kernel,
-    heisenberg_mode,
     mode_apply,
-    twisted_heisenberg_mode,
-    virasoro_mode,
+    one_minus_t_pow_ex,
+    twisted_heisenberg_column,
 )
 from .partitions import Partition, partitions_of, partitions_up_to, weight
-from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_pow
 from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
@@ -120,11 +131,6 @@ Item = tuple  # (suite, params, opts)
 def _check(suite: str, name: str, lhs: Operator, rhs: Operator, opts: SweepOptions) -> CheckResult:
     verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
     return CheckResult(suite, name, verdict.equal, verdict.witness_json())
-
-
-def _bracket(op: Callable[[int, FockVector], FockVector], j: int, k: int) -> Operator:
-    """[op(j), op(k)] as a function on Fock vectors."""
-    return lambda v: op(j, op(k, v)) - op(k, op(j, v))
 
 
 def _run_commutation(params, opts: SweepOptions) -> CheckResult:
@@ -191,40 +197,119 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     return CheckResult(suite, name, True, None)
 
 
+# c(t)/b times a column: one piece of a packed sum (`fock._combine`)
+Piece = tuple[Digits, int, Column]
+# an operator by its modes on basis vectors: op(k, m, la) is mode k on z^m p_la as pieces
+ModeOp = Callable[[int, int, Partition], list[Piece]]
+
+
+def _negated(c: Digits) -> Digits:
+    return -c if type(c) is int else tuple(-d for d in c)
+
+
+def _check_packed(
+    suite: str, name: str, sides: Callable[[int, Partition], tuple[list[Piece], list[Piece]]], opts: SweepOptions
+) -> CheckResult:
+    """`_check` on packed sides: sides(m, la) gives the pieces of the left and
+    right sides on z^m p_la, all of one weight, each side a vector of charge
+    m.  Each basis vector is one zero test of the packed left minus right;
+    only at the first vector where that fails are the two sides summed, each
+    on its own, and unpacked to SymFuncs for the witness."""
+    for m in sorted(opts.charges):
+        for la in partitions_up_to(opts.max_degree):
+            left, right = sides(m, la)
+            pieces = left + [(_negated(c), b, col) for c, b, col in right]
+            if pieces and _combine(pieces[0][2].weight, pieces).enc:
+                n = pieces[0][2].weight
+                lhs, rhs = (FockVector(m, _unpack([_combine(n, side)], None)) for side in (left, right))
+                return CheckResult(suite, name, False, Verdict(False, m, la, lhs, rhs).witness_json())
+    return CheckResult(suite, name, True)
+
+
+def _bracket(op: ModeOp, j: int, k: int, m: int, la: Partition) -> list[Piece]:
+    """[op(j), op(k)] z^m p_la as pieces: the inner mode's pieces summed to one
+    column and unpacked once, each digit c_mu then a piece on each column of
+    the outer mode on z^m p_mu, over the inner denominator (its (1-t^v)
+    exponents added to the outer column's)."""
+    out = []
+    for outer, inner, sign in ((j, k, 1), (k, j, -1)):
+        terms = op(inner, m, la)
+        if not terms:
+            continue
+        col = _combine(terms[0][2].weight, terms)
+        for mu, c in col.digits():
+            if sign < 0:
+                c = _negated(c)
+            for c2, b2, col2 in op(outer, m, mu):
+                out.append((_pmul(c, c2), col.den * b2, col2.over(col.ex) if col.ex else col2))
+    return out
+
+
+def _pieces(col: Column, c: int = 1, b: int = 1) -> list[Piece]:
+    """(c/b) col as pieces, none for a zero column."""
+    return [(c, b, col)] if col.enc else []
+
+
+def _unit(la: Partition, c: int, b: int = 1, ex: Exponents = ()) -> list[Piece]:
+    """(c/b) p_la / prod_v (1-t^v)**ex[v-1] as pieces, none for c = 0."""
+    return [(c, b, Column.from_digits(weight(la), [(la, 1)], 1, ex))] if c else []
+
+
 def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
+    def alpha(k: int, m: int, la: Partition) -> list[Piece]:
+        return _pieces(bilinear_column(k, m, la, False, opts.charges))
+
     if params[0] == "comm":
         _, j, k = params
         c = j if j == -k else 0
-        lhs = _bracket(heisenberg_mode, j, k)
-        return _check("heisenberg", f"comm[j={j},k={k}]", lhs, lambda v: v.scaled(c), opts)
+        sides = lambda m, la: (_bracket(alpha, j, k, m, la), _unit(la, c))
+        return _check_packed("heisenberg", f"comm[j={j},k={k}]", sides, opts)
     _, k = params
+
     # action: alpha_{-n} multiplies by p_n, alpha_n derives, alpha_0 reads charge
-    if k < 0:
-        want = lambda v: FockVector(v.charge, v.body.times_p(-k))
-    elif k > 0:
-        want = lambda v: FockVector(v.charge, v.body.diff_p(k).scaled(Fraction(k)))
-    else:
-        want = lambda v: v.scaled(Fraction(v.charge))
-    return _check("heisenberg", f"action[k={k}]", lambda v: heisenberg_mode(k, v), want, opts)
+    def want(m: int, la: Partition) -> list[Piece]:
+        if k < 0:
+            return _unit(tuple(sorted(la + (-k,), reverse=True)), 1)
+        if k == 0:
+            return _unit(la, m)
+        if k not in la:
+            return []
+        i = la.index(k)
+        return _unit(la[:i] + la[i + 1 :], k * la.count(k))
+
+    return _check_packed("heisenberg", f"action[k={k}]", lambda m, la: (alpha(k, m, la), want(m, la)), opts)
 
 
 def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
     _, j, k = params
-    c = rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j)) if j == -k else RF_ZERO
-    lhs = _bracket(twisted_heisenberg_mode, j, k)
-    return _check("twisted-heisenberg", f"comm[j={j},k={k}]", lhs, lambda v: v.scaled(c), opts)
+
+    def h(k: int, m: int, la: Partition) -> list[Piece]:
+        return _pieces(twisted_heisenberg_column(k, m, la, opts.charges))
+
+    # j/(1 - t**|j|) on the diagonal j = -k
+    c = j if j == -k else 0
+    sides = lambda m, la: (_bracket(h, j, k, m, la), _unit(la, c, 1, one_minus_t_pow_ex(abs(j))))
+    return _check_packed("twisted-heisenberg", f"comm[j={j},k={k}]", sides, opts)
 
 
 def _run_virasoro(params, opts: SweepOptions) -> CheckResult:
     beta, j, k = params
     c_beta = -12 * beta * beta + 12 * beta - 2
-    central = Fraction(j**3 - j) * c_beta / 12 if j == -k else 0
-    L = partial(virasoro_mode, beta)
+    central = Fraction(j**3 - j) * c_beta / 12 if j == -k else Fraction(0)
+    p, q = beta.numerator, beta.denominator
 
-    def rhs(v: FockVector) -> FockVector:
-        return L(j + k, v).scaled(Fraction(j - k)) + v.scaled(central)
+    def L(k: int, m: int, la: Partition) -> list[Piece]:
+        # L^beta_k = L^0_k - beta (k-1) alpha_k, both columns built by one miss
+        out = _pieces(bilinear_column(k, m, la, True, opts.charges, both=True))
+        if p and k != 1:
+            out += _pieces(bilinear_column(k, m, la, False, opts.charges, both=True), p * (1 - k), q)
+        return out
 
-    return _check("virasoro", f"beta={beta}[j={j},k={k}]", _bracket(L, j, k), rhs, opts)
+    def sides(m: int, la: Partition) -> tuple[list[Piece], list[Piece]]:
+        right = [(c * (j - k), b, col) for c, b, col in L(j + k, m, la)] if j != k else []
+        return _bracket(L, j, k, m, la), right + _unit(la, central.numerator, central.denominator)
+
+    return _check_packed("virasoro", f"beta={beta}[j={j},k={k}]", sides, opts)
 
 
 def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:

@@ -261,20 +261,25 @@ def test_virasoro_central_term(beta):
         assert comm == want
 
 
-def _virasoro_reference(beta, k, v):
-    """L^beta_k v as the sum over a + b = k - 1 of ((1-beta) b - beta a) times
-    :fermion+[a] fermion-[b]:, a <= -1 outermost and a >= 0 innermost with a
-    minus sign, from explicit modes over a range past both vanishing bounds."""
+def _bilinear_reference(w, k, v):
+    """The sum over a + b = k - 1 of w(a, b) :fermion+[a] fermion-[b]: on v,
+    a <= -1 outermost and a >= 0 innermost with a minus sign, from explicit
+    modes over a range past both vanishing bounds."""
     reach = max(map(weight, v.body.terms), default=0) + abs(v.charge) + 2
     out = FockVector.zero(v.charge)
     for a in range(k - 1 - reach, reach):
         b = k - 1 - a
-        w = (1 - beta) * b - beta * a
+        w_ab = w(a, b)
         if a < 0:
-            out = out + KK(FERMION_PLUS, a, FERMION_MINUS, b, v).scaled(w)
+            out = out + KK(FERMION_PLUS, a, FERMION_MINUS, b, v).scaled(w_ab)
         else:
-            out = out + KK(FERMION_MINUS, b, FERMION_PLUS, a, v).scaled(-w)
+            out = out + KK(FERMION_MINUS, b, FERMION_PLUS, a, v).scaled(-w_ab)
     return out
+
+
+def _virasoro_reference(beta, k, v):
+    """L^beta_k v: the bilinear with weight (1-beta) b - beta a."""
+    return _bilinear_reference(lambda a, b: (1 - beta) * b - beta * a, k, v)
 
 
 @pytest.mark.parametrize("beta", [Fraction(-1, 3), Fraction(3, 2), Fraction(5)])
@@ -284,6 +289,28 @@ def test_virasoro_matches_the_weighted_bilinear(beta):
             v = FockVector(m, SymFunc.monomial(la))
             for k in range(-3, 4):
                 assert virasoro_mode(beta, k, v) == _virasoro_reference(beta, k, v)
+
+
+def test_shared_bilinear_builder_matches_the_per_charge_sums(monkeypatch):
+    # one miss per (k, la) builds alpha_k and L^0_k at every charge of the
+    # sweep from charge-0-frame compositions; at |m| > |la| the a' range
+    # runs past [k - |la|, |la|)
+    monkeypatch.setattr(fock, "_heis_cache", {})
+    monkeypatch.setattr(fock, "_vir_cache", {})
+    built = []
+    builder = fock._normal_ordered_pair
+    monkeypatch.setattr(fock, "_normal_ordered_pair", lambda k, la, *rest: built.append((k, la)) or builder(k, la, *rest))
+    charges = (-5, -1, 0, 2, 5)
+    weights = {False: lambda a, b: 1, True: lambda a, b: b}
+    for la in partitions_up_to(3):
+        for k in range(-4, 5):
+            for m in charges:
+                v = FockVector(m, SymFunc.monomial(la))
+                for weighted, w in weights.items():
+                    col = fock.bilinear_column(k, m, la, weighted, charges, both=True)
+                    assert FockVector(m, col.body) == _bilinear_reference(w, k, v), (la, k, m, weighted)
+    assert len(built) == len(set(built)) == 9 * len(list(partitions_up_to(3)))
+    assert len(fock._heis_cache) == len(fock._vir_cache) == len(built) * len(charges)
 
 
 def test_virasoro_caches_are_beta_free(monkeypatch):

@@ -34,6 +34,10 @@ applied from a per-operator plan with integer falling factorials.
 The four `expand ... --route oracle` cases were recorded before the
 finite-variable oracles moved to packed exponent keys with int
 coefficients.
+`heisenberg --max-degree 3 --max-mode 3 --charges=-5,0,5` (charges past
+the partitions' weight) and `twisted-heisenberg --max-degree 3 --max-mode 2
+--charges=-4,4` were recorded before the bilinear suites were checked on
+packed columns with each bilinear assembled once across charges.
 Commands run in `data/`, which holds the `--file` inputs.
 """
 
@@ -99,6 +103,8 @@ GOLDEN = {
     ("expand", "hl", "3,1", "--route", "oracle", "-n", "5"): (0, "ed9ab99a5349343023329400238a5a22f5c24c3513a329d309844a1d2bc3855b"),
     # h_4 in three variables goes through expand_in_variables
     ("expand", "h", "4", "--route", "oracle", "-n", "3"): (0, "6f9dae221528451f98f7880e89bd98c447ea36106a959cc70475941d0469405b"),
+    ("verify", "heisenberg", "--max-degree", "3", "--max-mode", "3", "--charges=-5,0,5"): (0, "9c722adbc96e6bbf40a9416c5ec6a7776ec150e514e25c5bc3a11386a0530ea1"),
+    ("verify", "twisted-heisenberg", "--max-degree", "3", "--max-mode", "2", "--charges=-4,4"): (0, "a5aa7681b164b0a874d24003c755532a1132b9b10b5f623c83c3fb8c83432f97"),
 }
 
 

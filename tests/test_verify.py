@@ -1,5 +1,6 @@
 """Sweep validation and negative controls of the mode-identity suites."""
 
+import json
 import multiprocessing
 import os
 from dataclasses import replace
@@ -10,9 +11,18 @@ import pytest
 
 from symfock import fock, verify, vertex
 from symfock.bases import complete_h, elementary_e
-from symfock.fock import TWISTED_MINUS, TWISTED_PLUS, combine, composition, corrupted_kernel
+from symfock.fock import (
+    TWISTED_MINUS,
+    TWISTED_PLUS,
+    FockVector,
+    check_mode_identity,
+    combine,
+    composition,
+    corrupted_kernel,
+)
 from symfock.partitions import partitions_up_to
-from symfock.ratfun import RF_ONE, RF_T
+from symfock.ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow
+from symfock.symfunc import SymFunc
 from symfock.verify import SweepOptions, _execute_item, run_suite
 from symfock.vertex import basis_via_vertex
 
@@ -58,29 +68,53 @@ def _doubled_at(op, at):
     return lambda k, *rest: op(k, *rest).scaled(2) if k == at else op(k, *rest)
 
 
+_bilinear_column = fock.bilinear_column
+
+
+def _column_sum(*pieces):
+    """sum c col over (c, col), all of one weight and not all zero, as one column."""
+    pieces = [(c, 1, col) for c, col in pieces if col.enc]
+    return fock._combine(pieces[0][2].weight, pieces)
+
+
+def _alpha_doubled_at(at):
+    """bilinear_column with alpha_at doubled."""
+
+    def wrong(k, m, la, weighted, *rest, **kw):
+        col = _bilinear_column(k, m, la, weighted, *rest, **kw)
+        return _column_sum((2, col)) if k == at and not weighted and col.enc else col
+
+    return wrong
+
+
+def _untwisted(k, m, la, *rest):
+    """twisted_heisenberg_column without the 1/(1 - t**k) of k > 0: alpha_k."""
+    return _bilinear_column(k, m, la, False, *rest)
+
+
+def _virasoro_plus_alpha(k, m, la, weighted, *rest, **kw):
+    """bilinear_column with L^0_k + alpha_k in place of L^0_k, so L^beta_k + alpha_k."""
+    col = _bilinear_column(k, m, la, weighted, *rest, **kw)
+    if not weighted:
+        return col
+    alpha = _bilinear_column(k, m, la, False, *rest, **kw)
+    return _column_sum((1, col), (1, alpha)) if col.enc or alpha.enc else col
+
+
 # each control swaps one operator that symfock.verify reads for a wrong one
 NEGATIVE_CONTROLS = [
     pytest.param("commutation", ("ee", 1, 1), "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
     # the lower pair h_1-perp e_1 on the right side of he
     pytest.param("commutation", ("he", 2, 2), "complete_h", _doubled_at(complete_h, 1), id="commutation-he"),
-    pytest.param(
-        "heisenberg", ("comm", -1, 1), "heisenberg_mode", _doubled_at(fock.heisenberg_mode, 1), id="heisenberg-comm"
-    ),
-    pytest.param(
-        "heisenberg", ("action", 1), "heisenberg_mode", _doubled_at(fock.heisenberg_mode, 1), id="heisenberg-action"
-    ),
+    # the bilinear suites read their mode columns through two hooks
+    pytest.param("heisenberg", ("comm", -1, 1), "bilinear_column", _alpha_doubled_at(1), id="heisenberg-comm"),
+    pytest.param("heisenberg", ("action", 1), "bilinear_column", _alpha_doubled_at(1), id="heisenberg-action"),
     # the untwisted modes, missing the 1/(1 - t**k) of the positive ones
     pytest.param(
-        "twisted-heisenberg", ("comm", -1, 1), "twisted_heisenberg_mode", fock.heisenberg_mode, id="twisted-heisenberg"
+        "twisted-heisenberg", ("comm", -1, 1), "twisted_heisenberg_column", _untwisted, id="twisted-heisenberg"
     ),
     # the bilinear weight (1-beta) b - beta a off by one: L_k + alpha_k
-    pytest.param(
-        "virasoro",
-        (Fraction(1, 2), -1, 1),
-        "virasoro_mode",
-        lambda beta, k, v: fock.virasoro_mode(beta, k, v) + fock.heisenberg_mode(k, v),
-        id="virasoro",
-    ),
+    pytest.param("virasoro", (Fraction(1, 2), -1, 1), "bilinear_column", _virasoro_plus_alpha, id="virasoro"),
     pytest.param(
         "kernel-factorization", ("plus", 0), "complete_h", _doubled_at(complete_h, 1), id="kernel-factorization-plus"
     ),
@@ -102,6 +136,119 @@ def test_mode_identity_suites_can_fail(monkeypatch, suite, params, name, wrong):
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["charge", "p", "lhs", "rhs"]
+
+
+def _symfunc_witness(suite, params, opts):
+    """The witness of one bilinear item through `check_mode_identity` on the
+    SymFunc mode actions (the route the suites took before the packed one)."""
+    H, T = fock.heisenberg_mode, fock.twisted_heisenberg_mode
+
+    def bracket(op, j, k):
+        return lambda v: op(j, op(k, v)) - op(k, op(j, v))
+
+    if suite == "heisenberg" and params[0] == "action":
+        _, k = params
+        lhs = lambda v: H(k, v)
+        if k < 0:
+            rhs = lambda v: FockVector(v.charge, v.body.times_p(-k))
+        elif k > 0:
+            rhs = lambda v: FockVector(v.charge, v.body.diff_p(k).scaled(Fraction(k)))
+        else:
+            rhs = lambda v: v.scaled(Fraction(v.charge))
+    elif suite == "heisenberg":
+        _, j, k = params
+        lhs, rhs = bracket(H, j, k), lambda v: v.scaled(j if j == -k else 0)
+    elif suite == "twisted-heisenberg":
+        _, j, k = params
+        c = rf_inv_one_minus_t_pow(abs(j)).scale(Fraction(j)) if j == -k else RF_ZERO
+        lhs, rhs = bracket(T, j, k), lambda v: v.scaled(c)
+    else:
+        beta, j, k = params
+        central = Fraction(j**3 - j) * (-12 * beta * beta + 12 * beta - 2) / 12 if j == -k else 0
+        L = lambda k, v: fock.virasoro_mode(beta, k, v)
+        lhs = bracket(L, j, k)
+        rhs = lambda v: L(j + k, v).scaled(Fraction(j - k)) + v.scaled(central)
+    return check_mode_identity(lhs, rhs, opts.max_degree, opts.charges).witness_json()
+
+
+def _split_moved(k, deg, m):
+    """The normal-ordering split moved from a' < m to a' <= m."""
+    return range(k - deg, m + 1), range(m + 1, deg)
+
+
+BILINEAR_WINDOW = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
+# the wrong operators of the bilinear controls, and the moved split
+BILINEAR_FAULTS = [
+    pytest.param("heisenberg", "bilinear_column", _alpha_doubled_at(1), id="alpha-doubled"),
+    pytest.param("twisted-heisenberg", "twisted_heisenberg_column", _untwisted, id="untwisted"),
+    pytest.param("virasoro", "bilinear_column", _virasoro_plus_alpha, id="virasoro-plus-alpha"),
+    pytest.param("heisenberg", "_pair_ranges", _split_moved, id="heisenberg-split"),
+    pytest.param("virasoro", "_pair_ranges", _split_moved, id="virasoro-split"),
+]
+
+
+def _patch_fault(monkeypatch, name, wrong):
+    """Apply a bilinear fault to both routes, on empty bilinear caches."""
+    monkeypatch.setattr(fock, "_heis_cache", {})
+    monkeypatch.setattr(fock, "_vir_cache", {})
+    monkeypatch.setattr(fock, name, wrong)
+    if hasattr(verify, name):
+        monkeypatch.setattr(verify, name, wrong)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("suite, name, wrong", BILINEAR_FAULTS)
+def test_packed_witness_is_the_symfunc_witness(monkeypatch, threads, suite, name, wrong):
+    opts = replace(verify.DEFAULT_OPTIONS[suite], **vars(BILINEAR_WINDOW))
+    if suite == "virasoro":
+        opts = replace(opts, betas=(Fraction(1, 2),))
+    _patch_fault(monkeypatch, name, wrong)
+    items = verify._BUILDERS[suite](opts)
+    results = list(run_suite(suite, opts, threads=threads))
+    failed = [(params, r) for params, r in zip(items, results) if not r.ok]
+    assert failed
+    for params, r in failed:
+        assert json.dumps(r.witness) == json.dumps(_symfunc_witness(suite, params, opts)), r.name
+
+
+def test_moved_split_fails_alpha_0_and_virasoro_but_no_bracket(monkeypatch):
+    # a' <= m builds alpha_k and L^0_k at charge m + 1 with the weights of
+    # charge m: alpha_0 gains 1 and L^beta_0 gains beta - 1, constants that
+    # no heisenberg bracket sees, while (j-k) L_{j+k} at j = -k does
+    _patch_fault(monkeypatch, "_pair_ranges", _split_moved)
+    failed = {suite: [r.name for r in run_suite(suite, BILINEAR_WINDOW, threads=1) if not r.ok]
+              for suite in ("heisenberg", "virasoro")}
+    assert failed["heisenberg"] == ["action[k=0]"]
+    assert "beta=1/2[j=-1,k=1]" in failed["virasoro"]
+    assert not any(name.startswith("beta=1[") for name in failed["virasoro"])
+
+
+def test_passing_bilinear_items_build_no_ratfun_or_symfunc(monkeypatch):
+    # cold fermion kernels and bilinear caches: a passing item of each
+    # bilinear suite is packed zero tests only, with no SymFunc fallback
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing bilinear item built a RatFun or a SymFunc")
+
+    for name in ("FERMION_PLUS", "FERMION_MINUS"):
+        k = getattr(fock, name)
+        monkeypatch.setattr(fock, name, fock.VertexKernel(k.name, k.eps, k.a, k.c))
+    monkeypatch.setattr(fock, "_heis_cache", {})
+    monkeypatch.setattr(fock, "_vir_cache", {})
+    items = [
+        ("heisenberg", ("comm", -2, 2)),
+        ("heisenberg", ("action", 2)),
+        ("heisenberg", ("action", 0)),
+        ("twisted-heisenberg", ("comm", -2, 2)),
+        ("virasoro", (Fraction(1, 3), -2, 2)),
+        ("virasoro", (Fraction(2), -1, 2)),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(RatFun, "__init__", refuse)
+        patch.setattr(RatFun, "_raw", refuse)
+        patch.setattr(SymFunc, "__init__", refuse)
+        results = [_execute_item((suite, params, BILINEAR_WINDOW)) for suite, params in items]
+    assert all(r.ok for r in results)
+    assert fock._heis_cache and fock._vir_cache
 
 
 # one wrong operator per suite outside the mode identities; corollaries reads
