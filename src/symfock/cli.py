@@ -13,8 +13,9 @@ control; only the anticommutator suites `fermion` and `twisted-fermion`
 accept it, and any other suite exits 2.  Likewise an option that is
 never read exits 2 rather than being ignored: `--max-mode` and
 `--charges` on `duality`, `bases-agreement` and `corollaries`, `--beta`
-on every suite but `virasoro` (`verify.SUITE_FIELDS`), and `expand -n`
-on every route but `oracle`.
+on every suite but `virasoro` (the fields a suite reads follow from its
+record in `verify.SUITES`), and `expand -n` on every route but `oracle`.
+An unknown suite exits 2 and names every suite.
 SF_THREADS caps the worker pool used by `verify` (default: available
 parallelism); it must be a positive integer, otherwise `verify` exits 2.
 """
@@ -148,8 +149,6 @@ def _cmd_expand(args) -> int:
 
 def _cmd_verify(args) -> int:
     suite = args.suite
-    if suite not in SUITE_NAMES:
-        raise UsageError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     opts = SweepOptions(
         max_degree=args.max_degree,
         max_mode=args.max_mode,

@@ -85,7 +85,9 @@ a multiple of 32 bits, and those of positive t-degree a stride, a
 multiple of 4; both only grow, and a column packed otherwise than an
 operation needs is repacked once, in place.  Packing and unpacking are
 one to_bytes/from_bytes each, slots read as machine words at 32 and 64
-bits.
+bits.  A single polynomial c(t) is put at t = 2**w and read back by the
+balanced-digit codec of `ratfun` (`_spread`, `_unspread`), the one its
+packed Q(t) values use at their fixed width LIMB_BITS.
 
 Vectors.  The identity is linear, so `translate` builds C_r f for a
 whole f = sum_la c_la p_la by the same digit sum (with A_0 = 1) from the
@@ -105,8 +107,6 @@ on packed columns instead, with `_combine` as the zero test).
 
 from __future__ import annotations
 
-import struct
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -114,7 +114,8 @@ from math import comb, gcd
 from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import ONE, RF_ONE, RatFun, TPoly, poly_divmod, poly_gcd, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .ratfun import ONE, RF_ONE, _WORDS, Digits, RatFun, TPoly, _spread, _unspread, poly_divmod, poly_gcd
+from .ratfun import rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
@@ -175,12 +176,7 @@ def fock_to_json(v: FockVector) -> dict:
 
 _WIDTH_STEP = 32  # digit widths are multiples of this (whole bytes for to_bytes)
 _STRIDE_STEP = 4  # a growing stride skips to a multiple of this, so columns are repacked less often
-# memoryview formats that read one whole slot per item, by width in bits
-_WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "little" else {}
 
-# a coefficient of a column or of a packed sum: an int for a constant, else
-# the integer digits of a polynomial ascending in t
-Digits = int | tuple[int, ...]
 # the exponents e_v of a denominator b * prod_v (1-t^v)**e_v, by v = 1, 2, ...,
 # with no trailing zero (empty for b alone)
 Exponents = tuple[int, ...]
@@ -451,36 +447,6 @@ def _lift(top: Exponents, ex: Exponents) -> tuple[int, ...]:
                 out = _pmul(out, factor)
         _lifts[top, ex] = out
     return out
-
-
-def _spread(c: tuple[int, ...], width: int) -> int:
-    """sum_k c[k] * 2**(width*k): the polynomial c(t) at t = 2**width."""
-    out = 0
-    for d in reversed(c):
-        out = (out << width) + d
-    return out
-
-
-_halves: dict[tuple[int, int], int] = {}
-
-
-def _unspread(x: int, width: int) -> Digits:
-    """The balanced base-2**width digits of x != 0, ascending with no trailing
-    zero, an int for a constant: the inverse of `_spread` (width a multiple of 32)."""
-    size, half = width // 8, 1 << (width - 1)
-    count = x.bit_length() // width + 1
-    offset = _halves.get((width, count))
-    if offset is None:
-        offset = _halves[width, count] = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw = (x + offset).to_bytes(size * count, "little")
-    word = _WORDS.get(width)
-    if word is not None:
-        out = [v - half for v in memoryview(raw).cast(word).tolist()]
-    else:
-        out = [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(count)]
-    while not out[-1]:
-        out.pop()
-    return out[0] if len(out) == 1 else tuple(out)
 
 
 def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:

@@ -17,9 +17,10 @@ absolute value; ``from_coeffs`` rejects outside data anywhere near the
 bound (2**64 per coefficient), and the gcd and division rebuilds inside
 normalisation are checked against the bound itself.  Products and sums
 are not: a coefficient that outgrows the bound carries into the next
-limb, and the digit check in ``coeff_vector`` cannot see that, since
-every integer re-encodes to itself (a per-value limb width is the open
-fix).
+limb, silently, since every integer has a balanced digit vector that
+re-encodes to it (a per-value limb width is the open fix).  The digit
+codec (``_spread``, ``_unspread``) is shared with ``fock``, which packs
+its columns at widths of its own.
 
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
@@ -31,39 +32,64 @@ zero tests are exact without reduction.
 from __future__ import annotations
 
 import re
+import struct
+import sys
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
 LIMB_BITS = 192
-_BASE = 1 << LIMB_BITS
-_MASK = _BASE - 1
-_HALF = _BASE >> 1
+_HALF = 1 << (LIMB_BITS - 1)
 # from_coeffs cap on outside data; internal rebuilds are checked against _HALF
 _INPUT_BOUND = 1 << 64
+# memoryview formats that read one whole digit per item, by width in bits
+_WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "little" else {}
+
+# a packed coefficient: an int for a constant, else its integer digits ascending in t
+Digits = int | tuple[int, ...]
 
 
 class PackingOverflow(OverflowError):
     """Raised when a coefficient cannot be packed faithfully."""
 
 
-def _digits(n: int) -> list[int]:
-    """Balanced base-2**LIMB_BITS digit vector of n, ascending, no trailing zeros."""
-    out = []
-    while n:
-        d = n & _MASK
-        if d >= _HALF:
-            d -= _BASE
-        out.append(d)
-        n = (n - d) >> LIMB_BITS
+def _spread(c: Sequence[int], width: int) -> int:
+    """sum_k c[k] * 2**(width*k): the polynomial c(t) at t = 2**width."""
+    out = 0
+    for d in reversed(c):
+        out = (out << width) + d
     return out
 
 
-def _encode(digits: Sequence[int]) -> int:
-    n = 0
-    for d in reversed(digits):
-        n = (n << LIMB_BITS) + d
-    return n
+_halves: dict[tuple[int, int], int] = {}
+
+
+def _unspread(x: int, width: int) -> Digits:
+    """The balanced base-2**width digits of x != 0, in [-2**(width-1), 2**(width-1)), ascending
+    with no trailing zero, an int for a constant: the inverse of `_spread` (width a multiple
+    of 32).  One to_bytes, read as machine words at 32 and 64 bits."""
+    size, half = width // 8, 1 << (width - 1)
+    # a limb to spare: just below 2**(width*k-1), a top digit of 2**(width-1) carries into limb k+1
+    count = (x.bit_length() + 1) // width + 1
+    offset = _halves.get((width, count))
+    if offset is None:
+        offset = _halves[width, count] = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = (x + offset).to_bytes(size * count, "little")
+    word = _WORDS.get(width)
+    if word is not None:
+        out = [v - half for v in memoryview(raw).cast(word).tolist()]
+    else:
+        out = [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(count)]
+    while not out[-1]:
+        out.pop()
+    return out[0] if len(out) == 1 else tuple(out)
+
+
+def _limbs(x: int) -> tuple[int, ...]:
+    """The balanced LIMB_BITS digits of x ascending, as a tuple, () for 0."""
+    if -_HALF <= x < _HALF:
+        return (x,) if x else ()
+    return _unspread(x, LIMB_BITS)
 
 
 def _gcd_list(values: Iterable[int]) -> int:
@@ -112,28 +138,22 @@ class TPoly:
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
         if self._deg is None:
-            self._deg = len(self._digit_vector()) - 1
+            self._deg = len(_limbs(self.enc)) - 1
         return self._deg
-
-    def _digit_vector(self) -> list[int]:
-        ds = _digits(self.enc)
-        if ds and _encode(ds) != self.enc:
-            raise PackingOverflow("packed polynomial corrupted (digit overflow)")
-        return ds
 
     def coeff_vector(self) -> tuple[Fraction, ...]:
         """Coefficients ascending in t, trailing zeros stripped."""
-        return tuple(Fraction(d, self.den) for d in self._digit_vector())
+        return tuple(Fraction(d, self.den) for d in _limbs(self.enc))
 
     def content_normalized(self) -> "TPoly":
         """Equal value with gcd(integer content, den) = 1."""
         if self.enc == 0:
             return ZERO
-        ds = self._digit_vector()
+        ds = _limbs(self.enc)
         g = gcd(_gcd_list(ds), self.den)
         if g == 1:
             return self
-        return TPoly(_encode([d // g for d in ds]), self.den // g, self._deg)
+        return TPoly(_spread([d // g for d in ds], LIMB_BITS), self.den // g, self._deg)
 
     def __add__(self, other: "TPoly") -> "TPoly":
         if self.den == other.den:
@@ -180,12 +200,12 @@ class TPoly:
 
     def eval_at(self, t0: Fraction) -> Fraction:
         acc = Fraction(0)
-        for d in reversed(self._digit_vector()):
+        for d in reversed(_limbs(self.enc)):
             acc = acc * t0 + d
         return acc / self.den
 
     def leading_coeff(self) -> Fraction:
-        ds = self._digit_vector()
+        ds = _limbs(self.enc)
         if not ds:
             return Fraction(0)
         return Fraction(ds[-1], self.den)
@@ -223,12 +243,12 @@ def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> TPoly:
     ints = [int(c * den) for c in fracs]
     if any(abs(v) >= bound for v in ints):
         raise PackingOverflow("coefficient too large for packed representation")
-    return TPoly(_encode(ints), den, len(ints) - 1)
+    return TPoly(_spread(ints, LIMB_BITS), den, len(ints) - 1)
 
 
 ZERO = TPoly(0, 1, -1)
 ONE = TPoly(1, 1, 0)
-T = TPoly(_BASE, 1, 1)
+T = TPoly(1 << LIMB_BITS, 1, 1)
 
 _omtp_cache: dict[int, TPoly] = {}
 
@@ -351,7 +371,7 @@ class RatFun:
             if not -_HALF < d < _HALF:
                 raise PackingOverflow("coefficient too large for packed representation")
             g = gcd(g, d)
-        return cls._raw(_encode([d // g for d in digits]), den // g, 1, 1, True)
+        return cls._raw(_spread([d // g for d in digits], LIMB_BITS), den // g, 1, 1, True)
 
     def _reduce(self) -> "RatFun":
         """The canonical form (gcd(num, den) = 1, den monic, content-normalised):
@@ -413,7 +433,7 @@ class RatFun:
         b = self.nd * abs(de)
         if -_HALF < ne < _HALF:
             return ne * s, b
-        return tuple(d * s for d in _digits(ne)), b
+        return tuple(d * s for d in _limbs(ne)), b
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.ne == 0:

@@ -6,10 +6,14 @@ over the requested window of basis vectors and reports ok/fail with a
 JSON witness on failure.  Items are self-contained and picklable, so
 sweeps parallelise over processes; results are always reduced in the
 fixed submission order, making output independent of worker count.
-`run_suite` validates the sweep before any item runs, so an empty or
-negative window is an error, never a vacuous "ok".  A `SweepOptions`
-field left None takes the suite's default, and a field given to a suite
-that never reads it (`SUITE_FIELDS`) is an error rather than ignored.
+A suite is one `Suite` record in `SUITES`: its item builder, its item
+executor, its default window and, for the anticommutator suites, its
+kernels.  The fields a suite reads are derived from that record (those
+its default window sets, and `corrupt` when it has kernels).  `run_suite`
+validates the sweep before any item runs, so an empty or negative window
+is an error, never a vacuous "ok".  A `SweepOptions` field left None
+takes the suite's default, and a field given to a suite that never reads
+it is an error rather than ignored.
 
 The commutation and kernel-factorization suites state their two sides as
 plain functions on Fock vectors and go through `check_mode_identity`.  The
@@ -72,6 +76,7 @@ from .fock import (
     FockVector,
     Operator,
     Verdict,
+    VertexKernel,
     _combine,
     _pmul,
     _unpack,
@@ -89,12 +94,6 @@ from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_p
 from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
-# (plus, minus, t) of the anticommutator suites, the only ones that read `corrupt`
-ANTICOMMUTATOR_KERNELS = {
-    "fermion": (FERMION_PLUS, FERMION_MINUS, RF_ZERO),
-    "twisted-fermion": (TWISTED_PLUS, TWISTED_MINUS, RF_T),
-}
-
 # one corrupted copy per kernel, so its mode cache survives across items
 _corrupted = cache(corrupted_kernel)
 # the keys (K1, K2, t, a + K1.eps m, b + K2.eps m, la) of the anticommutator checks
@@ -104,7 +103,7 @@ _passed: set[tuple] = set()
 
 @dataclass(frozen=True)
 class SweepOptions:
-    """A sweep window; `run_suite` fills every None field from DEFAULT_OPTIONS."""
+    """A sweep window; `run_suite` fills every None field from the suite's defaults."""
 
     max_degree: int | None = None
     max_mode: int | None = None
@@ -119,6 +118,20 @@ class CheckResult:
     name: str
     ok: bool
     witness: dict | None = None
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One suite: `build` lists the bare params of its items, `run(params,
+    opts)` checks one, `defaults` is its window (sized to keep a full run at
+    desk scale, setting exactly the window fields the suite reads), and
+    `kernels` is the (plus, minus, t) of an anticommutator suite, the only
+    kind that reads `corrupt`."""
+
+    build: Callable[[SweepOptions], list]
+    run: Callable[[tuple, SweepOptions], CheckResult]
+    defaults: SweepOptions
+    kernels: tuple[VertexKernel, VertexKernel, RatFun] | None = None
 
 
 Item = tuple  # (suite, params, opts)
@@ -158,7 +171,8 @@ def _run_commutation(params, opts: SweepOptions) -> CheckResult:
 
 
 def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
-    """All anticommutators of one relation with a+b = d at once.
+    """All anticommutators of one relation with a+b = d at once, on the
+    (plus, minus, t) of the suite's record.
 
     With X[x] = K1[x] K2[d-x] v and Y[y] = K2[y] K1[d-y] v, the pair (a, b)
     reads {K1[a], K2[b]} = X[a] + Y[b] and its t-terms are X[a+e] + Y[b+e].
@@ -166,7 +180,7 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     the others build the X and Y they read, once per (m, la).
     """
     rel, d = params
-    plus, minus, t = ANTICOMMUTATOR_KERNELS[suite]
+    plus, minus, t = SUITES[suite].kernels
     if opts.corrupt:
         plus = _corrupted(plus)
     K1, K2, e = {"pp": (plus, plus, -1), "mm": (minus, minus, -1), "pm": (plus, minus, 1)}[rel]
@@ -458,68 +472,46 @@ def _items_corollaries(opts: SweepOptions) -> list:
     return [(la,) for la in partitions_up_to(opts.max_degree)]
 
 
-_EXECUTORS: dict[str, Callable] = {
-    "commutation": _run_commutation,
-    "fermion": partial(_run_anticommutators, "fermion"),
-    "twisted-fermion": partial(_run_anticommutators, "twisted-fermion"),
-    "heisenberg": _run_heisenberg,
-    "twisted-heisenberg": _run_twisted_heisenberg,
-    "virasoro": _run_virasoro,
-    "kernel-factorization": _run_kernel_factorization,
-    "duality": _run_duality,
-    "bases-agreement": _run_bases_agreement,
-    "corollaries": _run_corollaries,
-}
-
-# each builder lists the bare params of its suite's items
-_BUILDERS: dict[str, Callable[[SweepOptions], list]] = {
-    "commutation": _items_commutation,
-    "fermion": _items_anticommutators,
-    "twisted-fermion": _items_anticommutators,
-    "heisenberg": _items_heisenberg,
-    "twisted-heisenberg": _items_twisted_heisenberg,
-    "virasoro": _items_virasoro,
-    "kernel-factorization": _items_kernel_factorization,
-    "duality": _items_duality,
-    "bases-agreement": _items_bases_agreement,
-    "corollaries": _items_corollaries,
-}
-
-SUITE_NAMES = tuple(_BUILDERS)
-
-# windows sized to keep a full run at desk scale; each sets exactly the
-# window fields its suite reads
 _CHARGES = (-2, -1, 0, 1, 2)
-DEFAULT_OPTIONS: dict[str, SweepOptions] = {
-    "commutation": SweepOptions(max_degree=8, max_mode=8, charges=(0,)),
-    "fermion": SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES),
-    "twisted-fermion": SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES),
-    "heisenberg": SweepOptions(max_degree=6, max_mode=6, charges=(-3, -2, -1, 0, 1, 2, 3)),
-    "twisted-heisenberg": SweepOptions(max_degree=4, max_mode=5, charges=_CHARGES),
-    "virasoro": SweepOptions(
-        max_degree=6,
-        max_mode=3,
-        charges=(-1, 0, 1),
-        betas=(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2)),
+SUITES: dict[str, Suite] = {
+    "commutation": Suite(_items_commutation, _run_commutation, SweepOptions(max_degree=8, max_mode=8, charges=(0,))),
+    "fermion": Suite(
+        _items_anticommutators, partial(_run_anticommutators, "fermion"),
+        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES), (FERMION_PLUS, FERMION_MINUS, RF_ZERO),
     ),
-    "kernel-factorization": SweepOptions(max_degree=4, max_mode=4, charges=(-1, 0, 1)),
-    "duality": SweepOptions(max_degree=6),
-    "bases-agreement": SweepOptions(max_degree=8),
-    "corollaries": SweepOptions(max_degree=4),
+    "twisted-fermion": Suite(
+        _items_anticommutators, partial(_run_anticommutators, "twisted-fermion"),
+        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES), (TWISTED_PLUS, TWISTED_MINUS, RF_T),
+    ),
+    "heisenberg": Suite(
+        _items_heisenberg, _run_heisenberg, SweepOptions(max_degree=6, max_mode=6, charges=(-3, -2, -1, 0, 1, 2, 3))
+    ),
+    "twisted-heisenberg": Suite(
+        _items_twisted_heisenberg, _run_twisted_heisenberg, SweepOptions(max_degree=4, max_mode=5, charges=_CHARGES)
+    ),
+    "virasoro": Suite(
+        _items_virasoro, _run_virasoro,
+        SweepOptions(
+            max_degree=6, max_mode=3, charges=(-1, 0, 1), betas=(Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2))
+        ),
+    ),
+    "kernel-factorization": Suite(
+        _items_kernel_factorization, _run_kernel_factorization, SweepOptions(max_degree=4, max_mode=4, charges=(-1, 0, 1))
+    ),
+    "duality": Suite(_items_duality, _run_duality, SweepOptions(max_degree=6)),
+    "bases-agreement": Suite(_items_bases_agreement, _run_bases_agreement, SweepOptions(max_degree=8)),
+    "corollaries": Suite(_items_corollaries, _run_corollaries, SweepOptions(max_degree=4)),
 }
 
-# the SweepOptions fields each suite reads: those its default sets, and
-# `corrupt` on the anticommutator suites
-SUITE_FIELDS: dict[str, frozenset[str]] = {
-    suite: frozenset(name for name, value in vars(opts).items() if value is not None)
-    | ({"corrupt"} if suite in ANTICOMMUTATOR_KERNELS else frozenset())
-    for suite, opts in DEFAULT_OPTIONS.items()
-}
+SUITE_NAMES = tuple(SUITES)
+# views of SUITES, kept because the bench harness (bench/test_run.py) imports them
+DEFAULT_OPTIONS = {name: suite.defaults for name, suite in SUITES.items()}
+_BUILDERS = {name: suite.build for name, suite in SUITES.items()}
 
 
 def _execute_item(item: Item) -> CheckResult:
     suite, params, opts = item
-    return _EXECUTORS[suite](params, opts)
+    return SUITES[suite].run(params, opts)
 
 
 def thread_count() -> int:
@@ -542,19 +534,23 @@ def thread_count() -> int:
 def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None = None) -> Iterator[CheckResult]:
     """Results for one suite, in deterministic order.
 
-    The sweep is validated before any item runs: a field the suite never
-    reads (say `corrupt` outside the anticommutator suites), a negative
-    window, a window that yields no items, an empty charge list and a
-    repeated charge or beta all raise ValueError, as does a malformed
-    SF_THREADS.
+    The sweep is validated before any item runs: an unknown suite, a
+    field the suite never reads (say `corrupt` outside the anticommutator
+    suites), a negative window, a window that yields no items, an empty
+    charge list and a repeated charge or beta all raise ValueError, as
+    does a malformed SF_THREADS.
     """
-    if suite not in _BUILDERS:
-        raise ValueError(f"unknown suite {suite!r}")
+    record = SUITES.get(suite)
+    if record is None:
+        raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     given = {name: value for name, value in vars(opts or SweepOptions()).items() if value is not None}
-    unread = [name for name in given if name not in SUITE_FIELDS[suite]]
+    reads = {name for name, value in vars(record.defaults).items() if value is not None}
+    if record.kernels:
+        reads.add("corrupt")
+    unread = [name for name in given if name not in reads]
     if unread:
         raise ValueError(f"suite {suite!r} does not read {', '.join(unread)}")
-    opts = replace(DEFAULT_OPTIONS[suite], **given)
+    opts = replace(record.defaults, **given)
     if opts.max_degree < 0 or (opts.max_mode or 0) < 0:
         raise ValueError("max_degree and max_mode must be nonnegative")
     if opts.charges == ():
@@ -563,7 +559,7 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
         values = getattr(opts, name)
         if values is not None and len(set(values)) < len(values):
             raise ValueError(f"repeated value in {name} of suite {suite!r}")
-    items = [(suite, params, opts) for params in _BUILDERS[suite](opts)]
+    items = [(suite, params, opts) for params in record.build(opts)]
     if not items:
         raise ValueError(f"the window of suite {suite!r} yields no identities to verify")
     if threads is None:

@@ -1,6 +1,7 @@
 """CLI behaviour: JSON output, round-trips, exit codes."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -200,6 +201,13 @@ def test_verify_rejects_repeated_sweep_values(capsys, argv):
     assert code == 2 and "repeated value" in err and out == ""
 
 
+def test_verify_unknown_suite_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "bogus")
+    names = "commutation, fermion, twisted-fermion, heisenberg, twisted-heisenberg, virasoro, "
+    names += "kernel-factorization, duality, bases-agreement, corollaries"
+    assert (code, out, err) == (2, "", f"error: unknown suite 'bogus'; choose from {names}\n")
+
+
 @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
 def test_internal_error_exits_3(monkeypatch, capsys, error):
     # an exception while an item runs is a fault of the program, not of the input
@@ -207,7 +215,7 @@ def test_internal_error_exits_3(monkeypatch, capsys, error):
         raise error("injected")
 
     monkeypatch.setenv("SF_THREADS", "1")
-    monkeypatch.setitem(verify._EXECUTORS, "corollaries", broken)
+    monkeypatch.setitem(verify.SUITES, "corollaries", replace(verify.SUITES["corollaries"], run=broken))
     code, out, err = run_cli(capsys, "verify", "corollaries", "--max-degree", "2")
     assert code == 3 and out == ""
     assert err.startswith("error:") and "injected" in err and err.count("\n") == 1

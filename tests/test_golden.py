@@ -46,6 +46,7 @@ from pathlib import Path
 
 import pytest
 
+from symfock import verify
 from symfock.cli import main
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -116,3 +117,9 @@ def test_golden_stdout(monkeypatch, capsys, threads, argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[argv]
+
+
+def test_every_suite_has_a_golden_case():
+    # a suite added to verify.SUITES lands with a hash of its output
+    pinned = {argv[1] for argv, (_, digest) in GOLDEN.items() if argv[0] == "verify" and digest != EMPTY}
+    assert set(verify.SUITE_NAMES) <= pinned

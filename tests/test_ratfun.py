@@ -8,13 +8,15 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from symfock.ratfun import (
+    LIMB_BITS,
     ONE,
     ZERO,
     PackingOverflow,
     RatFun,
     TPoly,
-    _digits,
-    _encode,
+    _limbs,
+    _spread,
+    _unspread,
     one_minus_t_pow,
     poly_divmod,
     poly_gcd,
@@ -219,12 +221,65 @@ def test_json_rejects_garbage():
         rat_from_json([1, 2])
 
 
+# -- the balanced-digit codec shared with fock
+
+CODEC_WIDTHS = [32, 64, 96, 192]  # 32 and 64 read machine words, 96 and 192 bytes
+
+
+def _round_trips(width, x):
+    """The digits of x != 0 at width as a tuple, once they are checked to re-encode to x."""
+    ds = _unspread(x, width)
+    ds = (ds,) if type(ds) is int else ds
+    half = 1 << (width - 1)
+    assert _spread(ds, width) == x
+    assert ds[-1] != 0 and all(-half <= d < half for d in ds)
+    return ds
+
+
+@st.composite
+def spread_cases(draw):
+    """(width, ds): balanced digits at width, the edge digits favoured, no trailing zero."""
+    width = draw(st.sampled_from(CODEC_WIDTHS))
+    half = 1 << (width - 1)
+    digit = st.sampled_from([-half, -half + 1, -1, 0, 1, half - 1]) | st.integers(-half, half - 1)
+    ds = draw(st.lists(digit, min_size=1, max_size=5))
+    while ds and not ds[-1]:
+        ds.pop()
+    return width, tuple(ds)
+
+
+# Every int has balanced digits that re-encode to it, so no check that
+# re-encodes the digits of a packed value can see a coefficient that
+# carried past the limb bound (test_carry_past_limb_bound_is_caught).
+@settings(max_examples=400, deadline=None)
+@given(spread_cases())
+def test_spread_inverts_unspread(case):
+    width, ds = case
+    assume(ds)
+    # balanced digits are unique, so x's are the ones it was built from
+    assert _round_trips(width, sum(d << (width * i) for i, d in enumerate(ds))) == ds
+
+
+@pytest.mark.parametrize("width", CODEC_WIDTHS)
+def test_spread_inverts_unspread_at_the_digit_bounds(width):
+    half = 1 << (width - 1)
+    edges = [half, -half, half - 1, -(half - 1)]
+    # multi-limb: negative, and positive just below 2**(2*width-1), whose top digit carries
+    edges += [-(half << width) - 1, -(1 << (3 * width)) + 5, (half << width) - 1, (half << width) - half]
+    for x in edges:
+        _round_trips(width, x)
+
+
 # -- content normalisation against the digit-wise rule
+
+
+def _encode(digits):
+    return _spread(digits, LIMB_BITS)
 
 
 def digitwise_normalized(p):
     """(enc, den) of p divided by gcd(content, den), computed digit by digit."""
-    ds = _digits(p.enc)
+    ds = _limbs(p.enc)
     g = gcd(*ds, p.den)
     return _encode([d // g for d in ds]), p.den // g
 
@@ -249,7 +304,7 @@ def packed_polys(draw, digit_bits=185):
 def test_content_normalized_matches_digitwise(p):
     got = p.content_normalized()
     assert (got.enc, got.den) == digitwise_normalized(p)
-    assert got.degree == len(_digits(p.enc)) - 1
+    assert got.degree == len(_limbs(p.enc)) - 1
     assert hash(p) == hash(digitwise_normalized(p))
 
 

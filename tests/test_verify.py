@@ -199,11 +199,11 @@ def _patch_fault(monkeypatch, name, wrong):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("suite, name, wrong", BILINEAR_FAULTS)
 def test_packed_witness_is_the_symfunc_witness(monkeypatch, threads, suite, name, wrong):
-    opts = replace(verify.DEFAULT_OPTIONS[suite], **vars(BILINEAR_WINDOW))
+    opts = replace(verify.SUITES[suite].defaults, **vars(BILINEAR_WINDOW))
     if suite == "virasoro":
         opts = replace(opts, betas=(Fraction(1, 2),))
     _patch_fault(monkeypatch, name, wrong)
-    items = verify._BUILDERS[suite](opts)
+    items = verify.SUITES[suite].build(opts)
     results = list(run_suite(suite, opts, threads=threads))
     failed = [(params, r) for params, r in zip(items, results) if not r.ok]
     assert failed
@@ -308,8 +308,9 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
     # (pp) and the delta (1-t)**2 p_la term (pm at a+b = -1)
     item = ("twisted-fermion", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
-    plus, minus, t = verify.ANTICOMMUTATOR_KERNELS["twisted-fermion"]
-    monkeypatch.setitem(verify.ANTICOMMUTATOR_KERNELS, "twisted-fermion", (plus, minus, t + t))
+    record = verify.SUITES["twisted-fermion"]
+    plus, minus, t = record.kernels
+    monkeypatch.setitem(verify.SUITES, "twisted-fermion", replace(record, kernels=(plus, minus, t + t)))
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
