@@ -83,11 +83,13 @@ re-read from the packed integer, which cannot show a carry; see
 into the next partition's slots.  Columns of one weight share a width,
 a multiple of 32 bits, and those of positive t-degree a stride, a
 multiple of 4; both only grow, and a column packed otherwise than an
-operation needs is repacked once, in place.  Packing and unpacking are
-one to_bytes/from_bytes each, slots read as machine words at 32 and 64
-bits.  A single polynomial c(t) is put at t = 2**w and read back by the
-balanced-digit codec of `ratfun` (`_spread`, `_unspread`), the one its
-packed Q(t) values use at their fixed width LIMB_BITS.
+operation needs is repacked once, in place.  `ratfun`'s balanced-digit
+codec packs and reads every column (`_pack`, `_digits`), puts a single
+polynomial c(t) at t = 2**w and reads it back (`_spread`, `_unspread`),
+and sizes each width from a digit bound (`_width`); its packed Q(t)
+values use the same format at their fixed width LIMB_BITS.  This module
+chooses only the slot layout and the width and stride each weight
+shares.
 
 Vectors.  The identity is linear, so `translate` builds C_r f for a
 whole f = sum_la c_la p_la by the same digit sum (with A_0 = 1) from the
@@ -114,8 +116,8 @@ from math import comb, gcd
 from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import ONE, RF_ONE, _WORDS, Digits, RatFun, TPoly, _spread, _unspread, poly_divmod, poly_gcd
-from .ratfun import rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .ratfun import ONE, RF_ONE, Digits, RatFun, TPoly, _digits, _pack, _spread, _unspread, _width
+from .ratfun import poly_divmod, poly_gcd, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
@@ -174,7 +176,6 @@ def fock_to_json(v: FockVector) -> dict:
 # ---------------------------------------------------------------------------
 # Z[t]-valued bodies packed as integers
 
-_WIDTH_STEP = 32  # digit widths are multiples of this (whole bytes for to_bytes)
 _STRIDE_STEP = 4  # a growing stride skips to a multiple of this, so columns are repacked less often
 
 # the exponents e_v of a denominator b * prod_v (1-t^v)**e_v, by v = 1, 2, ...,
@@ -184,18 +185,18 @@ Exponents = tuple[int, ...]
 
 class _Grade:
     """The partitions of one weight n, whose order numbers the slots of
-    every column of weight n, and the digit width and t-stride those
-    columns share."""
+    every column of weight n (slot i*stride + k for the t**k digit of the
+    i-th partition), and the digit width and t-stride those columns share;
+    the digits themselves are written and read by `ratfun`'s codec."""
 
-    __slots__ = ("weight", "parts", "index", "width", "stride", "_offsets", "_times")
+    __slots__ = ("weight", "parts", "index", "width", "stride", "_times")
 
     def __init__(self, n: int):
         self.weight = n
         self.parts = tuple(partitions_of(n))
         self.index = {la: i for i, la in enumerate(self.parts)}
-        self.width = _WIDTH_STEP
+        self.width = _width(0)
         self.stride = 1
-        self._offsets: dict[tuple[int, int], tuple[bytes, int]] = {}
         self._times: dict[Partition, list[int]] = {}
 
     def times(self, mu: Partition) -> list[int]:
@@ -213,52 +214,12 @@ class _Grade:
         columns never pay for the t-degrees of others), the shared stride,
         each first grown (never shrunk) to fit."""
         if bits >= self.width:
-            self.width = (bits // _WIDTH_STEP + 1) * _WIDTH_STEP
+            self.width = _width(bits)
         if not deg:
             return self.width, 1
         if deg >= self.stride:
             self.stride = (deg // _STRIDE_STEP + 1) * _STRIDE_STEP
         return self.width, self.stride
-
-    def offset(self, width: int, stride: int) -> tuple[bytes, int]:
-        """Half a digit, 2**(width-1), in every slot: as little-endian bytes and as an int."""
-        out = self._offsets.get((width, stride))
-        if out is None:
-            pattern = (bytes(width // 8 - 1) + b"\x80") * (len(self.parts) * stride)
-            out = self._offsets[width, stride] = (pattern, int.from_bytes(pattern, "little"))
-        return out
-
-    def pack(self, slots: Iterable[tuple[int, int]], width: int, stride: int) -> int:
-        """sum d * 2**(width*s) over (s, d), every |d| < 2**(width-1): one from_bytes
-        (slots written as machine words at 32- and 64-bit widths)."""
-        size, half = width // 8, 1 << (width - 1)
-        pattern, offset = self.offset(width, stride)
-        buf = bytearray(pattern)
-        word = _WORDS.get(width)
-        if word is not None:
-            view = memoryview(buf).cast(word)
-            for i, d in slots:
-                view[i] = d + half
-        else:
-            for i, d in slots:
-                buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
-        return int.from_bytes(buf, "little") - offset
-
-    def unpack(self, enc: int, width: int, stride: int) -> list[tuple[int, int]]:
-        """The nonzero balanced digits (s, d) of enc: one to_bytes."""
-        size, half = width // 8, 1 << (width - 1)
-        pattern, offset = self.offset(width, stride)
-        raw = (enc + offset).to_bytes(len(pattern), "little")
-        word = _WORDS.get(width)
-        if word is not None:
-            return [(i, v - half) for i, v in enumerate(memoryview(raw).cast(word).tolist()) if v != half]
-        empty = pattern[:size]
-        out = []
-        for i in range(len(self.parts) * stride):
-            chunk = raw[i * size : (i + 1) * size]
-            if chunk != empty:
-                out.append((i, int.from_bytes(chunk, "little") - half))
-        return out
 
 
 _grades: dict[int, _Grade] = {}
@@ -336,7 +297,7 @@ class Column:
                 slots.append((i, c))
             else:
                 slots += zip(range(i, i + len(c)), c)
-        return cls(n, grade.pack(slots, width, stride), den, ex, bits, deg, width, stride)
+        return cls(n, _pack(slots, width, len(grade.parts) * stride), den, ex, bits, deg, width, stride)
 
     def is_zero(self) -> bool:
         return self.enc == 0
@@ -348,32 +309,26 @@ class Column:
             return out
         if not self.enc:
             return []
-        grade = _grade(self.weight)
-        parts, stride = grade.parts, self.stride
-        flat = grade.unpack(self.enc, self.width, stride)
+        parts, stride = _grade(self.weight).parts, self.stride
+        ds = _digits(self.enc, self.width, len(parts) * stride)
         if stride == 1:
-            out = [(parts[i], d) for i, d in flat]
+            out = [(la, d) for la, d in zip(parts, ds) if d]
         else:
-            polys: dict[int, list[int]] = {}
-            for s, d in flat:
-                i, k = divmod(s, stride)
-                poly = polys.get(i)
-                if poly is None:
-                    poly = polys[i] = []
-                poly += [0] * (k - len(poly))
-                poly.append(d)
-            out = [(parts[i], c[0] if len(c) == 1 else tuple(c)) for i, c in polys.items()]
+            out = []
+            for i, la in enumerate(parts):
+                c = ds[i * stride : (i + 1) * stride]
+                if any(c):
+                    while not c[-1]:
+                        c.pop()
+                    out.append((la, c[0] if len(c) == 1 else tuple(c)))
         self._digits = out
         return out
 
     def repack(self, width: int, stride: int) -> None:
         """Re-encode at another width and stride, in place; the value is unchanged."""
-        grade = _grade(self.weight)
-        flat = grade.unpack(self.enc, self.width, self.stride)
-        if stride != self.stride:
-            old = self.stride
-            flat = [(s // old * stride + s % old, d) for s, d in flat]
-        self.enc = grade.pack(flat, width, stride)
+        count, old = len(_grade(self.weight).parts), self.stride
+        ds = _digits(self.enc, self.width, count * old)
+        self.enc = _pack([(s // old * stride + s % old, d) for s, d in enumerate(ds) if d], width, count * stride)
         self.width = width
         self.stride = stride
 
@@ -598,7 +553,7 @@ def _digit_sum(n: int, pieces: list[tuple[Digits, int, Exponents, MultColumn, Pa
         f = den // (b * col.den)
         total += max(max(c), -min(c)) * f * min(len(c), col.deg + 1) << col.bits
         scaled.append((c, f, slots, spreads, _grade(col.weight).times(mu)))
-    width = (total.bit_length() // _WIDTH_STEP + 1) * _WIDTH_STEP
+    width = _width(total.bit_length())
     for c, f, slots, spreads, into in scaled:
         x = _spread(c, width) * f
         ys = spreads.get(width)

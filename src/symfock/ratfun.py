@@ -18,9 +18,15 @@ bound (2**64 per coefficient), and the gcd and division rebuilds inside
 normalisation are checked against the bound itself.  Products and sums
 are not: a coefficient that outgrows the bound carries into the next
 limb, silently, since every integer has a balanced digit vector that
-re-encodes to it (a per-value limb width is the open fix).  The digit
-codec (``_spread``, ``_unspread``) is shared with ``fock``, which packs
-its columns at widths of its own.
+re-encodes to it (a per-value limb width is the open fix).
+
+The digit codec is the package's one packed-digit format: ``_pack`` and
+``_digits`` write and read ``count`` balanced digits through one cache of
+the half-digit offset (``_offset``), ``_spread`` and ``_unspread`` put a
+single polynomial at t = 2**width and read it back, and ``_width`` sizes
+a width from a digit bound.  ``fock`` packs and reads every column
+through it, choosing only its slot layout and widths; the silent carry
+past LIMB_BITS above is still this module's open problem.
 
 Rational functions are kept as num/den pairs of polynomials.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
@@ -61,25 +67,60 @@ def _spread(c: Sequence[int], width: int) -> int:
     return out
 
 
-_halves: dict[tuple[int, int], int] = {}
+def _width(bits: int) -> int:
+    """The least multiple of 32 above bits: the width of digits below 2**bits, a sign bit to spare."""
+    return (bits // 32 + 1) * 32
+
+
+_offsets: dict[tuple[int, int], tuple[bytes, int]] = {}
+
+
+def _offset(width: int, count: int) -> tuple[bytes, int]:
+    """Half a digit, 2**(width-1), in each of count slots: as little-endian bytes and as an int."""
+    out = _offsets.get((width, count))
+    if out is None:
+        pattern = (bytes(width // 8 - 1) + b"\x80") * count
+        out = _offsets[width, count] = (pattern, int.from_bytes(pattern, "little"))
+    return out
+
+
+def _pack(slots: Iterable[tuple[int, int]], width: int, count: int) -> int:
+    """sum d * 2**(width*i) over (i, d), 0 <= i < count and every d a balanced
+    digit, in [-2**(width-1), 2**(width-1)): one from_bytes, the slots written
+    as machine words at 32 and 64 bits."""
+    size, half = width // 8, 1 << (width - 1)
+    pattern, offset = _offset(width, count)
+    buf = bytearray(pattern)
+    word = _WORDS.get(width)
+    if word is not None:
+        view = memoryview(buf).cast(word)
+        for i, d in slots:
+            view[i] = d + half
+    else:
+        for i, d in slots:
+            buf[i * size : (i + 1) * size] = (d + half).to_bytes(size, "little")
+    return int.from_bytes(buf, "little") - offset
+
+
+def _digits(x: int, width: int, count: int) -> list[int]:
+    """All count balanced base-2**width digits of x ascending, the inverse of
+    `_pack`: one to_bytes, read as machine words at 32 and 64 bits.  Raises
+    OverflowError (never wraps) when x needs more than count digits."""
+    size, half = width // 8, 1 << (width - 1)
+    pattern, offset = _offset(width, count)
+    raw = (x + offset).to_bytes(len(pattern), "little")
+    word = _WORDS.get(width)
+    if word is not None:
+        return [v - half for v in memoryview(raw).cast(word).tolist()]
+    return [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(count)]
 
 
 def _unspread(x: int, width: int) -> Digits:
     """The balanced base-2**width digits of x != 0, in [-2**(width-1), 2**(width-1)), ascending
     with no trailing zero, an int for a constant: the inverse of `_spread` (width a multiple
-    of 32).  One to_bytes, read as machine words at 32 and 64 bits."""
-    size, half = width // 8, 1 << (width - 1)
+    of 32)."""
     # a limb to spare: just below 2**(width*k-1), a top digit of 2**(width-1) carries into limb k+1
-    count = (x.bit_length() + 1) // width + 1
-    offset = _halves.get((width, count))
-    if offset is None:
-        offset = _halves[width, count] = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw = (x + offset).to_bytes(size * count, "little")
-    word = _WORDS.get(width)
-    if word is not None:
-        out = [v - half for v in memoryview(raw).cast(word).tolist()]
-    else:
-        out = [int.from_bytes(raw[i * size : (i + 1) * size], "little") - half for i in range(count)]
+    out = _digits(x, width, (x.bit_length() + 1) // width + 1)
     while not out[-1]:
         out.pop()
     return out[0] if len(out) == 1 else tuple(out)

@@ -64,6 +64,35 @@ def test_fock_builds_modes_without_linear_combination():
     assert "linear_combination" not in _imported_names((SRC / "fock.py").read_text())
 
 
+# ratfun's codec is the one packed-digit format: fock lays out slots and
+# chooses widths, but never converts between ints and bytes itself
+CODEC_INTERNALS = {"to_bytes", "from_bytes", "memoryview", "_WORDS", "_WIDTH_STEP"}
+
+
+def _names_read(source: str, names: set[str]) -> list[str]:
+    """The names of the set that the source reads as a name or an attribute,
+    as name:line (docstrings and comments do not count)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name in names and isinstance(getattr(node, "ctx", None), ast.Load):
+            found.append(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
+def test_fock_packs_only_through_the_ratfun_codec():
+    assert _names_read((SRC / "fock.py").read_text(), CODEC_INTERNALS) == []
+
+
+def test_codec_internal_read_is_reported():
+    source = (
+        '"""Packed with to_bytes."""\nfrom .ratfun import _WORDS\n\n\n'
+        "def pack(x, size):\n    word = _WORDS.get(size)  # not memoryview\n"
+        "    return memoryview(x.to_bytes(size, 'little')).cast(word)\n"
+    )
+    assert _names_read(source, CODEC_INTERNALS) == ["_WORDS:6", "memoryview:7", "to_bytes:7"]
+
+
 def test_imported_names_are_read():
     source = "import os.path\nfrom a import b as c, d\n\ndef f():\n    from e import g\n"
     assert _imported_names(source) == {"os", "c", "d", "g"}

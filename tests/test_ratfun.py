@@ -14,9 +14,12 @@ from symfock.ratfun import (
     PackingOverflow,
     RatFun,
     TPoly,
+    _digits,
     _limbs,
+    _pack,
     _spread,
     _unspread,
+    _width,
     one_minus_t_pow,
     poly_divmod,
     poly_gcd,
@@ -223,16 +226,21 @@ def test_json_rejects_garbage():
 
 # -- the balanced-digit codec shared with fock
 
-CODEC_WIDTHS = [32, 64, 96, 192]  # 32 and 64 read machine words, 96 and 192 bytes
+# 32 and 64 read machine words, 96, 128 (the widest in fock's golden cases) and 192 bytes
+CODEC_WIDTHS = [32, 64, 96, 128, 192]
 
 
 def _round_trips(width, x):
-    """The digits of x != 0 at width as a tuple, once they are checked to re-encode to x."""
+    """The digits of x != 0 at width as a tuple, once they are checked to re-encode to x,
+    also as all the digits of a count with two spare slots."""
     ds = _unspread(x, width)
     ds = (ds,) if type(ds) is int else ds
     half = 1 << (width - 1)
     assert _spread(ds, width) == x
     assert ds[-1] != 0 and all(-half <= d < half for d in ds)
+    count = len(ds) + 2
+    assert _pack(enumerate(ds), width, count) == x
+    assert _digits(x, width, count) == [*ds, 0, 0]
     return ds
 
 
@@ -268,6 +276,18 @@ def test_spread_inverts_unspread_at_the_digit_bounds(width):
     edges += [-(half << width) - 1, -(1 << (3 * width)) + 5, (half << width) - 1, (half << width) - half]
     for x in edges:
         _round_trips(width, x)
+    # count digits hold exactly [-offset, 2**(width*count) - offset); one past either end raises
+    for count in (1, 3):
+        offset = sum(half << (width * i) for i in range(count))
+        low, high = -offset, (1 << (width * count)) - offset - 1
+        assert _digits(low, width, count) == [-half] * count
+        assert _digits(high, width, count) == [half - 1] * count
+        for x in (low - 1, high + 1):
+            with pytest.raises(OverflowError):
+                _digits(x, width, count)
+    # _width(bits) holds digits below 2**bits with a sign bit to spare
+    assert _width(width - 1) == width and _width(width) == width + 32
+    assert _width(0) == _width(31) == 32 and _width(32) == 64
 
 
 # -- content normalisation against the digit-wise rule
