@@ -36,7 +36,7 @@ from operator import mul
 from typing import Sequence
 
 from .partitions import Partition, as_partition, multiplicities, weight
-from .ratfun import RF_ONE, RatFun, TPoly, one_minus_t_pow, rat_to_json
+from .ratfun import RF_ONE, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, sum_raw_fields
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def q_coefficient(k: int) -> SymFunc:
         return SymFunc.zero()
     acc = SymFunc.zero()
     sign_t = RF_ONE
-    minus_t = RatFun(TPoly.from_coeffs([0, -1]))
+    minus_t = RatFun([0, -1])
     for s in range(k + 1):
         acc = acc + (complete_h(k - s) * elementary_e(s)).scaled(sign_t)
         sign_t = sign_t * minus_t
@@ -90,7 +90,7 @@ def hall_littlewood_row(k: int) -> SymFunc:
         return SymFunc.zero()
     if k == 0:
         return SymFunc.one()
-    return q_coefficient(k).scaled(RatFun(TPoly.from_coeffs([1]), one_minus_t_pow(1)))
+    return q_coefficient(k).scaled(rf_inv_one_minus_t_pow(1))
 
 
 def _det_entries(la: Partition, entry) -> SymFunc:
@@ -141,7 +141,7 @@ def hl_norm_factor(la: Partition) -> RatFun:
     b = RF_ONE
     for _, mult in multiplicities(la).items():
         for j in range(1, mult + 1):
-            b = b * RatFun(one_minus_t_pow(j))
+            b = b * rf_one_minus_t_pow(j)
     return b
 
 

@@ -16,6 +16,9 @@ never read exits 2 rather than being ignored: `--max-mode` and
 on every suite but `virasoro` (the fields a suite reads follow from its
 record in `verify.SUITES`), and `expand -n` on every route but `oracle`.
 An unknown suite exits 2 and names every suite.
+`kp --file` with a zero tau (no terms, or only zero coefficients) exits
+2 as well: the zero vector is no point of the Sato Grassmannian, so its
+vacuous bilinear identity is never reported as TAU.
 SF_THREADS caps the worker pool used by `verify` (default: available
 parallelism); it must be a positive integer, otherwise `verify` exits 2.
 """
@@ -203,6 +206,8 @@ def _cmd_kp(args) -> int:
             raise UsageError(f"cannot read {args.file}: {exc}") from None
         except (json.JSONDecodeError, ValueError) as exc:
             raise UsageError(f"malformed tau file {args.file}: {exc}") from None
+        if tau.is_zero():
+            raise UsageError(f"tau file {args.file} is zero, which is no point of the Sato Grassmannian")
         label = args.file
     state = omega_apply(tau, tau, deformed=args.deformed)
     if state.is_zero():

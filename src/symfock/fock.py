@@ -86,8 +86,8 @@ multiple of 4; both only grow, and a column packed otherwise than an
 operation needs is repacked once, in place.  `ratfun`'s balanced-digit
 codec packs and reads every column (`_pack`, `_digits`), puts a single
 polynomial c(t) at t = 2**w and reads it back (`_spread`, `_unspread`),
-and sizes each width from a digit bound (`_width`); its packed Q(t)
-values use the same format at their fixed width LIMB_BITS.  This module
+and sizes each width from a digit bound (`_width`); the packed fields of
+its `RatFun` use the same format at their fixed width LIMB_BITS.  This module
 chooses only the slot layout and the width and stride each weight
 shares.
 
@@ -98,8 +98,8 @@ and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
 those rows.  A coefficient with any other t-denominator (1/(1-t^k) from
 `twisted_heisenberg_mode`, a tau read from a file, or a body unpacked
 over (1-t^v) factors) is handled once per operation: the lcm Q of those
-denominators is pulled out in front, Q c is summed packed, and the
-result is divided by Q.
+denominators (`ratfun.poly_lcm`) is pulled out in front, Q c is summed
+packed, and the result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
@@ -116,8 +116,8 @@ from math import comb, gcd
 from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import ONE, RF_ONE, Digits, RatFun, TPoly, _digits, _pack, _spread, _unspread, _width
-from .ratfun import poly_divmod, poly_gcd, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .ratfun import RF_ONE, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
+from .ratfun import poly_lcm, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
@@ -472,20 +472,15 @@ def _pull(pairs: list[tuple[RatFun, object]]) -> tuple[list[tuple[Digits, int, o
         out.append((*p, x))
     else:
         return out, None
-    outside = {r.de for r, _ in pairs if r.poly_parts() is None}
-    q = None
-    for de in outside:
-        d = TPoly(de, 1)
-        q = d if q is None else q * poly_divmod(d, poly_gcd(q, d))[0]
-    quotients = {de: poly_divmod(q, TPoly(de, 1))[0] for de in outside}
+    (qe, qd), quotients = poly_lcm({r.de for r, _ in pairs if r.poly_parts() is None})
     out = []
     for r, x in pairs:
         k = quotients.get(r.de)
         if k is None:
-            out.append((*RatFun._raw(r.ne * q.enc, r.nd * q.den, r.de, r.dd).poly_parts(), x))
+            out.append((*RatFun._raw(r.ne * qe, r.nd * qd, r.de, r.dd).poly_parts(), x))
         else:
-            out.append((*RatFun._raw(r.ne * r.dd * k.enc, r.nd * k.den, 1, 1).poly_parts(), x))
-    return out, RatFun(ONE, q)
+            out.append((*RatFun._raw(r.ne * r.dd * k[0], r.nd * k[1], 1, 1).poly_parts(), x))
+    return out, RatFun._raw(1, 1, qe, qd)
 
 
 def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
@@ -613,15 +608,10 @@ class VertexKernel:
 
     def _c_parts(self, v: int) -> tuple[Digits, int, int]:
         """c_v as (c, b, k), b > 0, of value c(t) / (b (1-t^v)**k)."""
-        r = self.c(v)
-        p = r.poly_parts()
-        if p is not None:
-            return (*p, 0)
-        k, rem = divmod(TPoly(r.de, 1).degree, v)
-        s, rest = divmod(r.de, TPoly.from_coeffs(_lift((0,) * (v - 1) + (k,), ())).enc)
-        if rem or rest:
+        out = self.c(v).poly_parts_over(v)
+        if out is None:
             raise ValueError(f"{self.name}: c_{v} has a denominator other than b (1-t^{v})**k")
-        return (*RatFun._raw(r.ne, r.nd, s, r.dd).poly_parts(), k)
+        return out
 
     def _digit_table(self, la: Partition) -> Rows:
         """C_r p_la for every r, as {r: [row]} over the one denominator D_la.

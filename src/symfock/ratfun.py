@@ -6,19 +6,27 @@ immutable; all operations are pure.
 
 Representation notes
 --------------------
-A polynomial is stored packed: its integer coefficient vector (after
-clearing a single positive integer denominator ``den``) is evaluated at
-t = 2**LIMB_BITS and kept as one Python int ``enc``.  Since evaluation at
-a point is a ring homomorphism, addition and multiplication of packed
-polynomials are single bigint operations; coefficients are only unpacked
-at boundaries (normalisation, division, printing, JSON).  Packing is
+``RatFun`` is the one value type of Q(t); a polynomial outside it is a
+coefficient list ascending in t (``poly_gcd``, ``poly_divmod``, and the
+``num``/``den`` a value reports).  Inside a RatFun a polynomial is stored
+packed: its integer coefficient vector (after clearing a single positive
+integer denominator) is evaluated at t = 2**LIMB_BITS and kept as one
+Python int.  Since evaluation at a point is a ring homomorphism, addition
+and multiplication of packed polynomials are single bigint operations;
+coefficients are only unpacked at boundaries (normalisation, division,
+printing, JSON).
+
+``RatFun(num, den=(1,))`` takes coefficient sequences ascending in t and
+is the checked entry for outside data: an integer coefficient or common
+denominator of 2**64 or more raises PackingOverflow, and a zero
+denominator ([0], [] or [0, 0]) raises ZeroDivisionError.  Packing is
 faithful while every true coefficient stays below 2**(LIMB_BITS-1) in
-absolute value; ``from_coeffs`` rejects outside data anywhere near the
-bound (2**64 per coefficient), and the gcd and division rebuilds inside
-normalisation are checked against the bound itself.  Products and sums
-are not: a coefficient that outgrows the bound carries into the next
-limb, silently, since every integer has a balanced digit vector that
-re-encodes to it (a per-value limb width is the open fix).
+absolute value; the gcd and division rebuilds inside normalisation are
+checked against that bound itself.  Products and sums of the packed
+fields ``ne`` and ``de`` are not: a coefficient that outgrows the bound
+carries into the next limb, silently, since every integer has a balanced
+digit vector that re-encodes to it (a per-value limb width is the open
+fix).
 
 The digit codec is the package's one packed-digit format: ``_pack`` and
 ``_digits`` write and read ``count`` balanced digits through one cache of
@@ -28,7 +36,7 @@ a width from a digit bound.  ``fock`` packs and reads every column
 through it, choosing only its slot layout and widths; the silent carry
 past LIMB_BITS above is still this module's open problem.
 
-Rational functions are kept as num/den pairs of polynomials.  The
+A RatFun keeps its numerator and denominator unreduced.  The
 canonical form (gcd(num, den) = 1 over Q[t], den monic) required for
 hashing and serialisation is computed lazily and memoised beside the
 fields, which never change; arithmetic does not reduce.  Equality and
@@ -42,11 +50,11 @@ import struct
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 LIMB_BITS = 192
 _HALF = 1 << (LIMB_BITS - 1)
-# from_coeffs cap on outside data; internal rebuilds are checked against _HALF
+# RatFun(num, den) cap on outside data; internal rebuilds are checked against _HALF
 _INPUT_BOUND = 1 << 64
 # memoryview formats that read one whole digit per item, by width in bits
 _WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "little" else {}
@@ -142,193 +150,81 @@ def _gcd_list(values: Iterable[int]) -> int:
     return g
 
 
-class TPoly:
-    """A univariate polynomial in t with rational coefficients."""
-
-    __slots__ = ("enc", "den", "_deg")
-
-    def __init__(self, enc: int, den: int, _deg: int | None = None):
-        # raw constructor: trusts enc/den; use from_coeffs for checked input
-        self.enc = enc
-        self.den = den
-        self._deg = _deg
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[Fraction | int]) -> "TPoly":
-        """Build from coefficients ascending in t; trailing zeros are dropped.
-
-        This is the checked entry for outside data: integer coefficients
-        and the common denominator are capped at _INPUT_BOUND.
-        """
-        out = _pack_fractions(coeffs, _INPUT_BOUND)
-        if out.den >= _INPUT_BOUND:
-            raise PackingOverflow("coefficient too large for packed representation")
-        return out
-
-    @classmethod
-    def from_int(cls, v: int) -> "TPoly":
-        return cls.from_coeffs([Fraction(v)])
-
-    def is_zero(self) -> bool:
-        return self.enc == 0
-
-    def __bool__(self) -> bool:
-        return self.enc != 0
-
-    @property
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        if self._deg is None:
-            self._deg = len(_limbs(self.enc)) - 1
-        return self._deg
-
-    def coeff_vector(self) -> tuple[Fraction, ...]:
-        """Coefficients ascending in t, trailing zeros stripped."""
-        return tuple(Fraction(d, self.den) for d in _limbs(self.enc))
-
-    def content_normalized(self) -> "TPoly":
-        """Equal value with gcd(integer content, den) = 1."""
-        if self.enc == 0:
-            return ZERO
-        ds = _limbs(self.enc)
-        g = gcd(_gcd_list(ds), self.den)
-        if g == 1:
-            return self
-        return TPoly(_spread([d // g for d in ds], LIMB_BITS), self.den // g, self._deg)
-
-    def __add__(self, other: "TPoly") -> "TPoly":
-        if self.den == other.den:
-            return TPoly(self.enc + other.enc, self.den)
-        g = gcd(self.den, other.den)
-        m1 = other.den // g
-        m2 = self.den // g
-        return TPoly(self.enc * m1 + other.enc * m2, self.den * m1)
-
-    def __sub__(self, other: "TPoly") -> "TPoly":
-        if self.den == other.den:
-            return TPoly(self.enc - other.enc, self.den)
-        g = gcd(self.den, other.den)
-        m1 = other.den // g
-        m2 = self.den // g
-        return TPoly(self.enc * m1 - other.enc * m2, self.den * m1)
-
-    def __mul__(self, other: "TPoly") -> "TPoly":
-        if self.enc == 0 or other.enc == 0:
-            return ZERO
-        deg = None
-        if self._deg is not None and other._deg is not None:
-            deg = self._deg + other._deg
-        return TPoly(self.enc * other.enc, self.den * other.den, deg)
-
-    def __neg__(self) -> "TPoly":
-        return TPoly(-self.enc, self.den, self._deg)
-
-    def scale(self, c: Fraction) -> "TPoly":
-        if c == 0 or self.enc == 0:
-            return ZERO
-        return TPoly(self.enc * c.numerator, self.den * c.denominator, self._deg)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        if self.den == other.den:
-            return self.enc == other.enc
-        return self.enc * other.den == other.enc * self.den
-
-    def __hash__(self) -> int:
-        n = self.content_normalized()
-        return hash((n.enc, n.den))
-
-    def eval_at(self, t0: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for d in reversed(_limbs(self.enc)):
-            acc = acc * t0 + d
-        return acc / self.den
-
-    def leading_coeff(self) -> Fraction:
-        ds = _limbs(self.enc)
-        if not ds:
-            return Fraction(0)
-        return Fraction(ds[-1], self.den)
-
-    def __repr__(self) -> str:
-        if self.enc == 0:
-            return "TPoly(0)"
-        parts = []
-        for i, c in enumerate(self.coeff_vector()):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return "TPoly(" + " + ".join(parts) + ")"
+def _trimmed(coeffs: Iterable[Fraction | int]) -> list[Fraction | int]:
+    """The coefficients as a new list, trailing zeros dropped."""
+    out = list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
-def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> TPoly:
-    """Pack coefficients ascending in t, trailing zeros dropped.
+def _coeffs(enc: int, den: int) -> tuple[Fraction, ...]:
+    """The coefficients of the packed polynomial enc / den ascending in t, trailing zeros stripped."""
+    return tuple(Fraction(d, den) for d in _limbs(enc))
+
+
+def _content_normalized(enc: int, den: int) -> tuple[int, int]:
+    """(enc, den) of the same packed polynomial with gcd(integer content, den) = 1."""
+    if enc == 0:
+        return 0, 1
+    ds = _limbs(enc)
+    g = gcd(_gcd_list(ds), den)
+    if g == 1:
+        return enc, den
+    return _spread([d // g for d in ds], LIMB_BITS), den // g
+
+
+def _pack_fractions(coeffs: Iterable[Fraction | int], bound: int) -> tuple[int, int]:
+    """Coefficients ascending in t as a packed (enc, den), trailing zeros dropped.
 
     After clearing the common denominator, every integer coefficient must
     be below bound in absolute value.
     """
-    fracs = [Fraction(c) for c in coeffs]
-    while fracs and fracs[-1] == 0:
-        fracs.pop()
+    fracs = _trimmed(map(Fraction, coeffs))
     if not fracs:
-        return ZERO
+        return 0, 1
     den = 1
     for c in fracs:
         den = den * c.denominator // gcd(den, c.denominator)
     ints = [int(c * den) for c in fracs]
     if any(abs(v) >= bound for v in ints):
         raise PackingOverflow("coefficient too large for packed representation")
-    return TPoly(_spread(ints, LIMB_BITS), den, len(ints) - 1)
+    return _spread(ints, LIMB_BITS), den
 
 
-ZERO = TPoly(0, 1, -1)
-ONE = TPoly(1, 1, 0)
-T = TPoly(1 << LIMB_BITS, 1, 1)
-
-_omtp_cache: dict[int, TPoly] = {}
-
-
-def one_minus_t_pow(n: int) -> TPoly:
-    """The polynomial 1 - t**n."""
-    p = _omtp_cache.get(n)
-    if p is None:
-        p = TPoly(1 - (1 << (LIMB_BITS * n)), 1, n)
-        _omtp_cache[n] = p
-    return p
+def _pack_input(coeffs: Iterable[Fraction | int]) -> tuple[int, int]:
+    """`_pack_fractions` for outside data: the common denominator is capped too."""
+    enc, den = _pack_fractions(coeffs, _INPUT_BOUND)
+    if den >= _INPUT_BOUND:
+        raise PackingOverflow("coefficient too large for packed representation")
+    return enc, den
 
 
-def poly_divmod(a: TPoly, b: TPoly) -> tuple[TPoly, TPoly]:
-    """Exact Euclidean division over Q[t]."""
-    if b.is_zero():
+def poly_divmod(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> tuple[list[Fraction], list[Fraction]]:
+    """Exact Euclidean division over Q[t] of coefficient lists ascending in t:
+    (quotient, remainder), each with no trailing zero."""
+    ra, rb = _trimmed(a), _trimmed(b)
+    if not rb:
         raise ZeroDivisionError("polynomial division by zero")
-    ra = list(a.coeff_vector())
-    rb = list(b.coeff_vector())
     if len(ra) < len(rb):
-        return ZERO, a
+        return [], ra
     quot = [Fraction(0)] * (len(ra) - len(rb) + 1)
-    lead = rb[-1]
+    lead = Fraction(rb[-1])
     for i in range(len(ra) - len(rb), -1, -1):
         c = ra[i + len(rb) - 1] / lead
         if c:
             quot[i] = c
             for j, bc in enumerate(rb):
                 ra[i + j] -= c * bc
-    return _pack_fractions(quot, _HALF), _pack_fractions(ra[: len(rb) - 1], _HALF)
+    return quot, _trimmed(ra[: len(rb) - 1])
 
 
-def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
-    """Monic gcd over Q[t]; gcd(0, 0) = 0."""
-    ca = list(a.coeff_vector())
-    cb = list(b.coeff_vector())
+def poly_gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[Fraction]:
+    """Monic gcd over Q[t] of coefficient lists ascending in t; gcd(0, 0) = []."""
+    ca, cb = _trimmed(a), _trimmed(b)
     while cb:
         ra = ca
-        lead = cb[-1]
+        lead = Fraction(cb[-1])
         while len(ra) >= len(cb):
             c = ra[-1] / lead
             for j in range(len(cb)):
@@ -337,17 +233,30 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
                 ra.pop()
         ca, cb = cb, ra
     if not ca:
-        return ZERO
-    lead = ca[-1]
-    return _pack_fractions([c / lead for c in ca], _HALF)
+        return []
+    lead = Fraction(ca[-1])
+    return [c / lead for c in ca]
+
+
+def poly_lcm(dens: Collection[int]) -> tuple[tuple[int, int], dict[int, tuple[int, int]]]:
+    """The lcm Q of the nonzero packed integer polynomials dens, as a packed
+    (enc, den), and each exact quotient Q / d as a packed (enc, den), by d."""
+    q = (1, 1)
+    for d in dens:
+        c = _coeffs(d, 1)
+        k = _pack_fractions(poly_divmod(c, poly_gcd(_coeffs(*q), c))[0], _HALF)
+        q = (q[0] * k[0], q[1] * k[1])
+    qc = _coeffs(*q)
+    return q, {d: _pack_fractions(poly_divmod(qc, _coeffs(d, 1))[0], _HALF) for d in dens}
 
 
 class RatFun:
-    """An element of Q(t): a ratio of two TPoly values, den != 0.
+    """An element of Q(t): a ratio of two polynomials, den != 0.
 
-    Stored flat as four ints (ne, nd, de, dd) meaning (ne/nd)/(de/dd)
-    with ne, de packed polynomials and nd, dd positive scalar
-    denominators, so the field operations are a handful of bigint
+    RatFun(num, den) takes their coefficients ascending in t, as the module
+    notes say.  Stored flat as four ints (ne, nd, de, dd) meaning
+    (ne/nd)/(de/dd) with ne, de packed polynomials and nd, dd positive
+    scalar denominators, so the field operations are a handful of bigint
     multiplications with no intermediate objects.  Arithmetic is exact
     but lazy: the canonical reduced, monic-denominator form is only
     computed when observed through .num/.den, hashing, evaluation or
@@ -360,15 +269,13 @@ class RatFun:
 
     __slots__ = ("ne", "nd", "de", "dd", "_canon")
 
-    def __init__(self, num: TPoly, den: TPoly = ONE):
-        if den.enc == 0:
+    def __init__(self, num: Iterable[Fraction | int], den: Iterable[Fraction | int] = (1,)):
+        self.ne, self.nd = _pack_input(num)
+        self.de, self.dd = _pack_input(den)
+        if self.de == 0:
             raise ZeroDivisionError("rational function with zero denominator")
-        self.ne = num.enc
-        self.nd = num.den
-        self.de = den.enc
-        self.dd = den.den
         # RatFun(num) is canonical when num is content-normalised, as it is over den 1
-        self._canon = den.enc == 1 and den.den == 1 and num.den == 1
+        self._canon = self.de == 1 and self.dd == 1 and self.nd == 1
 
     @classmethod
     def _raw(cls, ne: int, nd: int, de: int, dd: int, canon: "bool | RatFun" = False) -> "RatFun":
@@ -422,20 +329,18 @@ class RatFun:
             return self
         if canon is not False:
             return canon
-        num = TPoly(self.ne, self.nd)
-        den = TPoly(self.de, self.dd)
+        ne, nd, de, dd = self.ne, self.nd, self.de, self.dd
+        num, den = _coeffs(ne, nd), _coeffs(de, dd)
         g = poly_gcd(num, den)
-        if g.degree > 0:
-            num, _ = poly_divmod(num, g)
-            den, _ = poly_divmod(den, g)
-        lead = den.leading_coeff()
+        if len(g) > 1:
+            ne, nd = _pack_fractions(poly_divmod(num, g)[0], _HALF)
+            de, dd = _pack_fractions(poly_divmod(den, g)[0], _HALF)
+        lead = Fraction(_limbs(de)[-1], dd)
         if lead != 1:
             inv = 1 / lead
-            num = num.scale(inv)
-            den = den.scale(inv)
-        num = num.content_normalized()
-        den = den.content_normalized()
-        fields = (num.enc, num.den, den.enc, den.den)
+            ne, nd = ne * inv.numerator, nd * inv.denominator
+            de, dd = de * inv.numerator, dd * inv.denominator
+        fields = (*_content_normalized(ne, nd), *_content_normalized(de, dd))
         if fields == (self.ne, self.nd, self.de, self.dd):
             self._canon = True
             return self
@@ -443,14 +348,16 @@ class RatFun:
         return self._canon
 
     @property
-    def num(self) -> TPoly:
+    def num(self) -> tuple[Fraction, ...]:
+        """The canonical numerator's coefficients ascending in t, () for zero."""
         c = self._reduce()
-        return TPoly(c.ne, c.nd)
+        return _coeffs(c.ne, c.nd)
 
     @property
-    def den(self) -> TPoly:
+    def den(self) -> tuple[Fraction, ...]:
+        """The canonical (monic) denominator's coefficients ascending in t."""
         c = self._reduce()
-        return TPoly(c.de, c.dd)
+        return _coeffs(c.de, c.dd)
 
     def is_zero(self) -> bool:
         return self.ne == 0
@@ -475,6 +382,20 @@ class RatFun:
         if -_HALF < ne < _HALF:
             return ne * s, b
         return tuple(d * s for d in _limbs(ne)), b
+
+    def poly_parts_over(self, v: int) -> "tuple[Digits, int, int] | None":
+        """(c, b, k) with b > 0 and value c(t) / (b (1-t^v)**k) when the packed
+        denominator is a constant times a power of 1 - t^v, else None; k = 0
+        is the `poly_parts` answer, read without building a value."""
+        p = self.poly_parts()
+        if p is not None:
+            return (*p, 0)
+        k, rem = divmod(len(_limbs(self.de)) - 1, v)
+        s, rest = divmod(self.de, (1 - (1 << (LIMB_BITS * v))) ** k)
+        if rem or rest:
+            return None
+        p = RatFun._raw(self.ne, self.nd, s, self.dd).poly_parts()
+        return None if p is None else (*p, k)
 
     def __add__(self, other: "RatFun") -> "RatFun":
         if self.ne == 0:
@@ -565,22 +486,20 @@ class RatFun:
     def eval_at(self, t0: Fraction | int) -> Fraction:
         """Exact evaluation at t = t0; raises on a pole."""
         t0 = Fraction(t0)
-        c = self._reduce()
-        dv = TPoly(c.de, c.dd).eval_at(t0)
+        nv, dv = (sum(c * t0**i for i, c in enumerate(cs)) for cs in (self.num, self.den))
         if dv == 0:
             raise ZeroDivisionError(f"pole at t = {t0}")
-        return TPoly(c.ne, c.nd).eval_at(t0) / dv
+        return nv / dv
 
     def __repr__(self) -> str:
-        c = self._reduce()
-        if c.de == 1 and c.dd == 1:
-            return f"RatFun({TPoly(c.ne, c.nd)!r})"
-        return f"RatFun({TPoly(c.ne, c.nd)!r} / {TPoly(c.de, c.dd)!r})"
+        num, den = (" + ".join(f"{c}*t^{i}" if i else str(c) for i, c in enumerate(cs) if c)
+                    for cs in (self.num, self.den))
+        return f"RatFun({num or 0})" if den == "1" else f"RatFun(({num}) / ({den}))"
 
 
-RF_ZERO = RatFun(ZERO)
-RF_ONE = RatFun(ONE)
-RF_T = RatFun(T)
+RF_ZERO = RatFun._raw(0, 1, 1, 1, True)
+RF_ONE = RatFun._raw(1, 1, 1, 1, True)
+RF_T = RatFun._raw(1 << LIMB_BITS, 1, 1, 1, True)
 
 _omtp_rf_cache: dict[int, RatFun] = {}
 _inv_omtp_rf_cache: dict[int, RatFun] = {}
@@ -590,7 +509,7 @@ def rf_one_minus_t_pow(n: int) -> RatFun:
     """(1 - t**n) as a rational function."""
     r = _omtp_rf_cache.get(n)
     if r is None:
-        r = RatFun(one_minus_t_pow(n))
+        r = RatFun._raw(1 - (1 << (LIMB_BITS * n)), 1, 1, 1, True)
         _omtp_rf_cache[n] = r
     return r
 
@@ -599,7 +518,7 @@ def rf_inv_one_minus_t_pow(n: int) -> RatFun:
     """1/(1 - t**n) as a rational function."""
     r = _inv_omtp_rf_cache.get(n)
     if r is None:
-        r = RatFun(ONE, one_minus_t_pow(n))
+        r = RatFun._raw(1, 1, 1 - (1 << (LIMB_BITS * n)), 1)
         _inv_omtp_rf_cache[n] = r
     return r
 
@@ -618,10 +537,7 @@ def _fraction_from_str(s: str) -> Fraction:
 
 def rat_to_json(r: RatFun) -> dict:
     """Canonical JSON form {"num": [...], "den": [...]}, coefficients ascending in t."""
-    return {
-        "num": [str(c) for c in r.num.coeff_vector()],
-        "den": [str(c) for c in r.den.coeff_vector()],
-    }
+    return {"num": [str(c) for c in r.num], "den": [str(c) for c in r.den]}
 
 
 def rat_from_json(obj: object) -> RatFun:
@@ -632,10 +548,10 @@ def rat_from_json(obj: object) -> RatFun:
     if not isinstance(num_strs, list) or not isinstance(den_strs, list):
         raise ValueError("rational function 'num' and 'den' must be lists of rational strings")
     try:
-        num = TPoly.from_coeffs(_fraction_from_str(s) for s in num_strs)
-        den = TPoly.from_coeffs(_fraction_from_str(s) for s in den_strs)
+        # num is read and packed before den is read, so the first bad entry is the one named
+        r = RatFun((_fraction_from_str(s) for s in num_strs), (_fraction_from_str(s) for s in den_strs))
     except PackingOverflow as exc:
         raise ValueError(f"rational function JSON out of range: {exc}") from None
-    if den.is_zero():
-        raise ValueError("zero denominator in rational function JSON")
-    return RatFun(num, den)._reduce()
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in rational function JSON") from None
+    return r._reduce()

@@ -96,9 +96,10 @@ from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coeffic
 
 # one corrupted copy per kernel, so its mode cache survives across items
 _corrupted = cache(corrupted_kernel)
-# the keys (K1, K2, t, a + K1.eps m, b + K2.eps m, la) of the anticommutator checks
-# that passed in this process (each pool worker has its own); K1, K2 fix the relation
-_passed: set[tuple] = set()
+# the keys (a + K1.eps m, b + K2.eps m, la) of the anticommutator checks that
+# passed in this process (each pool worker has its own), by the (K1, K2, t) of
+# their relation
+_passed: dict[tuple, set[tuple]] = {}
 
 
 @dataclass(frozen=True)
@@ -191,14 +192,15 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     delta_digits, delta_den = delta.poly_parts()
     minus_one, minus_t = -RF_ONE, -t
     name = f"{rel}[a+b={d}]"
+    passed = _passed.setdefault((K1, K2, t), set())
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
             X = cache(lambda x: composition(K1, x, K2, d - x, m, la))
             Y = X if K1 is K2 else cache(lambda y: composition(K2, y, K1, d - y, m, la))
             want_col = Column.from_digits(weight(la), [(la, delta_digits)], delta_den)
             for a, b in pairs:
-                key = (K1, K2, t, a + K1.eps * m, b + K2.eps * m, la)
-                if key in _passed:
+                key = (a + K1.eps * m, b + K2.eps * m, la)
+                if key in passed:
                     continue
                 terms = [(RF_ONE, X(a)), (RF_ONE, Y(b)), (minus_one, want_col)]
                 diff = combine(terms + [(minus_t, X(a + e)), (minus_t, Y(b + e))] if t else terms)
@@ -207,7 +209,7 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
                     got = FockVector(m + K1.eps + K2.eps, diff + want.body)
                     witness = Verdict(False, m, la, got, want).witness_json()
                     return CheckResult(suite, name, False, {"relation": rel, "a": a, "b": b, **witness})
-                _passed.add(key)
+                passed.add(key)
     return CheckResult(suite, name, True, None)
 
 

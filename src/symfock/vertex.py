@@ -47,7 +47,7 @@ from .fock import (
     mode_apply,
 )
 from .partitions import Partition, as_partition
-from .ratfun import RF_ONE, RatFun, TPoly
+from .ratfun import RF_ONE, RatFun
 from .symfunc import SymFunc
 
 _KERNELS: dict[str, VertexKernel] = {
@@ -95,7 +95,7 @@ def _pair_series_hl(k: int) -> RatFun:
     if k == 0:
         return RF_ONE
     # t**k - t**(k-1)
-    return RatFun(TPoly.from_coeffs([0] * (k - 1) + [-1, 1]))
+    return RatFun([0] * (k - 1) + [-1, 1])
 
 
 _GENERATING_DATA: dict[str, tuple[Callable[[int], RatFun], Callable[[int], SymFunc]]] = {
@@ -166,7 +166,7 @@ def generating_coefficient_direct(kind: str, la) -> SymFunc:
 def _e_at_minus_u_over_t(s: int) -> RatFun:
     """Scalar (-t)**s accompanying e_s in the expansion of E(-u/t)."""
     coeffs = [Fraction(0)] * s + [Fraction((-1) ** s)]
-    return RatFun(TPoly.from_coeffs(coeffs))
+    return RatFun(coeffs)
 
 
 def _convolved_var_modes(k: int) -> SymFunc:
@@ -183,7 +183,7 @@ def _convolved_pair_series_hl(k: int) -> RatFun:
     for s in (0, 1):
         if k - s < 0:
             continue
-        geom = RatFun(TPoly.from_coeffs([0] * (k - s) + [1]))  # t**(k-s)
+        geom = RatFun([0] * (k - s) + [1])  # t**(k-s)
         acc = acc + geom.scale(Fraction(-1 if s else 1))
     return acc
 

@@ -96,7 +96,7 @@ def test_q_examples():
     assert q_coefficient(0) == SymFunc.one()
     assert q_coefficient(1) == mono((1,), rf_one_minus_t_pow(1))
     # q_2 = h_2 - t e_1 h_1 + t^2 e_2
-    t = RatFun(__import__("symfock.ratfun", fromlist=["TPoly"]).TPoly.from_coeffs([0, 1]))
+    t = RatFun([0, 1])
     explicit = complete_h(2) - (elementary_e(1) * complete_h(1)).scaled(t) + elementary_e(2).scaled(t * t)
     assert q_coefficient(2) == explicit
 
@@ -139,9 +139,7 @@ def test_hl_oracle_examples():
     one = RatFun.from_int(1)
     assert hall_littlewood_oracle((1,), 2) == {(1, 0): one, (0, 1): one}
     got = hall_littlewood_oracle((2,), 2)
-    from symfock.ratfun import TPoly
-
-    omt = RatFun(TPoly.from_coeffs([1, -1]))
+    omt = RatFun([1, -1])
     assert got == {(2, 0): one, (0, 2): one, (1, 1): omt}
 
 
@@ -199,8 +197,8 @@ def _sympy_value(sp, xs, t, p):
     """A VarPoly as a sympy expression in xs and t."""
     out = 0
     for key, c in p.items():
-        num = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.num.coeff_vector()))
-        den = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.den.coeff_vector()))
+        num = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.num))
+        den = sum(sp.Rational(str(v)) * t**k for k, v in enumerate(c.den))
         out += num / den * sp.Mul(*(x**e for x, e in zip(xs, key)))
     return out
 

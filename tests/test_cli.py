@@ -284,6 +284,19 @@ def test_kp_file_is_never_reinterpreted(tmp_path, capsys, payload):
     assert code == 2 and "malformed" in err and out == ""
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{"terms": []}, {"terms": [{"p": [1], "coeff": {"num": []}}]}],
+    ids=["no-terms", "zero-coeff"],
+)
+def test_kp_file_rejects_zero_tau(tmp_path, capsys, payload):
+    # the zero vector satisfies the identity vacuously and is no tau-function
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(capsys, "kp", "--file", str(path))
+    assert code == 2 and str(path) in err and "zero" in err and out == ""
+
+
 def test_kp_search_rejects_negative_degree_bound(capsys):
     code, out, err = run_cli(capsys, "kp-search", "--degree-bound", "-1")
     assert code == 2 and "error" in err and out == ""

@@ -65,8 +65,11 @@ def test_fock_builds_modes_without_linear_combination():
 
 
 # ratfun's codec is the one packed-digit format: fock lays out slots and
-# chooses widths, but never converts between ints and bytes itself
-CODEC_INTERNALS = {"to_bytes", "from_bytes", "memoryview", "_WORDS", "_WIDTH_STEP"}
+# chooses widths, but never converts between ints and bytes itself, nor
+# reads ratfun's own packed Q(t) polynomials, their limb or their division
+CODEC_INTERNALS = {"to_bytes", "from_bytes", "memoryview", "_WORDS", "_WIDTH_STEP"} | {
+    "TPoly", "LIMB_BITS", "_HALF", "_limbs", "_pack_fractions", "poly_gcd", "poly_divmod"
+}
 
 
 def _names_read(source: str, names: set[str]) -> list[str]:
@@ -91,6 +94,12 @@ def test_codec_internal_read_is_reported():
         "    return memoryview(x.to_bytes(size, 'little')).cast(word)\n"
     )
     assert _names_read(source, CODEC_INTERNALS) == ["_WORDS:6", "memoryview:7", "to_bytes:7"]
+    source = (
+        "from . import ratfun\nfrom .ratfun import TPoly, poly_gcd\n\n\n"
+        "def lcm(d, q):\n    g = poly_gcd(q, TPoly(d, 1))  # not _limbs\n"
+        "    return ratfun.poly_divmod(d, g), d >> ratfun.LIMB_BITS\n"
+    )
+    assert _names_read(source, CODEC_INTERNALS) == ["LIMB_BITS:7", "TPoly:6", "poly_divmod:7", "poly_gcd:6"]
 
 
 def test_imported_names_are_read():
