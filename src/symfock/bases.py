@@ -30,7 +30,7 @@ packed limb width LIMB_BITS of `ratfun`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 from itertools import permutations
 from operator import mul
 from typing import Sequence
@@ -43,7 +43,7 @@ from .symfunc import SymFunc, sum_raw_fields
 # p-basis constructors
 
 
-@lru_cache(maxsize=None)
+@cache
 def complete_h(k: int) -> SymFunc:
     """Complete homogeneous h_k in power sums."""
     if k < 0:
@@ -56,7 +56,7 @@ def complete_h(k: int) -> SymFunc:
     return acc.scaled(Fraction(1, k))
 
 
-@lru_cache(maxsize=None)
+@cache
 def elementary_e(k: int) -> SymFunc:
     """Elementary e_k in power sums."""
     if k < 0:
@@ -70,7 +70,7 @@ def elementary_e(k: int) -> SymFunc:
     return acc.scaled(Fraction(1, k))
 
 
-@lru_cache(maxsize=None)
+@cache
 def q_coefficient(k: int) -> SymFunc:
     """Mode q_k of H(u) E(-u/t): q_k = sum_s h_{k-s} e_s (-t)**s."""
     if k < 0:
@@ -99,7 +99,7 @@ def _det_entries(la: Partition, entry) -> SymFunc:
     if ell == 0:
         return SymFunc.one()
 
-    @lru_cache(maxsize=None)
+    @cache
     def minor(cols: tuple[int, ...]) -> SymFunc:
         i = ell - len(cols)  # 0-based row index
         if not cols:
@@ -117,21 +117,21 @@ def _det_entries(la: Partition, entry) -> SymFunc:
     return minor(tuple(range(ell)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def schur(la: Partition) -> SymFunc:
     """Schur function via the Jacobi-Trudi determinant det[h_{la_i-i+j}]."""
     la = as_partition(la)
     return _det_entries(la, complete_h)
 
 
-@lru_cache(maxsize=None)
+@cache
 def dual_schur(la: Partition) -> SymFunc:
     """Dual basis element via the q-determinant det[q_{la_i-i+j}]."""
     la = as_partition(la)
     return _det_entries(la, q_coefficient)
 
 
-@lru_cache(maxsize=None)
+@cache
 def hl_norm_factor(la: Partition) -> RatFun:
     """b_la(t) = prod over part values of prod_{j=1}^{mult} (1 - t**j).
 

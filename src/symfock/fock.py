@@ -111,6 +111,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import zip_longest
 from math import comb, gcd
 from typing import Callable, Iterable
@@ -189,7 +190,7 @@ class _Grade:
     i-th partition), and the digit width and t-stride those columns share;
     the digits themselves are written and read by `ratfun`'s codec."""
 
-    __slots__ = ("weight", "parts", "index", "width", "stride", "_times")
+    __slots__ = ("weight", "parts", "index", "width", "stride")
 
     def __init__(self, n: int):
         self.weight = n
@@ -197,16 +198,13 @@ class _Grade:
         self.index = {la: i for i, la in enumerate(self.parts)}
         self.width = _width(0)
         self.stride = 1
-        self._times: dict[Partition, list[int]] = {}
 
+    @cache
     def times(self, mu: Partition) -> list[int]:
         """For the i-th partition nu of this weight, the index of nu + mu
         (the partition of p_nu p_mu) in the grade of weight n + |mu|."""
-        out = self._times.get(mu)
-        if out is None:
-            index = _grade(self.weight + weight(mu)).index
-            out = self._times[mu] = [index[tuple(sorted(nu + mu, reverse=True))] for nu in self.parts]
-        return out
+        index = _grade(self.weight + weight(mu)).index
+        return [index[tuple(sorted(nu + mu, reverse=True))] for nu in self.parts]
 
     def fit(self, bits: int, deg: int) -> tuple[int, int]:
         """The (width, stride) for digits below 2**bits and polynomials of
@@ -222,14 +220,7 @@ class _Grade:
         return self.width, self.stride
 
 
-_grades: dict[int, _Grade] = {}
-
-
-def _grade(n: int) -> _Grade:
-    g = _grades.get(n)
-    if g is None:
-        g = _grades[n] = _Grade(n)
-    return g
+_grade = cache(_Grade)
 
 
 class Column:
@@ -387,20 +378,15 @@ def _top(a: Exponents, b: Exponents) -> Exponents:
     return tuple(map(max, zip_longest(a, b, fillvalue=0)))
 
 
-_lifts: dict[tuple[Exponents, Exponents], tuple[int, ...]] = {}
-
-
+@cache
 def _lift(top: Exponents, ex: Exponents) -> tuple[int, ...]:
     """The digits of prod_v (1-t^v)**(top[v-1] - ex[v-1]), ex <= top: the exact
     quotient that rewrites a fraction over ex as one over top."""
-    out = _lifts.get((top, ex))
-    if out is None:
-        out = (1,)
-        for v, k in enumerate(top, 1):
-            factor = (1,) + (0,) * (v - 1) + (-1,)
-            for _ in range(k - (ex[v - 1] if v <= len(ex) else 0)):
-                out = _pmul(out, factor)
-        _lifts[top, ex] = out
+    out = (1,)
+    for v, k in enumerate(top, 1):
+        factor = (1,) + (0,) * (v - 1) + (-1,)
+        for _ in range(k - (ex[v - 1] if v <= len(ex) else 0)):
+            out = _pmul(out, factor)
     return out
 
 
@@ -578,33 +564,28 @@ class VertexKernel:
         self.eps = eps
         self.a = a
         self.c = c
-        self._mult_cols: list[MultColumn] = []
-        self._tables: dict[Partition, Rows] = {}
         # keyed by (shift, la)
         self._modes: dict[tuple[int, Partition], Column] = {}
 
     def __repr__(self) -> str:
         return f"VertexKernel({self.name})"
 
-    def _mult_column(self, k: int) -> MultColumn:
-        """A_k as a Column: the coefficient of u**-k in exp(sum a_n p_n u**-n / n),
+    @cache
+    def _mult_column(self, m: int) -> MultColumn:
+        """A_m as a Column: the coefficient of u**-m in exp(sum a_n p_n u**-n / n),
         by m A_m = sum_n a_n p_n A_(m-n) on digits."""
-        cols = self._mult_cols
-        while len(cols) <= k:
-            m = len(cols)
-            if m == 0:
-                col = Column.from_digits(0, [((), 1)], 1)
-            else:
-                pieces = []
-                for n in range(1, m + 1):
-                    a = self.a(n).poly_parts()
-                    if a is None:
-                        raise ValueError(f"{self.name}: a_{n} is not a polynomial in t over an integer")
-                    pieces.append((a[0], a[1] * m, (), cols[m - n], (n,)))
-                col = _digit_sum(m, pieces)
-            index = _grade(m).index
-            cols.append((col, [(index[la], _poly(c)) for la, c in col.digits()], {}))
-        return cols[k]
+        if m == 0:
+            col = Column.from_digits(0, [((), 1)], 1)
+        else:
+            pieces = []
+            for n in range(1, m + 1):
+                a = self.a(n).poly_parts()
+                if a is None:
+                    raise ValueError(f"{self.name}: a_{n} is not a polynomial in t over an integer")
+                pieces.append((a[0], a[1] * m, (), self._mult_column(m - n), (n,)))
+            col = _digit_sum(m, pieces)
+        index = _grade(m).index
+        return col, [(index[la], _poly(c)) for la, c in col.digits()], {}
 
     def _c_parts(self, v: int) -> tuple[Digits, int, int]:
         """c_v as (c, b, k), b > 0, of value c(t) / (b (1-t^v)**k)."""
@@ -613,6 +594,7 @@ class VertexKernel:
             raise ValueError(f"{self.name}: c_{v} has a denominator other than b (1-t^{v})**k")
         return out
 
+    @cache
     def _digit_table(self, la: Partition) -> Rows:
         """C_r p_la for every r, as {r: [row]} over the one denominator D_la.
 
@@ -621,31 +603,29 @@ class VertexKernel:
         every coefficient is written over D_la = prod_v b**m (1-t^v)**(k m),
         as c_v**j = c**j b**(m-j) (1-t^v)**(k (m-j)) / (b (1-t^v)**k)**m.
         """
-        rows = self._tables.get(la)
-        if rows is None:
-            terms: list[tuple[int, Digits, Partition]] = [(0, 1, ())]
-            den = 1
-            ex = [0] * (la[0] if la else 0)
-            for v, mult in multiplicities(la).items():
-                c, b, k = self._c_parts(v)
-                lead = (0,) * (v - 1)
-                power = 1  # c**j
-                out = []
-                for j in range(mult + 1):
-                    f = _pmul(comb(mult, j) * b ** (mult - j), _pmul(power, _lift(lead + (k * (mult - j),), ())))
-                    out += [(r + v * j, _pmul(num, f), rest + (v,) * (mult - j)) for r, num, rest in terms]
-                    power = _pmul(power, c)
-                terms = out
-                den *= b**mult
-                ex[v - 1] = k * mult
-            while ex and not ex[-1]:
-                ex.pop()
-            rows = self._tables[la] = {}
-            n = weight(la)
-            for r, num, rest in terms:
-                if r not in rows:
-                    rows[r] = [(n - r, den, tuple(ex), [])]
-                rows[r][0][3].append((rest, num))
+        terms: list[tuple[int, Digits, Partition]] = [(0, 1, ())]
+        den = 1
+        ex = [0] * (la[0] if la else 0)
+        for v, mult in multiplicities(la).items():
+            c, b, k = self._c_parts(v)
+            lead = (0,) * (v - 1)
+            power = 1  # c**j
+            out = []
+            for j in range(mult + 1):
+                f = _pmul(comb(mult, j) * b ** (mult - j), _pmul(power, _lift(lead + (k * (mult - j),), ())))
+                out += [(r + v * j, _pmul(num, f), rest + (v,) * (mult - j)) for r, num, rest in terms]
+                power = _pmul(power, c)
+            terms = out
+            den *= b**mult
+            ex[v - 1] = k * mult
+        while ex and not ex[-1]:
+            ex.pop()
+        rows: Rows = {}
+        n = weight(la)
+        for r, num, rest in terms:
+            if r not in rows:
+                rows[r] = [(n - r, den, tuple(ex), [])]
+            rows[r][0][3].append((rest, num))
         return rows
 
     def _mode_sum(self, shift: int, rows: Rows) -> list[Column]:

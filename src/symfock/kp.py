@@ -68,15 +68,6 @@ class TensorState:
                 else:
                     self.terms[key] = s
 
-    def map_bodies(self, fn) -> "TensorState":
-        """Apply a SymFunc endomorphism to both tensor legs, coefficientwise."""
-        out = TensorState(self.left_charge, self.right_charge)
-        for (la, mu), c in self.terms.items():
-            left = fn(SymFunc.monomial(la, c))
-            right = fn(SymFunc.monomial(mu))
-            out.add_product(left, right)
-        return out
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorState):
             return NotImplemented

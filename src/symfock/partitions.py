@@ -7,7 +7,7 @@ power-sum monomial indexing used everywhere else.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import factorial
 from typing import Iterator
 
@@ -51,7 +51,7 @@ def partitions_up_to(max_weight: int) -> Iterator[Partition]:
         yield from partitions_of(w)
 
 
-@lru_cache(maxsize=None)
+@cache
 def partition_count(w: int) -> int:
     """Number of partitions of w, by the Euler pentagonal-free DP."""
     counts = [0] * (w + 1)

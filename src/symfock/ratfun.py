@@ -49,6 +49,7 @@ import re
 import struct
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Collection, Iterable, Sequence
 
@@ -80,16 +81,11 @@ def _width(bits: int) -> int:
     return (bits // 32 + 1) * 32
 
 
-_offsets: dict[tuple[int, int], tuple[bytes, int]] = {}
-
-
+@cache
 def _offset(width: int, count: int) -> tuple[bytes, int]:
     """Half a digit, 2**(width-1), in each of count slots: as little-endian bytes and as an int."""
-    out = _offsets.get((width, count))
-    if out is None:
-        pattern = (bytes(width // 8 - 1) + b"\x80") * count
-        out = _offsets[width, count] = (pattern, int.from_bytes(pattern, "little"))
-    return out
+    pattern = (bytes(width // 8 - 1) + b"\x80") * count
+    return pattern, int.from_bytes(pattern, "little")
 
 
 def _pack(slots: Iterable[tuple[int, int]], width: int, count: int) -> int:
@@ -223,15 +219,7 @@ def poly_gcd(a: Sequence[Fraction | int], b: Sequence[Fraction | int]) -> list[F
     """Monic gcd over Q[t] of coefficient lists ascending in t; gcd(0, 0) = []."""
     ca, cb = _trimmed(a), _trimmed(b)
     while cb:
-        ra = ca
-        lead = Fraction(cb[-1])
-        while len(ra) >= len(cb):
-            c = ra[-1] / lead
-            for j in range(len(cb)):
-                ra[len(ra) - len(cb) + j] -= c * cb[j]
-            while ra and ra[-1] == 0:
-                ra.pop()
-        ca, cb = cb, ra
+        ca, cb = cb, poly_divmod(ca, cb)[1]
     if not ca:
         return []
     lead = Fraction(ca[-1])
@@ -501,26 +489,17 @@ RF_ZERO = RatFun._raw(0, 1, 1, 1, True)
 RF_ONE = RatFun._raw(1, 1, 1, 1, True)
 RF_T = RatFun._raw(1 << LIMB_BITS, 1, 1, 1, True)
 
-_omtp_rf_cache: dict[int, RatFun] = {}
-_inv_omtp_rf_cache: dict[int, RatFun] = {}
 
-
+@cache
 def rf_one_minus_t_pow(n: int) -> RatFun:
     """(1 - t**n) as a rational function."""
-    r = _omtp_rf_cache.get(n)
-    if r is None:
-        r = RatFun._raw(1 - (1 << (LIMB_BITS * n)), 1, 1, 1, True)
-        _omtp_rf_cache[n] = r
-    return r
+    return RatFun._raw(1 - (1 << (LIMB_BITS * n)), 1, 1, 1, True)
 
 
+@cache
 def rf_inv_one_minus_t_pow(n: int) -> RatFun:
     """1/(1 - t**n) as a rational function."""
-    r = _inv_omtp_rf_cache.get(n)
-    if r is None:
-        r = RatFun._raw(1, 1, 1 - (1 << (LIMB_BITS * n)), 1)
-        _inv_omtp_rf_cache[n] = r
-    return r
+    return RatFun._raw(1, 1, 1 - (1 << (LIMB_BITS * n)), 1)
 
 
 _FRACTION_RE = re.compile(r"^-?\d+(/\d+)?$")

@@ -144,20 +144,13 @@ class SymFunc:
         return SymFunc({la: v * c for la, v in self.terms.items()}, _clean=True)
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
-        if not self.terms or not other.terms:
-            return SymFunc.zero()
-        out: dict[Partition, RatFun] = {}
-        for la, c in self.terms.items():
-            for mu, d in other.terms.items():
-                key = _merge(la, mu)
-                prod = c * d
-                acc = out.get(key)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return SymFunc(out, _clean=True)
+        """The product, its term products summed as raw fields (`sum_raw_fields`)."""
+        terms = [
+            (_merge(la, mu), c.ne * d.ne, c.nd * d.nd, c.de * d.de, c.dd * d.dd)
+            for la, c in self.terms.items()
+            for mu, d in other.terms.items()
+        ]
+        return SymFunc(sum_raw_fields(terms), _clean=True)
 
     def times_p(self, n: int) -> "SymFunc":
         """Multiplication by the generator p_n (cheap monomial prefixing)."""
@@ -235,8 +228,8 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
 
     Fock operators sum packed columns instead (`fock.combine`); this serves
     the kernel-factorization items of `verify` and is the tests' reference.
-    Its bucket sum `sum_raw_fields` has two more users, `perp_apply` and
-    `bases.expand_in_variables`.
+    Its bucket sum `sum_raw_fields` has three more users, `SymFunc.__mul__`,
+    `perp_apply` and `bases.expand_in_variables`.
     """
     return SymFunc(sum_raw_fields(_scaled_terms(pairs)), _clean=True)
 

@@ -1,8 +1,8 @@
 """Mode actions of the vertex kernels and the derived operator algebras."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -440,6 +440,18 @@ def _column(n, body):
     return Column.from_digits(n, digits, den)
 
 
+@contextmanager
+def _fresh_grades():
+    """Every grade rebuilt at its least width and stride, on entry and again on
+    exit; a cached column packed under the cleared grades is repacked by
+    `_combine` when a sum it enters needs another width or stride."""
+    fock._grade.cache_clear()
+    try:
+        yield
+    finally:
+        fock._grade.cache_clear()
+
+
 # small digits, digits past 2**63 and 2**127 (so sums need widths above 64
 # and 128 bits), and the edges around those powers, of either sign
 _INTS = st.one_of(
@@ -477,7 +489,7 @@ def _q_pairs(draw):
 @given(_q_pairs())
 def test_packed_apply_matches_linear_combination(case):
     pairs, cancel = case
-    with mock.patch.dict(fock._grades, clear=True):
+    with _fresh_grades():
         columns = [(c, _column(weight(next(iter(body.terms))), body)) for c, body in pairs]
         assert all(col.bits < col.width for _, col in columns)
         assert [col.body for _, col in columns] == [body for _, body in pairs]
@@ -489,15 +501,15 @@ def test_packed_apply_matches_linear_combination(case):
 def test_width_grows_mid_run():
     small = SymFunc({(3,): RatFun.from_int(5), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
     wide = SymFunc({(1, 1, 1): RatFun.from_int(2**150), (3,): RatFun.from_int(-1)})
-    with mock.patch.dict(fock._grades, clear=True):
+    with _fresh_grades():
         a = _column(3, small)
         narrow = a.width
         first = combine([(RatFun.from_int(3), a)])
         b = _column(3, wide)  # grows the width of weight 3; a keeps its packing
-        assert b.width == fock._grades[3].width > narrow == a.width
+        assert b.width == fock._grade(3).width > narrow == a.width
         pairs = [(RatFun.from_int(3), a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
         got = combine(pairs)
-        assert a.width == b.width == fock._grades[3].width  # a repacked once, in place
+        assert a.width == b.width == fock._grade(3).width  # a repacked once, in place
         assert a.body == small and b.body == wide
     assert first == small.scaled(3)
     assert got == linear_combination((c, col.body) for c, col in pairs)
@@ -584,7 +596,7 @@ _FULL_CONVOLUTION = (
 @example(_FULL_CONVOLUTION)
 def test_packed_poly_apply_matches_linear_combination(case):
     pairs, cancel = case
-    with mock.patch.dict(fock._grades, clear=True):
+    with _fresh_grades():
         columns = [(c, _column(weight(next(iter(body.terms))), body)) for c, body in pairs]
         assert all(col.bits < col.width and col.deg < col.stride for _, col in columns)
         assert [col.body for _, col in columns] == [body for _, body in pairs]
@@ -596,16 +608,16 @@ def test_packed_poly_apply_matches_linear_combination(case):
 def test_stride_grows_mid_run():
     low = SymFunc({(3,): RatFun.from_poly([5, -1], 1), (2, 1): RatFun.from_fraction(Fraction(-7, 3))})
     high = SymFunc({(1, 1, 1): RatFun.from_poly([1, 0, 0, 0, 0, 0, 0, 0, 0, 2], 1), (3,): RF_T})
-    with mock.patch.dict(fock._grades, clear=True):
+    with _fresh_grades():
         a = _column(3, low)
         short = a.stride
         first = combine([(RatFun.from_int(3), a)])
         b = _column(3, high)  # grows the stride of weight 3; a keeps its packing
-        assert b.stride == fock._grades[3].stride > short == a.stride
+        assert b.stride == fock._grade(3).stride > short == a.stride
         pairs = [(RF_T * RF_T, a), (RatFun.from_fraction(Fraction(-1, 3)), b)]
         got = combine(pairs)
         # the t**2 multiple of a needs t-degree 3, below the stride of b
-        assert a.stride == b.stride == fock._grades[3].stride  # a repacked once, in place
+        assert a.stride == b.stride == fock._grade(3).stride  # a repacked once, in place
         assert a.body == low and b.body == high
         # a Q column keeps stride 1 beside them, until a t-dependent sum needs more
         q_body = SymFunc({(2, 1): RatFun.from_int(4)})

@@ -1,7 +1,7 @@
 """Source hygiene without a linter: every imported name is used, every
 function, class and method is referenced somewhere, guarded fields are
-written only where allowed, and the finite-variable oracles stay an
-independent route."""
+written only where allowed, the finite-variable oracles stay an
+independent route, and every memo is a functools cache."""
 
 import ast
 from pathlib import Path
@@ -267,3 +267,85 @@ def test_route_leak_is_reported():
         "def unrelated():\n    return vertex.mode\n"
     )
     assert _route_leaks(source, ("oracle",), OTHER_ROUTES) == ["_helper:SymFunc", "_helper:fock", "oracle:schur"]
+
+
+# functools.cache is the one memo mechanism, so every memo reports cache_info();
+# the dicts that stay are the two bilinear caches and the per-kernel mode cache,
+# which the bench shim reads by name, and verify's per-process skip set
+MEMO_DICTS = {"fock._heis_cache", "fock._vir_cache", "fock.VertexKernel._modes", "verify._passed"}
+
+
+def _is_empty_container(node: ast.AST) -> bool:
+    """{}, [], dict(), list() or set()."""
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in ("dict", "list", "set")
+        and not node.args and not node.keywords
+    )
+
+
+def _hand_rolled_memos(sources: dict[str, str]) -> list[str]:
+    """Empty dicts, lists and sets bound at module level or to self.<name> in
+    an __init__, outside MEMO_DICTS, and every use of lru_cache, as
+    module.name:line."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        statements = [("", node) for node in tree.body]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and fn.name == "__init__":
+                        statements += [(cls.name + ".", node) for node in ast.walk(fn)]
+        for owner, node in statements:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign):
+                targets = [node.target]
+            else:
+                continue
+            if node.value is None or not _is_empty_container(node.value):
+                continue
+            for target in targets:
+                if owner:
+                    on_self = isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self"
+                    name = target.attr if on_self else None
+                else:
+                    name = getattr(target, "id", None)
+                if name and f"{module}.{owner}{name}" not in MEMO_DICTS:
+                    found.append(f"{module}.{owner}{name}:{node.lineno}")
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+            if "lru_cache" in names:
+                found.append(f"{module}.lru_cache:{node.lineno}")
+    return sorted(found)
+
+
+def test_memos_are_functools_caches():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _hand_rolled_memos(sources) == []
+
+
+def test_hand_rolled_memo_is_reported():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n_memo = {}\n_seen: set[int] = set()\n"
+        "_heis_cache = {}\nLIMITS = {'a': 1}\n\n\n"
+        "class VertexKernel:\n    def __init__(self):\n        self._rows: list = []\n        self._modes = dict()\n"
+        "        self.name = 'k'\n\n    def grow(self):\n        self._late = {}\n\n\n"
+        "@functools.lru_cache(maxsize=None)\ndef f(n):\n    seen = {}\n    return seen\n\n\n"
+        "g = cache(f)\n"
+    )
+    assert _hand_rolled_memos({"fock": source, "verify": "_passed = {}\n_order = []\n"}) == [
+        "fock.VertexKernel._rows:12",
+        "fock._memo:4",
+        "fock._seen:5",
+        "fock.lru_cache:2",
+        "fock.lru_cache:20",
+        "verify._order:2",
+    ]

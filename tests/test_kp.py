@@ -1,6 +1,7 @@
 """The bilinear identity: tau certificates and counterexamples."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -8,7 +9,7 @@ from symfock.bases import dual_schur, schur
 from symfock.fock import DEFORMED_MINUS, DEFORMED_PLUS, FERMION_MINUS, FERMION_PLUS, FockVector, mode_apply
 from symfock.kp import TensorState, is_tau, omega_apply, search_negative_control, tensor_to_json
 from symfock.partitions import partitions_up_to
-from symfock.ratfun import RF_T, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.ratfun import RF_ONE, RF_T, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc
 
 
@@ -88,15 +89,24 @@ def test_is_tau_scale_invariant():
 
 
 def test_deformed_equivariance():
-    # Omega_t(sigma f (x) sigma g) = (sigma (x) sigma) Omega(f (x) g)
+    # Omega_t(sigma f (x) sigma g) = (sigma (x) sigma) Omega(f (x) g); sigma sends
+    # p_la to sigma_la p_la with sigma_la = prod_i (1 - t**la_i), so the (la, mu)
+    # coefficient of the right side is sigma_la sigma_mu times that of Omega(f (x) g)
     sig = rf_one_minus_t_pow
+
+    def sigma(la):
+        return prod(map(sig, la), start=RF_ONE)
+
     for f, g in [
         (schur((2, 1)) + SymFunc.p(1), schur((2,)) + SymFunc.one()),
         (SymFunc.p(1) * SymFunc.p(1), schur((1, 1))),
         (schur((2, 2)), SymFunc.one() + schur((1,))),
     ]:
         lhs = omega_apply(f.scale_p(sig), g.scale_p(sig), deformed=True)
-        rhs = omega_apply(f, g, deformed=False).map_bodies(lambda s: s.scale_p(sig))
+        state = omega_apply(f, g, deformed=False)
+        terms = {(la, mu): c * sigma(la) * sigma(mu) for (la, mu), c in state.terms.items()}
+        rhs = TensorState(state.left_charge, state.right_charge, terms)
+        assert not rhs.is_zero()
         assert lhs == rhs
 
 

@@ -200,6 +200,9 @@ def test_poly_lcm_matches_sympy(sympy, cofactors, shared):
     assert set(quotients) == set(dens)
     for d, p in dens.items():
         assert trimmed(naive_mul(_coeffs(*quotients[d]), p)) == list(_coeffs(*q))
+    a, b = (polys * 2)[:2]  # a single drawn polynomial is paired with itself
+    g = sympy.gcd(sympy.Poly(a[::-1], t), sympy.Poly(b[::-1], t)).all_coeffs()[::-1]
+    assert poly_gcd(a, b) == _monic([Fraction(int(c)) for c in g])
 
 
 rat_funs = st.builds(
