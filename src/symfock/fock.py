@@ -69,12 +69,11 @@ denominator (`combine`), one multiply per input term, and unpacks the
 sum to a SymFunc, one gcd per coefficient and every digit over a
 t-denominator checked against the limb bound of `ratfun`; on a basis
 vector `mode_apply` returns the cached column's view, built once
-(`Column.kept_body`).  `composition` builds K1[j1] K2[j2] z^m p_la the
-same way, for the anticommutator and bilinear sums.
-
-Bilinears.  The Heisenberg and Virasoro modes of one (k, la) are built
-at every charge of a sweep at once, from one set of transient
-charge-0-frame compositions (`_normal_ordered_pair`).
+(`Column.kept_body`).  `composition` builds K1[j1] K2[j2] p_la the same
+way at charge 0; on z^m p_la that is the product at (j1 + eps1 m,
+j2 + eps2 m).  The fermion and bilinear sums read each from `diagonal`;
+the Heisenberg and Virasoro modes of one (k, la) are built at every
+charge of a sweep from one such pair (`_normal_ordered_pair`).
 
 Neither the width w nor the t-stride s is set by an option: both follow
 from bounds on the digits and t-degrees carried with each column (never
@@ -103,8 +102,9 @@ packed, and the result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
-basis vector z^m p_la of a window (`verify` checks the bilinear suites
-on packed columns instead, with `_combine` as the zero test).
+basis vector z^m p_la of a window (`verify` checks the fermion and
+bilinear suites on packed columns instead, with `_combine` as the zero
+test).
 """
 
 from __future__ import annotations
@@ -739,22 +739,28 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 # normal-ordered bilinears in the classical fermions
 
 
-def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, m: int, la: Partition) -> Column:
-    """outer[j1] inner[j2] z^m p_la as one packed Column, for an inner kernel
+def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, la: Partition) -> Column:
+    """outer[j1] inner[j2] p_la as one packed Column, for an inner kernel
     whose modes have scalar denominators (fermion and twisted): one piece
     per nonzero coefficient c_mu of the inner column, on the cached outer
     column of p_mu.  An inner column over a (1-t^v) denominator raises
     ValueError."""
-    col = inner.mode_on_basis(j2, m, la)
+    col = inner.mode_on_basis(j2, 0, la)
     if col.ex:
-        raise ValueError(f"{inner.name}[{j2}] z^{m} p_{list(la)} is over (1-t^v); composition needs a scalar den")
+        raise ValueError(f"{inner.name}[{j2}] p_{list(la)} is over (1-t^v); composition needs a scalar den")
     pieces = []
     for mu, c in col.digits():
-        out = outer.mode_on_basis(j1, m + inner.eps, mu)
-        if not out.is_zero():
+        out = outer.mode_on_basis(j1, inner.eps, mu)
+        if out.enc:
             pieces.append((c, col.den, out))
-    n = weight(la) - (j2 + inner.eps * m + 1) - (j1 + outer.eps * (m + inner.eps) + 1)
-    return _combine(n, pieces)
+    return _combine(weight(la) - j1 - j2 - 2 - outer.eps * inner.eps, pieces)
+
+
+def diagonal(k1: VertexKernel, k2: VertexKernel, d: int, la: Partition) -> tuple[Callable[[int], Column], ...]:
+    """X(a) = k1[a] k2[d-a] p_la and Y(b) = k2[b] k1[d-b] p_la, each built on
+    first use and dropped with the pair; Y is X when k1 is k2."""
+    X = cache(lambda a: composition(k1, a, k2, d - a, la))
+    return X, X if k1 is k2 else cache(lambda b: composition(k2, b, k1, d - b, la))
 
 
 # (k, charge, la) -> mode k of alpha (_heis_cache) or L^0 (_vir_cache) on z^charge p_la
@@ -770,12 +776,11 @@ def _normal_ordered_pair(k: int, la: Partition, charges: Iterable[int], kinds: I
     :fermion+[a] fermion-[b]:, with w = b for L^0 and w = 1 for alpha
     (beta-free, as L^beta_k = L^0_k - beta (k-1) alpha_k).  The normal
     ordering sends a <= -1 outermost and a >= 0 innermost with a minus
-    sign.  A mode sees the charge only through its shift, so at charge m
-    the pair (a, b) is, with a' = a + m, one of the charge-0-frame
-    compositions
+    sign.  At charge m the pair (a, b) is, with a' = a + m, a side of
+    `diagonal(fermion+, fermion-, k-1, la)`:
 
-        C+(a') = fermion+[a'] fermion-[k-1-a'] p_la     (a' < m)
-        C-(a') = fermion-[k-1-a'] fermion+[a'] p_la     (a' >= m)
+        C+(a') = fermion+[a'] fermion-[k-1-a'] p_la = X(a')      (a' < m)
+        C-(a') = fermion-[k-1-a'] fermion+[a'] p_la = Y(k-1-a')  (a' >= m)
 
     and  alpha_k z^m p_la = sum_{a'<m} C+(a') - sum_{a'>=m} C-(a'), L^0_k
     the same sum weighted by b = k-1-a'+m.  C+ vanishes below a' = k - |la|
@@ -789,7 +794,7 @@ def _normal_ordered_pair(k: int, la: Partition, charges: Iterable[int], kinds: I
     hold one column per (k, a', la) on top of them.
     """
     deg = weight(la)
-    built: dict[tuple[int, int], Column] = {}  # (1, a') -> C+(a'), (-1, a') -> C-(a')
+    X, Y = diagonal(FERMION_PLUS, FERMION_MINUS, k - 1, la)
     for m in set(charges):
         for weighted in set(kinds):
             cache = _vir_cache if weighted else _heis_cache
@@ -798,13 +803,7 @@ def _normal_ordered_pair(k: int, la: Partition, charges: Iterable[int], kinds: I
             pieces = []
             for sign, span in zip((1, -1), _pair_ranges(k, deg, m)):
                 for a in span:
-                    col = built.get((sign, a))
-                    if col is None:
-                        if sign > 0:
-                            col = composition(FERMION_PLUS, a, FERMION_MINUS, k - 1 - a, 0, la)
-                        else:
-                            col = composition(FERMION_MINUS, k - 1 - a, FERMION_PLUS, a, 0, la)
-                        built[sign, a] = col
+                    col = X(a) if sign > 0 else Y(k - 1 - a)
                     w = k - 1 - a + m if weighted else 1
                     if w and col.enc:
                         pieces.append((sign * w, 1, col))

@@ -20,7 +20,7 @@ plain functions on Fock vectors and go through `check_mode_identity`.  The
 bilinear suites (heisenberg, twisted-heisenberg, virasoro) state theirs as
 `_combine` pieces on the cached bilinear columns (`fock.bilinear_column`,
 `fock.twisted_heisenberg_column`) and go through `_check_packed`, one
-packed zero test (`fock._combine`) per basis vector; the brackets share one
+packed zero test (`_differ`) per basis vector; the brackets share one
 builder, `_bracket`, which unpacks the inner mode's column once and puts
 each digit on the outer mode's column.  beta enters as an integer
 numerator and denominator, as L^beta_k = L^0_k - beta (k-1) alpha_k is
@@ -38,12 +38,13 @@ for a kernel pair (K+, K-) and a parameter t,
 
 with (fermion+, fermion-, 0) and (twisted+, twisted-, t).  At t = 0 these
 are the classical anticommutators and the t-shifted terms are never built.
-Each pair's left side minus its right side is one packed Z[t] column
-(`fock.composition`, `fock.combine`) whose integer is zero exactly when the
-relation holds; a SymFunc is built only for a failure witness.  A mode sees
-the charge m only through its shift j + eps m + 1, so the check at (a, b, m,
-la) is the one at (a + eps1 m, b + eps2 m, 0, la), and each process runs it
-once.  Only passing keys are kept: a failure and its witness are never cached.
+A mode sees the charge m only through its shift j + eps m + 1, so the check
+at (a, b, m, la) is the one at (a + eps1 m, b + eps2 m, 0, la): its
+compositions are read in that charge-0 frame from `fock.diagonal`, and each
+process runs it once.  Each pair's two sides are stated as pieces, and the
+same packed zero test as the bilinear suites' (`_differ`) decides it; a
+SymFunc is built only for a failure witness.  Only passing keys are kept: a
+failure and its witness are never cached.
 """
 
 from __future__ import annotations
@@ -82,16 +83,15 @@ from .fock import (
     _unpack,
     bilinear_column,
     check_mode_identity,
-    combine,
-    composition,
     corrupted_kernel,
+    diagonal,
     mode_apply,
     one_minus_t_pow_ex,
     twisted_heisenberg_column,
 )
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_pow
-from .symfunc import SymFunc, linear_combination, perp_apply, scalar_product, symfunc_to_json
+from .symfunc import linear_combination, perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
 # one corrupted copy per kernel, so its mode cache survives across items
@@ -175,10 +175,12 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     """All anticommutators of one relation with a+b = d at once, on the
     (plus, minus, t) of the suite's record.
 
-    With X[x] = K1[x] K2[d-x] v and Y[y] = K2[y] K1[d-y] v, the pair (a, b)
-    reads {K1[a], K2[b]} = X[a] + Y[b] and its t-terms are X[a+e] + Y[b+e].
-    A check whose charge-0 key is in this process's `_passed` is skipped;
-    the others build the X and Y they read, once per (m, la).
+    On z^m p_la the pair (a, b) is, in the charge-0 frame, the one at
+    (a0, b0) = (a + K1.eps m, b + K2.eps m), on the diagonal d0 = a0 + b0.
+    With X, Y the two sides of `diagonal(K1, K2, d0, la)`, {K1[a], K2[b]}
+    reads X(a0) + Y(b0) and its t-terms X(a0+e) + Y(b0+e).  A check whose
+    key (a0, b0, la) is in this process's `_passed` is skipped; the others
+    build the X and Y they read, once per (m, la).
     """
     rel, d = params
     plus, minus, t = SUITES[suite].kernels
@@ -188,28 +190,26 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     W = opts.max_mode
     window = range(max(-W, d - W), min(W, d + W) + 1)
     pairs = [(a, d - a) for a in window if rel == "pm" or a <= d - a]
-    delta = (RF_ONE - t) * (RF_ONE - t) if rel == "pm" and d == -1 else RF_ZERO
-    delta_digits, delta_den = delta.poly_parts()
-    minus_one, minus_t = -RF_ONE, -t
+    delta = ((RF_ONE - t) * (RF_ONE - t) if rel == "pm" and d == -1 else RF_ZERO).poly_parts()
+    minus_t = (-t).poly_parts()
     name = f"{rel}[a+b={d}]"
     passed = _passed.setdefault((K1, K2, t), set())
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
-            X = cache(lambda x: composition(K1, x, K2, d - x, m, la))
-            Y = X if K1 is K2 else cache(lambda y: composition(K2, y, K1, d - y, m, la))
-            want_col = Column.from_digits(weight(la), [(la, delta_digits)], delta_den)
+            X, Y = diagonal(K1, K2, d + (K1.eps + K2.eps) * m, la)
+            right = _unit(la, *delta)
             for a, b in pairs:
-                key = (a + K1.eps * m, b + K2.eps * m, la)
-                if key in passed:
+                a0, b0 = a + K1.eps * m, b + K2.eps * m
+                if (a0, b0, la) in passed:
                     continue
-                terms = [(RF_ONE, X(a)), (RF_ONE, Y(b)), (minus_one, want_col)]
-                diff = combine(terms + [(minus_t, X(a + e)), (minus_t, Y(b + e))] if t else terms)
-                if not diff.is_zero():
-                    want = FockVector(m, SymFunc.monomial(la, delta))
-                    got = FockVector(m + K1.eps + K2.eps, diff + want.body)
-                    witness = Verdict(False, m, la, got, want).witness_json()
+                left = _pieces(X(a0)) + _pieces(Y(b0))
+                if t:
+                    left += _pieces(X(a0 + e), *minus_t) + _pieces(Y(b0 + e), *minus_t)
+                if _differ(left, right):
+                    lhs = _vector(m + K1.eps + K2.eps, left)
+                    witness = Verdict(False, m, la, lhs, _vector(m, right)).witness_json()
                     return CheckResult(suite, name, False, {"relation": rel, "a": a, "b": b, **witness})
-                passed.add(key)
+                passed.add((a0, b0, la))
     return CheckResult(suite, name, True, None)
 
 
@@ -223,6 +223,19 @@ def _negated(c: Digits) -> Digits:
     return -c if type(c) is int else tuple(-d for d in c)
 
 
+def _differ(left: list[Piece], right: list[Piece]) -> bool:
+    """The one packed zero test: whether left minus right, pieces all of one
+    weight, is nonzero."""
+    pieces = left + [(_negated(c), b, col) for c, b, col in right]
+    return bool(pieces and _combine(pieces[0][2].weight, pieces).enc)
+
+
+def _vector(m: int, pieces: list[Piece]) -> FockVector:
+    """One side of a failure witness: its pieces, of one weight, summed packed
+    and unpacked, at charge m."""
+    return FockVector(m, _unpack([_combine(pieces[0][2].weight, pieces)] if pieces else [], None))
+
+
 def _check_packed(
     suite: str, name: str, sides: Callable[[int, Partition], tuple[list[Piece], list[Piece]]], opts: SweepOptions
 ) -> CheckResult:
@@ -234,11 +247,9 @@ def _check_packed(
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
             left, right = sides(m, la)
-            pieces = left + [(_negated(c), b, col) for c, b, col in right]
-            if pieces and _combine(pieces[0][2].weight, pieces).enc:
-                n = pieces[0][2].weight
-                lhs, rhs = (FockVector(m, _unpack([_combine(n, side)], None)) for side in (left, right))
-                return CheckResult(suite, name, False, Verdict(False, m, la, lhs, rhs).witness_json())
+            if _differ(left, right):
+                witness = Verdict(False, m, la, _vector(m, left), _vector(m, right)).witness_json()
+                return CheckResult(suite, name, False, witness)
     return CheckResult(suite, name, True)
 
 
@@ -261,12 +272,12 @@ def _bracket(op: ModeOp, j: int, k: int, m: int, la: Partition) -> list[Piece]:
     return out
 
 
-def _pieces(col: Column, c: int = 1, b: int = 1) -> list[Piece]:
+def _pieces(col: Column, c: Digits = 1, b: int = 1) -> list[Piece]:
     """(c/b) col as pieces, none for a zero column."""
     return [(c, b, col)] if col.enc else []
 
 
-def _unit(la: Partition, c: int, b: int = 1, ex: Exponents = ()) -> list[Piece]:
+def _unit(la: Partition, c: Digits, b: int = 1, ex: Exponents = ()) -> list[Piece]:
     """(c/b) p_la / prod_v (1-t^v)**ex[v-1] as pieces, none for c = 0."""
     return [(c, b, Column.from_digits(weight(la), [(la, 1)], 1, ex))] if c else []
 

@@ -24,6 +24,7 @@ from symfock.fock import (
     combine,
     composition,
     corrupted_kernel,
+    diagonal,
     heisenberg_mode,
     mode_apply,
     twisted_heisenberg_mode,
@@ -389,7 +390,24 @@ def test_composition_rejects_an_inner_column_over_a_t_denominator():
     # inner deformed mode would give a wrong sum
     assert DEFORMED_MINUS.mode_on_basis(0, 0, (2, 1)).ex == (1, 1)
     with pytest.raises(ValueError):
-        composition(DEFORMED_PLUS, -2, DEFORMED_MINUS, 0, 0, (2, 1))
+        composition(DEFORMED_PLUS, -2, DEFORMED_MINUS, 0, (2, 1))
+
+
+@pytest.mark.parametrize(
+    "k1, k2", [(FERMION_PLUS, FERMION_MINUS), (TWISTED_MINUS, TWISTED_PLUS), (TWISTED_PLUS, TWISTED_PLUS)]
+)
+def test_diagonal_sides_are_the_mode_products(k1, k2):
+    # X(a) = k1[a] k2[d-a] p_la and Y(b) = k2[b] k1[d-b] p_la at charge 0,
+    # against the SymFunc mode actions; one pair shares its columns
+    for la in partitions_up_to(3):
+        v = FockVector(0, SymFunc.monomial(la))
+        for d in range(-3, 3):
+            X, Y = diagonal(k1, k2, d, la)
+            assert (Y is X) == (k1 is k2)
+            for a in range(-3, 3):
+                assert X(a).body == KK(k1, a, k2, d - a, v).body
+                assert Y(a).body == KK(k2, a, k1, d - a, v).body
+                assert X(a) is X(a)
 
 
 def test_kernel_factorization_sample():

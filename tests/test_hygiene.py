@@ -349,3 +349,49 @@ def test_hand_rolled_memo_is_reported():
         "fock.lru_cache:20",
         "verify._order:2",
     ]
+
+
+# every packed fermion composition is read in the charge-0 frame, from the
+# two sides of one fock.diagonal; nothing else in the package builds one
+COMPOSITION_READERS = {"fock.diagonal"}
+
+
+def _composition_readers(sources: dict[str, str]) -> list[str]:
+    """The top-level functions, methods and module code that read the name
+    `composition` (a call or a reference), outside COMPOSITION_READERS, as
+    module.name (module.<module> for code outside any def or class)."""
+    found = set()
+    for module, source in sources.items():
+        scopes = []
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{getattr(fn, 'name', '<class>')}", fn) for fn in node.body]
+            else:
+                scopes.append((getattr(node, "name", "<module>"), node))
+        for name, scope in scopes:
+            for node in ast.walk(scope):
+                if getattr(node, "id", None) == "composition" or getattr(node, "attr", None) == "composition":
+                    found.add(f"{module}.{name}")
+    return sorted(found - COMPOSITION_READERS)
+
+
+def test_compositions_are_read_only_through_diagonal():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _composition_readers(sources) == []
+
+
+def test_composition_reader_is_reported():
+    source = (
+        "from .fock import composition\n\n\n"
+        "def diagonal(k1, k2, d, la):\n    return cache(lambda a: composition(k1, a, k2, d - a, la))\n\n\n"
+        "def _normal_ordered_pair(k, la):\n    return composition(P, 0, M, k - 1, la)\n\n\n"
+        "class Sweep:\n    build = fock.composition\n\n    def run(self):\n        return self.composition\n\n\n"
+        "def unrelated(x):\n    return x\n\n\nALIAS = composition\n"
+    )
+    assert _composition_readers({"fock": source, "verify": "def diagonal():\n    return composition\n"}) == [
+        "fock.<module>",
+        "fock.Sweep.<class>",
+        "fock.Sweep.run",
+        "fock._normal_ordered_pair",
+        "verify.diagonal",
+    ]

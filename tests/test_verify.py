@@ -1,5 +1,6 @@
 """Sweep validation and negative controls of the mode-identity suites."""
 
+import hashlib
 import json
 import multiprocessing
 import os
@@ -16,12 +17,11 @@ from symfock.fock import (
     TWISTED_PLUS,
     FockVector,
     check_mode_identity,
-    combine,
-    composition,
     corrupted_kernel,
+    mode_apply,
 )
 from symfock.partitions import partitions_up_to
-from symfock.ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow
+from symfock.ratfun import RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow
 from symfock.symfunc import SymFunc
 from symfock.verify import SweepOptions, _execute_item, run_suite
 from symfock.vertex import basis_via_vertex
@@ -223,11 +223,11 @@ def test_moved_split_fails_alpha_0_and_virasoro_but_no_bracket(monkeypatch):
     assert not any(name.startswith("beta=1[") for name in failed["virasoro"])
 
 
-def test_passing_bilinear_items_build_no_ratfun_or_symfunc(monkeypatch):
+def test_passing_packed_items_build_no_symfunc(monkeypatch):
     # cold fermion kernels and bilinear caches: a passing item of each
     # bilinear suite is packed zero tests only, with no SymFunc fallback
     def refuse(*args, **kwargs):
-        raise AssertionError("a passing bilinear item built a RatFun or a SymFunc")
+        raise AssertionError("a passing packed item built a RatFun or a SymFunc")
 
     for name in ("FERMION_PLUS", "FERMION_MINUS"):
         k = getattr(fock, name)
@@ -249,6 +249,21 @@ def test_passing_bilinear_items_build_no_ratfun_or_symfunc(monkeypatch):
         results = [_execute_item((suite, params, BILINEAR_WINDOW)) for suite, params in items]
     assert all(r.ok for r in results)
     assert fock._heis_cache and fock._vir_cache
+    # so is an anticommutator item, run again on warm kernels with no check
+    # skipped; its delta (1-t)**2 may stay one RatFun product per item
+    items = [
+        ("fermion", ("pm", -1)),
+        ("fermion", ("pp", 0)),
+        ("twisted-fermion", ("pm", -1)),
+        ("twisted-fermion", ("mm", 1)),
+    ]
+    for refused in (False, True):
+        monkeypatch.setattr(verify, "_passed", {})
+        with monkeypatch.context() as patch:
+            if refused:
+                patch.setattr(SymFunc, "__init__", refuse)
+            results = [_execute_item((suite, params, BILINEAR_WINDOW)) for suite, params in items]
+        assert all(r.ok for r in results)
 
 
 # one wrong operator per suite outside the mode identities; corollaries reads
@@ -302,10 +317,22 @@ def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, 
     assert list(result.witness) == keys
 
 
-@pytest.mark.parametrize("params", [("pp", -2), ("pm", -1)], ids=["pp", "pm-delta"])
-def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
+def _witness_sha256(result):
+    return hashlib.sha256(json.dumps(result.witness).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "params, sha256",
+    [
+        (("pp", -2), "096a0e19088fafa213a9e89ee241b260f9752767bdcee3c8584872ad6145d066"),
+        (("pm", -1), "06cde35ce7a3408317def4d14c2bb6dc1bec81f785ade733a5fb70f3a4881f78"),
+    ],
+    ids=["pp", "pm-delta"],
+)
+def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params, sha256):
     # each part of the packed zero test can fail: the t-shifted compositions
-    # (pp) and the delta (1-t)**2 p_la term (pm at a+b = -1)
+    # (pp) and the delta (1-t)**2 p_la term (pm at a+b = -1); the witnesses
+    # are pinned byte for byte, the delta term of pm's right side included
     item = ("twisted-fermion", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
     record = verify.SUITES["twisted-fermion"]
@@ -315,14 +342,18 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params):
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
     assert result.witness["lhs"] != result.witness["rhs"]
+    assert _witness_sha256(result) == sha256
 
 
-def _packed_diff(K1, K2, e, a, b, m, la):
-    """{K1[a], K2[b]} - t K1[a+e] K2[b-e] - t K2[b+e] K1[a-e] on z^m p_la, the
-    packed zero test of the twisted suite off the delta diagonal a+b = -1."""
-    X = lambda x: composition(K1, x, K2, a + b - x, m, la)
-    Y = lambda y: composition(K2, y, K1, a + b - y, m, la)
-    return combine([(RF_ONE, X(a)), (RF_ONE, Y(b)), (-RF_T, X(a + e)), (-RF_T, Y(b + e))])
+def _products(K1, K2, e, a, b, m, la):
+    """K1[a] K2[b], K2[b] K1[a], K1[a+e] K2[b-e] and K2[b+e] K1[a-e] on z^m p_la,
+    the four products of a twisted relation, through the SymFunc mode actions
+    (a route the packed executor does not take)."""
+    v = FockVector(m, SymFunc.monomial(la))
+    return [
+        mode_apply(P, x, mode_apply(Q, y, v))
+        for P, x, Q, y in ((K1, a, K2, b), (K2, b, K1, a), (K1, a + e, K2, b - e), (K2, b + e, K1, a - e))
+    ]
 
 
 @pytest.mark.parametrize(
@@ -331,23 +362,30 @@ def _packed_diff(K1, K2, e, a, b, m, la):
     ids=["pm", "pp"],
 )
 def test_charge_relabelling_holds_on_a_corrupted_kernel(rel, a, b, m):
-    # the check at (a, b, m) is the one at (a + eps1 m, b + eps2 m, 0), also
-    # where it fails: the key the anticommutator executor skips on
+    # each product at (a, b, m) is the one at (a + eps1 m, b + eps2 m, 0) but
+    # for the charge label, also where the relation fails: the charge-0 frame
+    # the compositions are read in, and the key the executor skips on
     bad = corrupted_kernel(TWISTED_PLUS)
     K1, K2, e = (bad, TWISTED_MINUS, 1) if rel == "pm" else (bad, bad, -1)
     la = (2, 1)
-    at_m = _packed_diff(K1, K2, e, a, b, m, la)
-    at_0 = _packed_diff(K1, K2, e, a + K1.eps * m, b + K2.eps * m, 0, la)
-    assert at_m == at_0
-    assert not at_m.is_zero()
+    at_m = _products(K1, K2, e, a, b, m, la)
+    at_0 = _products(K1, K2, e, a + K1.eps * m, b + K2.eps * m, 0, la)
+    for x, y in zip(at_m, at_0):
+        assert (x.charge, y.charge) == (m + K1.eps + K2.eps, K1.eps + K2.eps)
+        assert x.body == y.body
+    assert not at_m[0].is_zero()
+    diff = at_m[0].body + at_m[1].body - (at_m[2].body + at_m[3].body).scaled(RF_T)
+    assert not diff.is_zero()
 
 
 def test_each_relabelled_check_runs_once(monkeypatch):
-    # every check calls combine once; a key seen passing is never tested again
+    # every check is one call of the packed zero test; a key seen passing is
+    # never tested again
     opts = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
     monkeypatch.setattr(verify, "_passed", {})
     calls = []
-    monkeypatch.setattr(verify, "combine", lambda terms: calls.append(1) or combine(terms))
+    differ = verify._differ
+    monkeypatch.setattr(verify, "_differ", lambda left, right: calls.append(1) or differ(left, right))
     assert all(r.ok for r in run_suite("twisted-fermion", opts, threads=1))
     eps = {"pp": (1, 1), "mm": (-1, -1), "pm": (1, -1)}
     keys, checks, W = set(), 0, opts.max_mode
@@ -368,6 +406,9 @@ def test_passing_keys_do_not_hide_a_corrupted_kernel():
     assert _execute_item(("fermion", ("pm", -1), opts)).ok
     result = _execute_item(("fermion", ("pm", -1), replace(opts, corrupt=True)))
     assert not result.ok and result.witness["relation"] == "pm"
+    # the item is the delta diagonal, so the witness's right side carries the
+    # (1-t)**2 p_la term (p_la at t = 0); it is pinned byte for byte
+    assert _witness_sha256(result) == "7df87f7f01dac78302eb33f7f6fe4e10053dd111f04eb3ed8c8fe35bfce833e5"
 
 
 def test_thread_count_reads_cpu_affinity(monkeypatch):
