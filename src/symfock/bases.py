@@ -4,8 +4,12 @@ Constructors (all exact, memoised):
 
 * h_k, e_k via the Newton recurrences k h_k = sum p_i h_{k-i} and
   k e_k = sum (-1)**(i-1) p_i e_{k-i};
-* the one-parameter modes q_k of H(u) E(-u/t), q_k = sum_s h_{k-s} e_s (-t)**s,
-  with q_k = (1-t) P_(k) for k >= 1;
+* the one-parameter modes q_k of H(u) E(-tu), H(u) = sum h_k u**k and
+  E(u) = sum e_k u**k (Macdonald III (2.10); the paper's series run in
+  u**-1, where this reads H(u) E(-u/t)), from their power-sum form
+  q_k = sum_{|la|=k} z_la^-1 prod_i (1 - t**la_i) p_la with no h or e;
+  `corollaries` checks them against sum_s h_{k-s} e_s (-t)**s in `vertex`,
+  and q_k = (1-t) P_(k) for k >= 1;
 * Schur functions s_la = det[h_{la_i - i + j}] and their duals
   S_la = det[q_{la_i - i + j}] under the t-deformed scalar product.
 
@@ -32,12 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
+from math import prod
 from operator import mul
 from typing import Sequence
 
-from .partitions import Partition, as_partition, multiplicities, weight
+from .partitions import Partition, as_partition, multiplicities, partitions_of, weight, z_factor
 from .ratfun import RF_ONE, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from .symfunc import SymFunc, sum_raw_fields
+from .symfunc import SymFunc, linear_combination, sum_raw_fields
 
 # ---------------------------------------------------------------------------
 # p-basis constructors
@@ -50,10 +55,7 @@ def complete_h(k: int) -> SymFunc:
         return SymFunc.zero()
     if k == 0:
         return SymFunc.one()
-    acc = SymFunc.zero()
-    for i in range(1, k + 1):
-        acc = acc + complete_h(k - i).times_p(i)
-    return acc.scaled(Fraction(1, k))
+    return linear_combination((RatFun.from_ratio(1, k), complete_h(k - i).times_p(i)) for i in range(1, k + 1))
 
 
 @cache
@@ -63,25 +65,20 @@ def elementary_e(k: int) -> SymFunc:
         return SymFunc.zero()
     if k == 0:
         return SymFunc.one()
-    acc = SymFunc.zero()
-    for i in range(1, k + 1):
-        term = elementary_e(k - i).times_p(i)
-        acc = acc + term if i % 2 == 1 else acc - term
-    return acc.scaled(Fraction(1, k))
+    return linear_combination(
+        (RatFun.from_ratio((-1) ** (i - 1), k), elementary_e(k - i).times_p(i)) for i in range(1, k + 1)
+    )
 
 
 @cache
 def q_coefficient(k: int) -> SymFunc:
-    """Mode q_k of H(u) E(-u/t): q_k = sum_s h_{k-s} e_s (-t)**s."""
+    """Mode q_k of H(u) E(-tu), from its power-sum form
+    q_k = sum_{|la| = k} z_la^-1 prod_i (1 - t**la_i) p_la."""
     if k < 0:
         return SymFunc.zero()
-    acc = SymFunc.zero()
-    sign_t = RF_ONE
-    minus_t = RatFun([0, -1])
-    for s in range(k + 1):
-        acc = acc + (complete_h(k - s) * elementary_e(s)).scaled(sign_t)
-        sign_t = sign_t * minus_t
-    return acc
+    return SymFunc(
+        {la: prod(map(rf_one_minus_t_pow, la), start=RF_ONE).scale(Fraction(1, z_factor(la))) for la in partitions_of(k)}
+    )
 
 
 def hall_littlewood_row(k: int) -> SymFunc:
@@ -104,15 +101,10 @@ def _det_entries(la: Partition, entry) -> SymFunc:
         i = ell - len(cols)  # 0-based row index
         if not cols:
             return SymFunc.one()
-        acc = SymFunc.zero()
-        for pos, j in enumerate(cols):
-            cell = entry(la[i] - (i + 1) + (j + 1))
-            if cell.is_zero():
-                continue
-            sub = minor(cols[:pos] + cols[pos + 1 :])
-            term = cell * sub
-            acc = acc + term if pos % 2 == 0 else acc - term
-        return acc
+        cells = ((pos, entry(la[i] - i + j)) for pos, j in enumerate(cols))
+        return linear_combination(
+            (RatFun.from_int((-1) ** pos), cell * minor(cols[:pos] + cols[pos + 1 :])) for pos, cell in cells if cell
+        )
 
     return minor(tuple(range(ell)))
 

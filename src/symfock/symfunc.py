@@ -107,27 +107,23 @@ class SymFunc:
         return max((weight(la) for la in self.terms), default=-1)
 
     def __add__(self, other: "SymFunc") -> "SymFunc":
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for la, c in other.terms.items():
-            acc = out.get(la)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                out.pop(la, None)
-            else:
-                out[la] = s
-        return SymFunc(out, _clean=True)
+        return self._merged(other, False) if self.terms else other
 
     def __sub__(self, other: "SymFunc") -> "SymFunc":
+        return self._merged(other, True)
+
+    def _merged(self, other: "SymFunc", negate: bool) -> "SymFunc":
+        """self + other, or self - other when negate.  A key that one side
+        alone holds keeps that RatFun object and its memoised canonical
+        form, unless other's is negated."""
         if not other.terms:
             return self
         out = dict(self.terms)
         for la, c in other.terms.items():
+            if negate:
+                c = -c
             acc = out.get(la)
-            s = -c if acc is None else acc - c
+            s = c if acc is None else acc + c
             if s.is_zero():
                 out.pop(la, None)
             else:
@@ -163,24 +159,18 @@ class SymFunc:
         return SymFunc({_merge(la, mu): c for la, c in self.terms.items()}, _clean=True)
 
     def diff_p(self, n: int) -> "SymFunc":
-        """Formal partial derivative with respect to p_n."""
+        """Formal partial derivative with respect to p_n.
+
+        Removing one part n is injective on the partitions holding one, so
+        no two terms meet and there is nothing to sum.
+        """
         if n < 1:
             raise ValueError("derivations are indexed by n >= 1")
         out: dict[Partition, RatFun] = {}
         for la, c in self.terms.items():
-            m = la.count(n)
-            if m == 0:
-                continue
-            reduced = list(la)
-            reduced.remove(n)
-            key = tuple(reduced)
-            contrib = c.scale(Fraction(m))
-            acc = out.get(key)
-            s = contrib if acc is None else acc + contrib
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
+            if n in la:
+                i = la.index(n)
+                out[la[:i] + la[i + 1 :]] = c.scale(la.count(n))
         return SymFunc(out, _clean=True)
 
     def scale_p(self, s: Callable[[int], RatFun]) -> "SymFunc":
@@ -226,9 +216,12 @@ class SymFunc:
 def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
     """Sum of c * f over the given pairs, accumulated in one dict pass.
 
-    Fock operators sum packed columns instead (`fock.combine`); this serves
-    the kernel-factorization items of `verify` and is the tests' reference.
-    Its bucket sum `sum_raw_fields` has three more users, `SymFunc.__mul__`,
+    The one accumulator of Lambda[t]: it serves the Newton recurrences of
+    h_k and e_k and the Jacobi-Trudi minors in `bases`, the
+    generating-function extraction and the h.e convolution in `vertex`, the
+    kernel-factorization items of `verify`, and is the tests' reference.
+    Fock operators sum packed columns instead (`fock.combine`).  Its bucket
+    sum `sum_raw_fields` has three more users, `SymFunc.__mul__`,
     `perp_apply` and `bases.expand_in_variables`.
     """
     return SymFunc(sum_raw_fields(_scaled_terms(pairs)), _clean=True)

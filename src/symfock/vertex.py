@@ -48,7 +48,7 @@ from .fock import (
 )
 from .partitions import Partition, as_partition
 from .ratfun import RF_ONE, RatFun
-from .symfunc import SymFunc
+from .symfunc import SymFunc, linear_combination
 
 _KERNELS: dict[str, VertexKernel] = {
     "schur": FERMION_PLUS,
@@ -124,7 +124,7 @@ def _extract_coefficient(
     ell = len(la)
     state: dict[tuple[int, ...], SymFunc] = {(0,) * ell: SymFunc.one()}
     for j in range(ell, 0, -1):
-        new_state: dict[tuple[int, ...], SymFunc] = {}
+        pieces: dict[tuple[int, ...], list[tuple[RatFun, SymFunc]]] = {}
         for pending, acc in state.items():
             budget = la[j - 1] + pending[j - 1]
             for orders in _compositions_bounded(j - 1, budget):
@@ -135,15 +135,9 @@ def _extract_coefficient(
                         break
                 if scale.is_zero():
                     continue
-                piece = (acc * var_modes(budget - sum(orders))).scaled(scale)
-                if piece.is_zero():
-                    continue
                 key = tuple(pending[i] + orders[i] for i in range(j - 1))
-                if key in new_state:
-                    new_state[key] = new_state[key] + piece
-                else:
-                    new_state[key] = piece
-        state = new_state
+                pieces.setdefault(key, []).append((scale, acc * var_modes(budget - sum(orders))))
+        state = {key: linear_combination(pairs) for key, pairs in pieces.items()}
     return state.get((), SymFunc.zero())
 
 
@@ -163,18 +157,15 @@ def generating_coefficient_direct(kind: str, la) -> SymFunc:
 # coefficient-level cross-checks relating the three generating products
 
 
-def _e_at_minus_u_over_t(s: int) -> RatFun:
-    """Scalar (-t)**s accompanying e_s in the expansion of E(-u/t)."""
+def _e_at_minus_tu(s: int) -> RatFun:
+    """Scalar (-t)**s accompanying e_s in the expansion of E(-tu)."""
     coeffs = [Fraction(0)] * s + [Fraction((-1) ** s)]
     return RatFun(coeffs)
 
 
 def _convolved_var_modes(k: int) -> SymFunc:
-    """Modes of H(u) E(-u/t) assembled by explicit convolution of h and e modes."""
-    acc = SymFunc.zero()
-    for s in range(k + 1):
-        acc = acc + (complete_h(k - s) * elementary_e(s)).scaled(_e_at_minus_u_over_t(s))
-    return acc
+    """Modes of H(u) E(-tu) assembled by explicit convolution of h and e modes."""
+    return linear_combination((_e_at_minus_tu(s), complete_h(k - s) * elementary_e(s)) for s in range(k + 1))
 
 
 def _convolved_pair_series_hl(k: int) -> RatFun:
@@ -192,9 +183,11 @@ def crosscheck_corollaries(la) -> "CorollaryVerdict":
     """Verify, at the extracted-coefficient level, the two product relations
 
     (i)  the Hall-Littlewood product equals the Schur product multiplied by
-         prod_{i<j} (1 - t u_i/u_j)^{-1} prod_i E(-u_i/t);
+         prod_{i<j} (1 - t u_i/u_j)^{-1} prod_i E(-t/u_i);
     (ii) the dual-Schur product equals the Schur product multiplied by
-         prod_i E(-u_i/t).
+         prod_i E(-t/u_i),
+
+    with E(u) = sum_s e_s u**s as in `bases` (the paper's E(-u_i/t)).
 
     The right-hand sides are assembled by explicit series convolution, the
     left-hand sides by the closed-form data of the families.

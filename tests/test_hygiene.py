@@ -259,6 +259,12 @@ def test_oracles_share_no_code_with_other_routes():
     assert _route_leaks((SRC / "bases.py").read_text(), ORACLES, OTHER_ROUTES) == []
 
 
+def test_q_coefficient_reads_no_h_or_e():
+    # q_k comes from its power-sum form, so `corollaries` checks the h.e
+    # convolution of `vertex` against a value built without h or e
+    assert _route_leaks((SRC / "bases.py").read_text(), ("q_coefficient",), {"complete_h", "elementary_e"}) == []
+
+
 def test_route_leak_is_reported():
     source = (
         "from .symfunc import SymFunc\n\n\ndef schur(la):\n    return la\n\n\n"

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symfock.partitions import partitions_of, partitions_up_to, z_factor
-from symfock.ratfun import RF_T, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from symfock.ratfun import RF_T, RF_ZERO, RatFun, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from symfock.symfunc import (
     SymFunc,
+    linear_combination,
     perp_apply,
     scalar_product,
     symfunc_from_json,
@@ -133,6 +134,31 @@ def test_ring_axioms(f, g, h):
     assert (f * g) * h == f * (g * h)
     assert f * g == g * f
     assert f * (g + h) == f * g + f * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.tuples(st.one_of(st.just(RF_ZERO), qt_coeffs()), symfuncs(coeffs=qt_coeffs())), max_size=4),
+    st.booleans(),
+)
+def test_linear_combination_is_the_fold_of_scaled_sums(pairs, cancel):
+    if cancel:
+        # every pair once more with the opposite coefficient: the sum is zero
+        pairs = pairs + [(-c, f) for c, f in pairs]
+    folded = SymFunc.zero()
+    for c, f in pairs:
+        folded = folded + f.scaled(c)
+    got = linear_combination(pairs)
+    assert got == folded
+    assert not any(v.is_zero() for v in got.terms.values())
+    assert got.is_zero() or not cancel
+
+
+@settings(max_examples=60, deadline=None)
+@given(symfuncs(coeffs=qt_coeffs()), symfuncs(coeffs=qt_coeffs()), st.integers(min_value=1, max_value=4))
+def test_diff_p_obeys_leibniz(f, g, n):
+    assert (f * g).diff_p(n) == f.diff_p(n) * g + f * g.diff_p(n)
+    assert not any(v.is_zero() for v in f.diff_p(n).terms.values())
 
 
 @settings(max_examples=40, deadline=None)

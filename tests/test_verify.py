@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symfock import fock, verify, vertex
+from symfock import bases, fock, verify, vertex
 from symfock.bases import complete_h, elementary_e
 from symfock.fock import (
     TWISTED_MINUS,
@@ -315,6 +315,32 @@ def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, 
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == keys
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [("complete_h", _doubled_at(complete_h, 1)), ("elementary_e", _doubled_at(elementary_e, 2))],
+    ids=["h1-doubled", "e2-doubled"],
+)
+def test_corollaries_catch_a_corrupted_h_or_e(monkeypatch, name, wrong):
+    # the composed side convolves h and e in `vertex`; the direct side's q_k
+    # reads neither, so a fault in either shows.  The originals recurse through
+    # the patched module name, so their caches are emptied around the fault.
+    caches = (complete_h, elementary_e, bases.q_coefficient)
+    item = ("corollaries", ((2, 1),), SweepOptions(max_degree=3))
+    assert _execute_item(item).ok
+    for f in caches:
+        f.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(bases, name, wrong)
+            patch.setattr(vertex, name, wrong)
+            result = _execute_item(item)
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert not result.ok
+    assert list(result.witness) == ["la", "hl_equal", "dual_equal"]
 
 
 def _witness_sha256(result):

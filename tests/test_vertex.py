@@ -9,12 +9,14 @@ from symfock.bases import (
     expand_in_variables,
     hall_littlewood_oracle,
     hall_littlewood_row,
+    q_coefficient,
     schur,
 )
 from symfock.partitions import partitions_up_to
 from symfock.ratfun import RatFun, rf_one_minus_t_pow
 from symfock.symfunc import SymFunc, scalar_product, symfunc_to_json
 from symfock.vertex import (
+    _convolved_var_modes,
     basis_via_vertex,
     crosscheck_corollaries,
     generating_coefficient_direct,
@@ -91,6 +93,12 @@ def test_crosscheck_corollaries():
     for la in partitions_up_to(4):
         verdict = crosscheck_corollaries(la)
         assert verdict.equal, la
+
+
+def test_q_power_sum_form_is_the_convolution():
+    # bases builds q_k without h or e; vertex convolves h_{k-s} e_s (-t)**s
+    for k in range(9):
+        assert q_coefficient(k) == _convolved_var_modes(k)
 
 
 def test_unknown_kind_rejected():
