@@ -25,10 +25,10 @@ t exponent of the Hall-Littlewood oracle in the slot above the x slots:
 a monomial product is a key sum, and times x_j adds B**j.  Every
 intermediate of the Vandermonde division has total degree at most that
 of its dividend, so no slot ever carries into the next, also on an input
-that is not divisible.  Coefficients are unbounded Python ints (in
-`expand_in_variables`, the raw fields of the input's RatFuns); RatFuns
-are built once per output monomial, so the oracles do not depend on the
-packed limb width LIMB_BITS of `ratfun`.
+that is not divisible.  The oracles' coefficients are unbounded Python
+ints, and RatFuns are built once per output monomial, so the oracles do
+not depend on the packed limb width LIMB_BITS of `ratfun`;
+`expand_in_variables` sums int multiples of its input's RatFuns.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from operator import mul
 from typing import Sequence
 
 from .partitions import Partition, as_partition, multiplicities, partitions_of, weight, z_factor
-from .ratfun import RF_ONE, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
-from .symfunc import SymFunc, linear_combination, sum_raw_fields
+from .ratfun import RF_ONE, RatFun, rat_to_json, rf_inv_one_minus_t_pow, rf_one_minus_t_pow, sum_products
+from .symfunc import SymFunc, linear_combination
 
 # ---------------------------------------------------------------------------
 # p-basis constructors
@@ -153,8 +153,7 @@ def expand_in_variables(f: SymFunc, n: int) -> VarPoly:
     """Substitute p_k -> x_1**k + ... + x_n**k and expand.
 
     Each p_la(x) is built once per prefix of la; the coefficients of f,
-    scaled by its int coefficients, are summed in the raw-field buckets
-    of `sum_raw_fields`.
+    scaled by its int coefficients, are summed by `sum_products`.
     """
     base = max(f.degree(), 0) + 1
     powers = [base**i for i in range(n)]
@@ -171,12 +170,8 @@ def expand_in_variables(f: SymFunc, n: int) -> VarPoly:
             products[la] = got
         return got
 
-    terms = (
-        (key, c.ne * k, c.nd, c.de, c.dd)
-        for la, c in f.terms.items()
-        for key, k in power_product(la).items()
-    )
-    return {_unpack(key, base, n): c for key, c in sum_raw_fields(terms).items()}
+    terms = ((key, c, RF_ONE, k) for la, c in f.terms.items() for key, k in power_product(la).items())
+    return {_unpack(key, base, n): c for key, c in sum_products(terms).items()}
 
 
 def _divide_linear(p: dict[int, int], wi: int, wj: int, base: int) -> dict[int, int]:

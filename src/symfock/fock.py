@@ -97,7 +97,7 @@ and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
 those rows.  A coefficient with any other t-denominator (1/(1-t^k) from
 `twisted_heisenberg_mode`, a tau read from a file, or a body unpacked
 over (1-t^v) factors) is handled once per operation: the lcm Q of those
-denominators (`ratfun.poly_lcm`) is pulled out in front, Q c is summed
+denominators is pulled out in front (`ratfun.pull`), Q c is summed
 packed, and the result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
@@ -118,7 +118,7 @@ from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
-from .ratfun import poly_lcm, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
+from .ratfun import pull, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, symfunc_to_json
 
 RF_MINUS_ONE = RatFun.from_int(-1)
@@ -447,28 +447,6 @@ def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
     return Column(n, enc, den, top, bits, deg, width, stride)
 
 
-def _pull(pairs: list[tuple[RatFun, object]]) -> tuple[list[tuple[Digits, int, object]], RatFun | None]:
-    """Each (coeff, x) as (c, b, x) with c(t)/b = Q * coeff, and 1/Q (None for
-    Q = 1), Q the lcm of the t-denominators of the coefficients outside Z[t]/b."""
-    out = []
-    for r, x in pairs:
-        p = r.poly_parts()
-        if p is None:
-            break
-        out.append((*p, x))
-    else:
-        return out, None
-    (qe, qd), quotients = poly_lcm({r.de for r, _ in pairs if r.poly_parts() is None})
-    out = []
-    for r, x in pairs:
-        k = quotients.get(r.de)
-        if k is None:
-            out.append((*RatFun._raw(r.ne * qe, r.nd * qd, r.de, r.dd).poly_parts(), x))
-        else:
-            out.append((*RatFun._raw(r.ne * r.dd * k[0], r.nd * k[1], 1, 1).poly_parts(), x))
-    return out, RatFun._raw(1, 1, qe, qd)
-
-
 def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
     """The columns' bodies (of distinct weights) as one SymFunc, times scale."""
     terms: dict[Partition, RatFun] = {}
@@ -481,7 +459,7 @@ def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
 
 def combine(pairs: Iterable[tuple[RatFun, Column]]) -> SymFunc:
     """sum c * col over (c, col) pairs, summed packed per weight and unpacked once."""
-    pieces, scale = _pull([(c, col) for c, col in pairs if c.ne and col.enc])
+    pieces, scale = pull([(c, col) for c, col in pairs if c and col.enc])
     groups: dict[int, list[tuple[Digits, int, Column]]] = {}
     for piece in pieces:
         groups.setdefault(piece[2].weight, []).append(piece)
@@ -646,7 +624,7 @@ class VertexKernel:
         quotient M / D_la, M = prod_v (1-t^v)**(max_la k_v m_v(la)): every
         row shares the exponent vector of M.
         """
-        parts, scale = _pull([(c, self._digit_table(la)) for la, c in f.terms.items()])
+        parts, scale = pull([(c, self._digit_table(la)) for la, c in f.terms.items()])
         top: Exponents = ()
         for _, _, rows in parts:
             top = _top(top, rows[0][0][2])
@@ -695,7 +673,7 @@ def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
             pairs.append((c, col))
     if len(pairs) == 1:
         c, col = pairs[0]
-        if c.ne == 1 and c.nd == 1 and c.de == 1 and c.dd == 1:
+        if c == RF_ONE:
             # a basis vector: the cached column's view, built once
             return FockVector(charge, col.kept_body())
     return FockVector(charge, combine(pairs))

@@ -11,6 +11,8 @@ literal-power indexing used here shifts the diagonal to -1.)  The mode
 sum is finite: fermion+[a] kills charge-0 bodies for a >= deg tau1 and
 fermion-[-1-a] kills them for a < -deg tau2, so a runs over
 [-deg tau2, deg tau1 - 1] and the result is exact with no truncation.
+The products of the two legs' terms over the whole diagonal are summed
+per partition pair in one pass (`ratfun.sum_products`).
 tau is a KP tau-function iff Omega(tau (x) tau) = 0; with the deformed
 kernels the same pairing tests the t-deformed hierarchy.
 
@@ -37,7 +39,7 @@ from itertools import combinations
 from .bases import schur
 from .fock import DEFORMED_MINUS, DEFORMED_PLUS, FERMION_MINUS, FERMION_PLUS
 from .partitions import Partition, partitions_up_to, revlex_key, weight
-from .ratfun import RatFun, rat_to_json
+from .ratfun import RatFun, rat_to_json, sum_products
 from .symfunc import SymFunc
 
 PairKey = tuple[Partition, Partition]
@@ -55,18 +57,6 @@ class TensorState:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def add_product(self, left: SymFunc, right: SymFunc) -> None:
-        for la, c in left.terms.items():
-            for mu, d in right.terms.items():
-                key = (la, mu)
-                prod = c * d
-                acc = self.terms.get(key)
-                s = prod if acc is None else acc + prod
-                if s.is_zero():
-                    self.terms.pop(key, None)
-                else:
-                    self.terms[key] = s
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorState):
@@ -107,21 +97,18 @@ def tensor_to_json(state: TensorState) -> dict:
 def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorState:
     """The bilinear pairing sum_a K+[a] tau1 (x) K-[-1-a] tau2, exactly."""
     plus, minus = (DEFORMED_PLUS, DEFORMED_MINUS) if deformed else (FERMION_PLUS, FERMION_MINUS)
-    out = TensorState(+1, -1)
     d1, d2 = tau1.degree(), tau2.degree()
     if d1 < 0 or d2 < 0:
-        return out
+        return TensorState(+1, -1)
     left, right = plus.translate(tau1), minus.translate(tau2)
+    legs = []
     for a in range(-d2, d1):
         # charge-0 shifts: a + 1 for plus[a], -a for minus[-1-a]
         body1 = plus.mode_body(a + 1, left)
-        if body1.is_zero():
-            continue
-        body2 = minus.mode_body(-a, right)
-        if body2.is_zero():
-            continue
-        out.add_product(body1, body2)
-    return out
+        if body1:
+            legs.append((body1.terms, minus.mode_body(-a, right).terms))
+    terms = (((la, mu), c, d, 1) for ls, rs in legs for la, c in ls.items() for mu, d in rs.items())
+    return TensorState(+1, -1, sum_products(terms))
 
 
 def is_tau(tau: SymFunc, deformed: bool = False) -> bool:

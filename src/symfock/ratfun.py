@@ -23,10 +23,12 @@ denominator ([0], [] or [0, 0]) raises ZeroDivisionError.  Packing is
 faithful while every true coefficient stays below 2**(LIMB_BITS-1) in
 absolute value; the gcd and division rebuilds inside normalisation are
 checked against that bound itself.  Products and sums of the packed
-fields ``ne`` and ``de`` are not: a coefficient that outgrows the bound
-carries into the next limb, silently, since every integer has a balanced
-digit vector that re-encodes to it (a per-value limb width is the open
-fix).
+fields ``ne`` and ``de`` are not, and only three places form them:
+RatFun's operators, ``sum_products`` (a keyed sum of products) and
+``pull`` (an lcm of t-denominators pulled out in front).  There a
+coefficient that outgrows the bound carries into the next limb, silently,
+since every integer has a balanced digit vector that re-encodes to it (a
+per-value limb width is the open fix).  No other module reads the fields.
 
 The digit codec is the package's one packed-digit format: ``_pack`` and
 ``_digits`` write and read ``count`` balanced digits through one cache of
@@ -51,7 +53,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 from math import gcd
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Hashable, Iterable, Sequence
 
 LIMB_BITS = 192
 _HALF = 1 << (LIMB_BITS - 1)
@@ -62,6 +64,8 @@ _WORDS = {8 * struct.calcsize(f): f for f in ("Q", "I")} if sys.byteorder == "li
 
 # a packed coefficient: an int for a constant, else its integer digits ascending in t
 Digits = int | tuple[int, ...]
+# the packed fields (ne, nd, de, dd) of a RatFun
+Fields = tuple[int, int, int, int]
 
 
 class PackingOverflow(OverflowError):
@@ -238,6 +242,45 @@ def poly_lcm(dens: Collection[int]) -> tuple[tuple[int, int], dict[int, tuple[in
     return q, {d: _pack_fractions(poly_divmod(qc, _coeffs(d, 1))[0], _HALF) for d in dens}
 
 
+def pull(pairs: list[tuple[RatFun, object]]) -> tuple[list[tuple[Digits, int, object]], RatFun | None]:
+    """Each (coeff, x) as (c, b, x) with c(t)/b = Q * coeff, and 1/Q (None for
+    Q = 1), Q the lcm of the t-denominators of the coefficients outside Z[t]/b."""
+    out = []
+    for r, x in pairs:
+        p = r.poly_parts()
+        if p is None:
+            break
+        out.append((*p, x))
+    else:
+        return out, None
+    (qe, qd), quotients = poly_lcm({r.de for r, _ in pairs if r.poly_parts() is None})
+    out = []
+    for r, x in pairs:
+        k = quotients.get(r.de)
+        if k is None:
+            out.append((*RatFun._raw(r.ne * qe, r.nd * qd, r.de, r.dd).poly_parts(), x))
+        else:
+            out.append((*RatFun._raw(r.ne * r.dd * k[0], r.nd * k[1], 1, 1).poly_parts(), x))
+    return out, RatFun._raw(1, 1, qe, qd)
+
+
+def _add_fields(ne1: int, nd1: int, de1: int, dd1: int, ne2: int, nd2: int, de2: int, dd2: int) -> Fields:
+    """The fields (ne, nd, de, dd) of the sum of two values given by theirs:
+    over the shared denominator when de and dd agree, else over the product
+    of the denominators, with the scalar parts brought to their lcm."""
+    if de1 == de2 and dd1 == dd2:
+        if nd1 == nd2:
+            return ne1 + ne2, nd1, de1, dd1
+        g = gcd(nd1, nd2)
+        m1 = nd2 // g
+        return ne1 * m1 + ne2 * (nd1 // g), nd1 * m1, de1, dd1
+    b1 = nd1 * dd2
+    b2 = nd2 * dd1
+    g = gcd(b1, b2)
+    m1 = b2 // g
+    return ne1 * de2 * m1 + ne2 * de1 * (b1 // g), b1 * m1, de1 * de2, dd1 * dd2
+
+
 class RatFun:
     """An element of Q(t): a ratio of two polynomials, den != 0.
 
@@ -390,24 +433,7 @@ class RatFun:
             return other
         if other.ne == 0:
             return self
-        if self.de == other.de and self.dd == other.dd:
-            nd1, nd2 = self.nd, other.nd
-            if nd1 == nd2:
-                return RatFun._raw(self.ne + other.ne, nd1, self.de, self.dd)
-            g = gcd(nd1, nd2)
-            m1 = nd2 // g
-            return RatFun._raw(self.ne * m1 + other.ne * (nd1 // g), nd1 * m1, self.de, self.dd)
-        b1 = self.nd * other.dd
-        b2 = other.nd * self.dd
-        g = gcd(b1, b2)
-        m1 = b2 // g
-        m2 = b1 // g
-        return RatFun._raw(
-            self.ne * other.de * m1 + other.ne * self.de * m2,
-            b1 * m1,
-            self.de * other.de,
-            self.dd * other.dd,
-        )
+        return RatFun._raw(*_add_fields(self.ne, self.nd, self.de, self.dd, other.ne, other.nd, other.de, other.dd))
 
     def __sub__(self, other: "RatFun") -> "RatFun":
         if other.ne == 0:
@@ -488,6 +514,24 @@ class RatFun:
 RF_ZERO = RatFun._raw(0, 1, 1, 1, True)
 RF_ONE = RatFun._raw(1, 1, 1, 1, True)
 RF_T = RatFun._raw(1 << LIMB_BITS, 1, 1, 1, True)
+
+
+def sum_products(terms: Iterable[tuple[Hashable, RatFun, RatFun, int]]) -> dict[Hashable, RatFun]:
+    """sum a * b * k per key over the terms (key, a, b, k), one RatFun per
+    key whose sum is nonzero.
+
+    A key's bucket is the 4-tuple of packed fields of its first product,
+    merged by `_add_fields` (the arithmetic of `RatFun.__add__`) only when
+    a second product lands on it, so no object is built per term.
+    """
+    buckets: dict[Hashable, Fields] = {}
+    get = buckets.get
+    for key, a, b, k in terms:
+        ade, bde = a.de, b.de
+        p = (a.ne * b.ne * k, a.nd * b.nd, ade if bde == 1 else bde if ade == 1 else ade * bde, a.dd * b.dd)
+        acc = get(key)
+        buckets[key] = p if acc is None else _add_fields(*acc, *p)
+    return {key: RatFun._raw(*fields) for key, fields in buckets.items() if fields[0]}
 
 
 @cache

@@ -19,8 +19,8 @@ and the adjoint ("perp") of multiplication with respect to either one.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, perm, prod
-from typing import Callable, Hashable, Iterable, Iterator
+from math import perm, prod
+from typing import Callable, Iterable, Iterator
 
 from .partitions import (
     Partition,
@@ -38,14 +38,12 @@ from .ratfun import (
     rat_from_json,
     rat_to_json,
     rf_inv_one_minus_t_pow,
+    sum_products,
 )
 
 Coeff = RatFun | Fraction | int
-# a key (a partition, or a packed exponent key of bases.expand_in_variables)
-# and the raw fields (ne, nd, de, dd) of its RatFun coefficient
-RawTerm = tuple[Hashable, int, int, int, int]
-# a perp plan entry: multiplicity items of mu and raw coefficient fields
-PlanEntry = tuple[tuple[tuple[int, int], ...], int, int, int, int]
+# a perp plan entry: multiplicity items of mu and its coefficient
+PlanEntry = tuple[tuple[tuple[int, int], ...], RatFun]
 
 
 def _coerce(c: Coeff) -> RatFun:
@@ -140,13 +138,9 @@ class SymFunc:
         return SymFunc({la: v * c for la, v in self.terms.items()}, _clean=True)
 
     def __mul__(self, other: "SymFunc") -> "SymFunc":
-        """The product, its term products summed as raw fields (`sum_raw_fields`)."""
-        terms = [
-            (_merge(la, mu), c.ne * d.ne, c.nd * d.nd, c.de * d.de, c.dd * d.dd)
-            for la, c in self.terms.items()
-            for mu, d in other.terms.items()
-        ]
-        return SymFunc(sum_raw_fields(terms), _clean=True)
+        """The product, its term products summed by `sum_products`."""
+        terms = ((_merge(la, mu), c, d, 1) for la, c in self.terms.items() for mu, d in other.terms.items())
+        return SymFunc(sum_products(terms), _clean=True)
 
     def times_p(self, n: int) -> "SymFunc":
         """Multiplication by the generator p_n (cheap monomial prefixing)."""
@@ -221,67 +215,10 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
     generating-function extraction and the h.e convolution in `vertex`, the
     kernel-factorization items of `verify`, and is the tests' reference.
     Fock operators sum packed columns instead (`fock.combine`).  Its bucket
-    sum `sum_raw_fields` has three more users, `SymFunc.__mul__`,
-    `perp_apply` and `bases.expand_in_variables`.
+    sum `ratfun.sum_products` has four more users, `SymFunc.__mul__`,
+    `perp_apply`, `bases.expand_in_variables` and `kp.omega_apply`.
     """
-    return SymFunc(sum_raw_fields(_scaled_terms(pairs)), _clean=True)
-
-
-def _scaled_terms(pairs: Iterable[tuple[RatFun, SymFunc]]) -> Iterator[RawTerm]:
-    """The raw fields of c * v for every term v of every f."""
-    for c, f in pairs:
-        cne = c.ne
-        if cne == 0:
-            continue
-        cnd, cde, cdd = c.nd, c.de, c.dd
-        for la, v in f.terms.items():
-            vde = v.de
-            if vde == 1:
-                pde = cde
-            elif cde == 1:
-                pde = vde
-            else:
-                pde = vde * cde
-            yield la, v.ne * cne, v.nd * cnd, pde, v.dd * cdd
-
-
-def sum_raw_fields(terms: Iterable[RawTerm]) -> dict[Hashable, RatFun]:
-    """Sum of raw RatFun fields (key, ne, nd, de, dd) per key.
-
-    Each key keeps one 4-int bucket (ne, nd, de, dd), merged with the
-    packed bigint operations of `RatFun.__add__`; one RatFun is built per
-    key whose sum is nonzero.
-    """
-    buckets: dict[Hashable, list] = {}
-    get = buckets.get
-    for key, pne, pnd, pde, pdd in terms:
-        acc = get(key)
-        if acc is None:
-            buckets[key] = [pne, pnd, pde, pdd]
-            continue
-        if acc[2] == pde and acc[3] == pdd:
-            and_ = acc[1]
-            if and_ == pnd:
-                acc[0] += pne
-            else:
-                g = gcd(and_, pnd)
-                m1 = pnd // g
-                acc[0] = acc[0] * m1 + pne * (and_ // g)
-                acc[1] = and_ * m1
-        else:
-            b1 = acc[1] * pdd
-            b2 = pnd * acc[3]
-            g = gcd(b1, b2)
-            m1 = b2 // g
-            acc[0] = acc[0] * pde * m1 + pne * acc[2] * (b1 // g)
-            acc[1] = b1 * m1
-            acc[2] = acc[2] * pde
-            acc[3] = acc[3] * pdd
-    return {
-        key: RatFun._raw(fields[0], fields[1], fields[2], fields[3])
-        for key, fields in buckets.items()
-        if fields[0]
-    }
+    return SymFunc(sum_products((la, c, v, 1) for c, f in pairs if c for la, v in f.terms.items()), _clean=True)
 
 
 def scalar_product(f: SymFunc, g: SymFunc, deformed: bool = False) -> RatFun:
@@ -311,18 +248,18 @@ def perp_apply(f: SymFunc, g: SymFunc, deformed: bool = False) -> SymFunc:
     the falling factorial, times prod_i 1/(1 - t**mu_i) when deformed.
 
     f's plan (`_perp_plan`) holds, per term mu, its multiplicity items and
-    the raw fields of every factor but the falling factorials.  Each term
+    one coefficient with every factor but the falling factorials.  Each term
     nu of g reads its multiplicities once; each plan entry then costs an
-    integer falling factorial, a residual partition and a few bigint
-    products, summed in the 4-int buckets of `sum_raw_fields` with no object
-    built per (mu, nu) pair.
+    integer falling factorial and a residual partition, and its product
+    with nu's coefficient is summed in the buckets of `sum_products` with
+    no object built per (mu, nu) pair.
     """
-    return SymFunc(sum_raw_fields(_perp_terms(_perp_plan(f, deformed), g)), _clean=True)
+    return SymFunc(sum_products(_perp_terms(_perp_plan(f, deformed), g)), _clean=True)
 
 
 def _perp_plan(f: SymFunc, deformed: bool) -> tuple[PlanEntry, ...]:
-    """Per term c p_mu of f: the multiplicity items of mu and the raw fields
-    of c prod_i mu_i, times prod_i 1/(1 - t**mu_i) when deformed.
+    """Per term c p_mu of f: the multiplicity items of mu and the coefficient
+    c prod_i mu_i, times prod_i 1/(1 - t**mu_i) when deformed.
 
     Memoised on f, one plan per product; a SymFunc never changes, so the
     plan holds as long as f does.
@@ -338,17 +275,16 @@ def _perp_plan(f: SymFunc, deformed: bool) -> tuple[PlanEntry, ...]:
             if deformed:
                 for part in mu:
                     c = c * rf_inv_one_minus_t_pow(part)
-            entries.append((tuple(multiplicities(mu).items()), c.ne, c.nd, c.de, c.dd))
+            entries.append((tuple(multiplicities(mu).items()), c))
         plan = plans[deformed] = tuple(entries)
     return plan
 
 
-def _perp_terms(plan: tuple[PlanEntry, ...], g: SymFunc) -> Iterator[RawTerm]:
-    """The raw fields of p_mu-perp applied to every term of g, per plan entry."""
+def _perp_terms(plan: tuple[PlanEntry, ...], g: SymFunc) -> Iterator[tuple[Partition, RatFun, RatFun, int]]:
+    """The terms (nu - mu, c, d, falling factorial) of p_mu-perp on every term d p_nu of g, per plan entry."""
     for nu, d in g.terms.items():
-        dne, dnd, dde, ddd = d.ne, d.nd, d.de, d.dd
         counts = multiplicities(nu)
-        for items, cne, cnd, cde, cdd in plan:
+        for items, c in plan:
             k = 1
             rest = nu
             for value, mult in items:
@@ -360,7 +296,7 @@ def _perp_terms(plan: tuple[PlanEntry, ...], g: SymFunc) -> Iterator[RawTerm]:
                 i = rest.index(value)
                 rest = rest[:i] + rest[i + mult :]
             else:
-                yield rest, cne * dne * k, cnd * dnd, cde * dde, cdd * ddd
+                yield rest, c, d, k
 
 
 def symfunc_to_json(f: SymFunc) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from .bases import (
@@ -163,6 +164,7 @@ def _e_at_minus_tu(s: int) -> RatFun:
     return RatFun(coeffs)
 
 
+@cache
 def _convolved_var_modes(k: int) -> SymFunc:
     """Modes of H(u) E(-tu) assembled by explicit convolution of h and e modes."""
     return linear_combination((_e_at_minus_tu(s), complete_h(k - s) * elementary_e(s)) for s in range(k + 1))

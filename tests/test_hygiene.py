@@ -1,10 +1,12 @@
 """Source hygiene without a linter: every imported name is used, every
 function, class and method is referenced somewhere, guarded fields are
-written only where allowed, the finite-variable oracles stay an
-independent route, and every memo is a functools cache."""
+written only where allowed, RatFun's packed fields are read only in
+`ratfun`, the finite-variable oracles stay an independent route, and
+every memo is a functools cache."""
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -163,31 +165,38 @@ FIELD_WRITERS = {
 }
 
 
+def _scoped_nodes(source: str) -> Iterator[tuple[str, ast.AST]]:
+    """Every node of the source below the defs and classes, with the dotted
+    name of the defs and classes around it ("" outside any)."""
+
+    def visit(node: ast.AST, scope: tuple[str, ...]) -> Iterator[tuple[str, ast.AST]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, (*scope, child.name))
+                continue
+            yield ".".join(scope), child
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), ())
+
+
 def _guarded_field_writes(sources: dict[str, str]) -> list[str]:
     """Assignments, deletions and setattr calls on an attribute named in
     FIELD_WRITERS outside the scopes listed for it, as module.scope:line."""
     found = []
-
-    def visit(node: ast.AST, module: str, scope: tuple[str, ...]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, module, (*scope, child.name))
-                continue
-            written = None
-            if isinstance(child, ast.Attribute) and not isinstance(child.ctx, ast.Load):
-                written = child.attr
-            elif isinstance(child, ast.Call) and len(child.args) >= 2:
-                # setattr(obj, "ne", v) and object.__setattr__(obj, "ne", v)
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in ("setattr", "__setattr__") and isinstance(child.args[1], ast.Constant):
-                    written = child.args[1].value
-            if written in FIELD_WRITERS and ".".join(scope) not in FIELD_WRITERS[written]:
-                found.append(f"{module}.{'.'.join(scope) or '<module>'}:{child.lineno}")
-            visit(child, module, scope)
-
     for module, source in sources.items():
-        visit(ast.parse(source), module, ())
+        for scope, node in _scoped_nodes(source):
+            written = None
+            if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                written = node.attr
+            elif isinstance(node, ast.Call) and len(node.args) >= 2:
+                # setattr(obj, "ne", v) and object.__setattr__(obj, "ne", v)
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in ("setattr", "__setattr__") and isinstance(node.args[1], ast.Constant):
+                    written = node.args[1].value
+            if written in FIELD_WRITERS and scope not in FIELD_WRITERS[written]:
+                found.append(f"{module}.{scope or '<module>'}:{node.lineno}")
     return sorted(found)
 
 
@@ -225,6 +234,46 @@ def test_symfunc_field_write_is_reported():
         "m.SymFunc.scaled:7",
         "m._perp_plan:12",
         "m.perp_apply:16",
+    ]
+
+
+# ratfun is the one module that reads or combines the packed fields: every
+# other module sums RatFun products through sum_products, pull and the operators
+PACKED_READS = PACKED_FIELDS | {"_raw"}
+
+
+def _packed_field_reads(sources: dict[str, str]) -> list[str]:
+    """Reads of a packed field or of RatFun._raw (a call or a reference)
+    outside the ratfun module, as module.scope:line."""
+    return sorted(
+        f"{module}.{scope or '<module>'}:{node.lineno}"
+        for module, source in sources.items()
+        if module != "ratfun"
+        for scope, node in _scoped_nodes(source)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and node.attr in PACKED_READS
+    )
+
+
+def test_packed_fields_read_only_in_ratfun():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _packed_field_reads(sources) == []
+
+
+def test_packed_field_read_is_reported():
+    source = (
+        "from .ratfun import RatFun\n\n\n"
+        "class Acc:\n    def add(self, r):\n        return RatFun._raw(r.ne, r.nd, 1, 1)\n\n"
+        "    def clear(self, r):\n        r.ne = 0  # not r.de\n\n\n"
+        "def unit(c):\n    return c.de == 1 and c.dd == 1\n\n\n"
+        "make = RatFun._raw\n"
+    )
+    assert _packed_field_reads({"m": source, "ratfun": source}) == [
+        "m.<module>:16",
+        "m.Acc.add:6",
+        "m.Acc.add:6",
+        "m.Acc.add:6",
+        "m.unit:13",
+        "m.unit:13",
     ]
 
 

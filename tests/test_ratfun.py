@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from symfock.ratfun import (
     LIMB_BITS,
     RF_ONE,
+    RF_ZERO,
     PackingOverflow,
     RatFun,
     _coeffs,
@@ -27,6 +28,7 @@ from symfock.ratfun import (
     rat_to_json,
     rf_inv_one_minus_t_pow,
     rf_one_minus_t_pow,
+    sum_products,
 )
 
 small_fractions = st.fractions(
@@ -221,6 +223,30 @@ def test_field_axioms(x, y, z):
     assert x + y == y + x
     if not x.is_zero():
         assert x * x.inverse() == RF_ONE
+
+
+# the keys of every caller: partitions, packed exponent ints and partition pairs
+sum_keys = st.sampled_from([(), (2, 1), 0, 7, ((1,), (2,))])
+# polynomials too, so that products on one key often share their denominator
+sum_factors = st.one_of(rat_funs, st.builds(mk, poly_coeffs))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(st.tuples(sum_keys, sum_factors, sum_factors, st.sampled_from([-2, 0, 1, 3])), max_size=5),
+    st.integers(min_value=0, max_value=5),
+)
+@example(
+    [((2, 1), mk([1], [1, -1]), mk([1, 2], [3]), 3), (7, mk([1, 1], [2]), mk([5], [1, 0, 1]), 1), (7, mk([0]), mk([1]), -2)],
+    1,
+)  # (2, 1) cancels; 7 holds a zero product and t-denominators over distinct scalars
+def test_sum_products_is_the_fold_of_scaled_products(terms, cancelled):
+    # the first `cancelled` terms once more with a negated factor: their sums vanish
+    terms = terms + [(key, -a, b, k) for key, a, b, k in terms[:cancelled]]
+    want: dict = {}
+    for key, a, b, k in terms:
+        want[key] = want.get(key, RF_ZERO) + (a * b).scale(k)
+    assert sum_products(terms) == {key: v for key, v in want.items() if v}
 
 
 @settings(max_examples=80, deadline=None)

@@ -325,8 +325,9 @@ def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, 
 def test_corollaries_catch_a_corrupted_h_or_e(monkeypatch, name, wrong):
     # the composed side convolves h and e in `vertex`; the direct side's q_k
     # reads neither, so a fault in either shows.  The originals recurse through
-    # the patched module name, so their caches are emptied around the fault.
-    caches = (complete_h, elementary_e, bases.q_coefficient)
+    # the patched module name, and the convolution is memoised too, so these
+    # caches are emptied around the fault.
+    caches = (complete_h, elementary_e, bases.q_coefficient, vertex._convolved_var_modes)
     item = ("corollaries", ((2, 1),), SweepOptions(max_degree=3))
     assert _execute_item(item).ok
     for f in caches:
