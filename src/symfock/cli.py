@@ -8,6 +8,12 @@ that is negative or yields no identities is a usage error, never
 "verified", and so are negative counts (`expand -n`,
 `kp-search --degree-bound`).  Every mode-identity suite,
 `commutation` included, evaluates on the charges given by `--charges`.
+The bilinear suites (`heisenberg`, `twisted-heisenberg`, `virasoro`) grow
+steeply in cost with a charge past the window's weight, since the fermion
+pairs of a mode run out to the charge (`fock._pair_ranges`):
+`verify heisenberg --max-degree 1 --max-mode 1 --charges=N` takes, on a
+shared 2-vCPU host, 0.25 s at N = 12, 1.7 s at 20, 5.0 s at 24 and 15.6 s
+at 28, and at N = 99 does not finish in 60 s.
 `verify --corrupt` swaps in a corrupted plus kernel as a negative
 control; only the anticommutator suites `fermion` and `twisted-fermion`
 accept it, and any other suite exits 2.  Likewise an option that is
@@ -21,6 +27,19 @@ An unknown suite exits 2 and names every suite.
 vacuous bilinear identity is never reported as TAU.
 SF_THREADS caps the worker pool used by `verify` (default: available
 parallelism); it must be a positive integer, otherwise `verify` exits 2.
+
+Start-up: each command imports only the modules it runs, so a process
+compiles only those (where no bytecode is cached, each start compiles them
+from source).  Building the parser imports none; `expand` loads `bases`
+and `symfunc`, and `vertex` with `fock` only on the vertex and generating
+routes; `kp` and `kp-search` load `bases`, `fock` and `kp`; `verify` loads
+every module.  `verify -h` reads the suite names from `verify` only when
+it prints them.  `fock.Verdict` and `vertex.CorollaryVerdict` are named
+tuples, so that `kp` and `expand` never import `dataclasses` (and with it
+`inspect`).  `verify`'s `SweepOptions`, `CheckResult` and `Suite` stay
+dataclasses: options and suites are derived with `dataclasses.replace`
+(as the benchmark's tests do on `verify.DEFAULT_OPTIONS`), and a sweep
+runs long enough that the import is a small share of it.
 """
 
 from __future__ import annotations
@@ -28,24 +47,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-
-from .bases import (
-    complete_h,
-    dual_schur,
-    elementary_e,
-    hall_littlewood_oracle,
-    q_coefficient,
-    schur,
-    schur_oracle,
-    expand_in_variables,
-    varpoly_to_json,
-)
-from .kp import omega_apply, search_negative_control, tensor_to_json
-from .partitions import as_partition
-from .symfunc import symfunc_from_json, symfunc_to_json
-from .verify import SUITE_NAMES, SweepOptions, run_suite
-from .vertex import basis_via_vertex, generating_coefficient_direct
 
 ROW_BASES = ("h", "e", "q")
 PARTITION_BASES = ("schur", "hl", "dualschur")
@@ -56,6 +57,8 @@ class UsageError(Exception):
 
 
 def _parse_partition(text: str):
+    from .partitions import as_partition
+
     text = text.strip()
     if text in ("", "-", "[]"):
         return ()
@@ -80,6 +83,8 @@ def _parse_charges(text: str) -> tuple[int, ...]:
 
 
 def _parse_fraction(text: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
@@ -99,6 +104,11 @@ def _note(msg: str) -> None:
 
 
 def _cmd_expand(args) -> int:
+    # every route reads bases (vertex through its series); only the vertex
+    # and generating routes need vertex, and with it fock
+    from . import bases
+    from .symfunc import symfunc_to_json
+
     basis = args.basis
     la = _parse_partition(args.partition)
     route = args.route
@@ -112,10 +122,10 @@ def _cmd_expand(args) -> int:
         k = la[0] if la else 0
         if route not in ("det", "oracle"):
             raise UsageError(f"basis {basis!r} supports routes det, oracle")
-        f = {"h": complete_h, "e": elementary_e, "q": q_coefficient}[basis](k)
+        f = {"h": bases.complete_h, "e": bases.elementary_e, "q": bases.q_coefficient}[basis](k)
         if route == "oracle":
             n = args.n if args.n is not None else max(f.degree(), 1)
-            _emit(varpoly_to_json(expand_in_variables(f, n), n))
+            _emit(bases.varpoly_to_json(bases.expand_in_variables(f, n), n))
         else:
             _emit(symfunc_to_json(f))
         return 0
@@ -133,14 +143,18 @@ def _cmd_expand(args) -> int:
         n = args.n if args.n is not None else max(sum(la), 1)
         if n < len(la):
             raise UsageError(f"oracle route needs n >= len(la) = {len(la)}")
-        oracle = schur_oracle if basis == "schur" else hall_littlewood_oracle
-        _emit(varpoly_to_json(oracle(la, n), n))
+        oracle = bases.schur_oracle if basis == "schur" else bases.hall_littlewood_oracle
+        _emit(bases.varpoly_to_json(oracle(la, n), n))
         return 0
     if route == "det":
-        f = schur(la) if basis == "schur" else dual_schur(la)
+        f = bases.schur(la) if basis == "schur" else bases.dual_schur(la)
     elif route == "vertex":
+        from .vertex import basis_via_vertex
+
         f = basis_via_vertex(kind, la)
     else:
+        from .vertex import generating_coefficient_direct
+
         f = generating_coefficient_direct(kind, la)
     _emit(symfunc_to_json(f))
     return 0
@@ -151,6 +165,8 @@ def _cmd_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SweepOptions, run_suite
+
     suite = args.suite
     opts = SweepOptions(
         max_degree=args.max_degree,
@@ -191,6 +207,10 @@ def _cmd_kp(args) -> int:
     sources = [s for s in (args.schur, args.dualschur, args.file) if s is not None]
     if len(sources) != 1:
         raise UsageError("exactly one of --schur, --dualschur, --file is required")
+    from .bases import dual_schur, schur
+    from .kp import omega_apply, tensor_to_json
+    from .symfunc import symfunc_from_json
+
     if args.schur is not None:
         tau = schur(_parse_partition(args.schur))
         label = f"schur[{args.schur}]"
@@ -222,6 +242,9 @@ def _cmd_kp(args) -> int:
 def _cmd_kp_search(args) -> int:
     if args.degree_bound < 0:
         raise UsageError("--degree-bound must be nonnegative")
+    from .kp import search_negative_control, tensor_to_json
+    from .symfunc import symfunc_to_json
+
     found = search_negative_control(args.degree_bound)
     if found is None:
         _emit({"found": False})
@@ -234,6 +257,26 @@ def _cmd_kp_search(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _VerifyHelp(argparse.Action):
+    """`verify -h`: argparse's help action, which first sets the help of
+    `suite` to the suite names, so that only printing help reads them from
+    `verify` and building the parser imports no suite."""
+
+    def __init__(self, option_strings, dest, suite):
+        super().__init__(
+            option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS,
+            help="show this help message and exit",
+        )
+        self.suite = suite
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from .verify import SUITE_NAMES
+
+        self.suite.help = "|".join(SUITE_NAMES)
+        parser.print_help()
+        parser.exit()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("-n", type=int, default=None, help="variable count for the oracle route")
     p_expand.set_defaults(func=_cmd_expand)
 
-    p_verify = sub.add_parser("verify", help="run one identity sweep")
-    p_verify.add_argument("suite", help="|".join(SUITE_NAMES))
+    p_verify = sub.add_parser("verify", help="run one identity sweep", add_help=False)
+    suite = p_verify.add_argument("suite")
+    p_verify.add_argument("-h", "--help", action=_VerifyHelp, suite=suite)
     p_verify.add_argument("--max-degree", type=int, default=None)
     p_verify.add_argument("--max-mode", type=int, default=None)
     p_verify.add_argument("--charges", default=None, help="comma-separated, e.g. --charges=-2,-1,0,1,2")

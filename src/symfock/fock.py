@@ -109,12 +109,11 @@ test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import zip_longest
 from math import comb, gcd
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
@@ -791,7 +790,10 @@ def _normal_ordered_pair(k: int, la: Partition, charges: Iterable[int], kinds: I
 
 def _pair_ranges(k: int, deg: int, m: int) -> tuple[range, range]:
     """The a' of the C+ and of the C- that mode k of a bilinear sums on z^m p_la,
-    |la| = deg (`_normal_ordered_pair`): the normal-ordering split at a' = m."""
+    |la| = deg (`_normal_ordered_pair`): the normal-ordering split at a' = m.
+    The C+ run out to the charge, and each C+(a') past |la| builds
+    fermion-[k-1-a'] p_la at weight about |la| + a', so far charges cost
+    steeply more."""
     return range(k - deg, m), range(m, deg)
 
 
@@ -872,8 +874,7 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
 Operator = Callable[[FockVector], FockVector]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     equal: bool
     charge: int | None = None
     partition: Partition | None = None

@@ -28,10 +28,9 @@ return the monic P_la.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bases import (
     complete_h,
@@ -202,8 +201,7 @@ def crosscheck_corollaries(la) -> "CorollaryVerdict":
     return CorollaryVerdict(hl_direct == hl_composed, dual_direct == dual_composed)
 
 
-@dataclass(frozen=True)
-class CorollaryVerdict:
+class CorollaryVerdict(NamedTuple):
     hl_equal: bool
     dual_equal: bool
 

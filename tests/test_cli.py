@@ -208,6 +208,15 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert (code, out, err) == (2, "", f"error: unknown suite 'bogus'; choose from {names}\n")
 
 
+def test_verify_help_lists_every_suite(capsys):
+    # the suite names are read from verify only when help is printed
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    listing = out.split("positional arguments:\n")[1].split("\n\n")[0]
+    # argparse wraps the listing at hyphens and indents the continuation lines
+    joined = "".join(line.strip() for line in listing.splitlines()).removeprefix("suite").lstrip()
+    assert code == 0 and joined.split("|") == list(verify.SUITE_NAMES)
+
+
 @pytest.mark.parametrize("error", [ZeroDivisionError, ValueError])
 def test_internal_error_exits_3(monkeypatch, capsys, error):
     # an exception while an item runs is a fault of the program, not of the input

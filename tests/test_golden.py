@@ -31,6 +31,9 @@ follow the failing ones skip checks already passed at another charge.
 built as L^0_k - beta (k-1) alpha_k from two beta-free columns.
 `commutation --max-degree 6 --max-mode 4` was recorded before f-perp was
 applied from a per-operator plan with integer falling factorials.
+`expand schur 3,2,1 --route det` and `expand hl 3,2,1 --route generating`
+were recorded before each command imported only the modules it runs; they
+hash as the vertex route does on the same partition.
 The four `expand ... --route oracle` cases were recorded before the
 finite-variable oracles moved to packed exponent keys with int
 coefficients.
@@ -42,6 +45,9 @@ Commands run in `data/`, which holds the `--file` inputs.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -106,6 +112,8 @@ GOLDEN = {
     ("expand", "h", "4", "--route", "oracle", "-n", "3"): (0, "6f9dae221528451f98f7880e89bd98c447ea36106a959cc70475941d0469405b"),
     ("verify", "heisenberg", "--max-degree", "3", "--max-mode", "3", "--charges=-5,0,5"): (0, "9c722adbc96e6bbf40a9416c5ec6a7776ec150e514e25c5bc3a11386a0530ea1"),
     ("verify", "twisted-heisenberg", "--max-degree", "3", "--max-mode", "2", "--charges=-4,4"): (0, "a5aa7681b164b0a874d24003c755532a1132b9b10b5f623c83c3fb8c83432f97"),
+    ("expand", "schur", "3,2,1", "--route", "det"): (0, "fb983ca9b21132db292fc1a87c29e2386a86b8b53400c19256eabc8200949a60"),
+    ("expand", "hl", "3,2,1", "--route", "generating"): (0, "4ae67d166d6530821fd71989a79dd8b30f3c46f3e5bb3bd6e3e6acb35037f5ad"),
 }
 
 
@@ -123,3 +131,49 @@ def test_every_suite_has_a_golden_case():
     # a suite added to verify.SUITES lands with a hash of its output
     pinned = {argv[1] for argv, (_, digest) in GOLDEN.items() if argv[0] == "verify" and digest != EMPTY}
     assert set(verify.SUITE_NAMES) <= pinned
+
+
+# In-process tests import every module up front, so a handler that misses
+# an import of its own passes them; a fresh interpreter per command does
+# not, and shows which modules the command loaded.  With no argv the
+# driver only builds the parser.
+DRIVER = """\
+import sys
+before = set(sys.modules)
+from symfock import cli
+cli.build_parser()
+code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+sys.stdout.flush()
+print(*sorted(set(sys.modules) - before), file=sys.stderr)
+sys.exit(code)
+"""
+SRC = Path(verify.__file__).resolve().parent.parent
+NO_VERTEX = {"symfock.verify", "symfock.vertex", "dataclasses"}
+NO_FOCK = NO_VERTEX | {"symfock.fock", "symfock.kp"}
+FRESH = [
+    ((), "1", NO_FOCK | {"symfock.bases", "symfock.symfunc"}),
+    (("expand", "schur", "3,2,1", "--route", "det"), "1", NO_FOCK),
+    (("expand", "schur", "3,2,1", "--route", "vertex"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
+    (("expand", "hl", "3,2,1", "--route", "generating"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
+    (("expand", "schur", "3,2,1", "--route", "oracle"), "1", NO_FOCK),
+    (("verify", "heisenberg", *WINDOW), "1", set()),
+    (("verify", "heisenberg", *WINDOW), "2", set()),
+    (("kp", "--dualschur", "4,3,2,1", "--deformed"), "1", NO_VERTEX),
+    (("kp-search", "--degree-bound", "4"), "1", NO_VERTEX),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, threads, unloaded", FRESH, ids=[f"{' '.join(argv) or 'parser'} threads={t}" for argv, t, _ in FRESH]
+)
+def test_fresh_interpreter_runs_each_command_on_its_own_imports(argv, threads, unloaded):
+    env = dict(os.environ, SF_THREADS=threads, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER, *argv], cwd=DATA, env=env, capture_output=True, timeout=120
+    )
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert "symfock.cli" in loaded and loaded & unloaded == set()
+    if argv:
+        assert (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) == GOLDEN[argv]
+    else:
+        assert (proc.returncode, proc.stdout) == (0, b"")
