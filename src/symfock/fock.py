@@ -67,13 +67,15 @@ found through a per-weight index map; no SymFunc is built.  An operator
 applied to a vector sums c_i(t) * enc_i per weight over the common
 denominator (`combine`), one multiply per input term, and unpacks the
 sum to a SymFunc, one gcd per coefficient and every digit over a
-t-denominator checked against the limb bound of `ratfun`; on a basis
-vector `mode_apply` returns the cached column's view, built once
-(`Column.kept_body`).  `composition` builds K1[j1] K2[j2] p_la the same
-way at charge 0; on z^m p_la that is the product at (j1 + eps1 m,
-j2 + eps2 m).  The fermion and bilinear sums read each from `diagonal`;
-the Heisenberg and Virasoro modes of one (k, la) are built at every
-charge of a sweep from one such pair (`_normal_ordered_pair`).
+t-denominator checked against the limb bound of `ratfun`.  `composition`
+builds K1[j1] K2[j2] p_la the same way at charge 0, for any two kernels
+(an inner column's (1-t^v) exponents go on the outer columns); on z^m p_la
+that is the product at (j1 + eps1 m, j2 + eps2 m).  The fermion and
+bilinear sums read each from `diagonal`; the Heisenberg and Virasoro
+modes of one (k, la) are built at every charge of a sweep from one such
+pair (`_normal_ordered_pair`).  Each operator is defined once, as pieces
+(c(t)/b times a column) on z^m p_la: the kernel modes, `alpha`,
+`twisted_alpha` and `virasoro`; `apply` sums such pieces over a vector.
 
 Neither the width w nor the t-stride s is set by an option: both follow
 from bounds on the digits and t-degrees carried with each column (never
@@ -102,15 +104,15 @@ packed, and the result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
-basis vector z^m p_la of a window (`verify` checks the fermion and
-bilinear suites on packed columns instead, with `_combine` as the zero
-test).
+basis vector z^m p_la of a window, for `verify`'s commutation suite and
+the tests.  Every Fock-kernel suite of `verify` runs on packed columns
+instead, with `_combine` as the zero test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import zip_longest
 from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple
@@ -233,12 +235,10 @@ class Column:
     value, bits < width, and no c_la has t-degree above deg < stride.  A
     Q-valued body is the case deg = 0 and ex = ().  The digits are
     unpacked once, on first read; the `body` property is the SymFunc
-    view, built on each read, and `kept_body` the same view built once
-    and kept with the column (for a cached column that is read whole
-    again and again).
+    view, built on each read.
     """
 
-    __slots__ = ("weight", "enc", "den", "ex", "bits", "deg", "width", "stride", "_digits", "_body")
+    __slots__ = ("weight", "enc", "den", "ex", "bits", "deg", "width", "stride", "_digits")
 
     def __init__(
         self, weight: int, enc: int, den: int, ex: Exponents, bits: int, deg: int, width: int, stride: int
@@ -252,7 +252,6 @@ class Column:
         self.width = width
         self.stride = stride
         self._digits: list[tuple[Partition, Digits]] | None = None
-        self._body: SymFunc | None = None
 
     @classmethod
     def zero(cls, n: int) -> "Column":
@@ -337,12 +336,6 @@ class Column:
             out = {la: c / over for la, c in out.items()}
         return SymFunc(out, _clean=True)
 
-    def kept_body(self) -> SymFunc:
-        """The `body` view, built on the first call and kept."""
-        if self._body is None:
-            self._body = self.body
-        return self._body
-
     def over(self, ex: Exponents) -> "Column":
         """This column divided by prod_v (1-t^v)**ex[v-1]: the same packed
         digits over the summed exponent vector."""
@@ -389,7 +382,11 @@ def _lift(top: Exponents, ex: Exponents) -> tuple[int, ...]:
     return out
 
 
-def _combine(n: int, pieces: list[tuple[Digits, int, Column]]) -> Column:
+# c(t)/b times a column: one piece of a packed sum
+Piece = tuple[Digits, int, Column]
+
+
+def _combine(n: int, pieces: list[Piece]) -> Column:
     """sum (c(t)/b) col over pieces (c, b, col) of weight n, b > 0, c and col nonzero.
 
     The common denominator is D * prod_v (1-t^v)**top[v-1], D the lcm of
@@ -459,15 +456,37 @@ def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
 def combine(pairs: Iterable[tuple[RatFun, Column]]) -> SymFunc:
     """sum c * col over (c, col) pairs, summed packed per weight and unpacked once."""
     pieces, scale = pull([(c, col) for c, col in pairs if c and col.enc])
-    groups: dict[int, list[tuple[Digits, int, Column]]] = {}
+    groups: dict[int, list[Piece]] = {}
     for piece in pieces:
         groups.setdefault(piece[2].weight, []).append(piece)
     return _unpack([_combine(n, group) for n, group in groups.items()], scale)
 
 
+def pieces(col: Column, c: Digits = 1, b: int = 1) -> list[Piece]:
+    """(c/b) col as pieces, none for a zero column."""
+    return [(c, b, col)] if col.enc else []
+
+
+def apply(op: Callable[[int, Partition], list[Piece]], charge: int, v: FockVector) -> FockVector:
+    """The operator whose pieces on z^m p_la are op(m, la), each with an
+    integer c, applied to v: a vector of the given charge, summed by `combine`."""
+    pairs = []
+    for la, r in v.body.terms.items():
+        for c, b, col in op(v.charge, la):
+            pairs.append((r if c == b == 1 else r.scale(Fraction(c, b)), col))
+    return FockVector(charge, combine(pairs))
+
+
 # A_k of a kernel as a Column, with its digits as (index in its grade, t-digits)
 # pairs and, by width w, those digits spread at t = 2**w
 MultColumn = tuple[Column, list[tuple[int, tuple[int, ...]]], dict[int, list[int]]]
+
+
+def _multiplier(col: Column) -> MultColumn:
+    """A column of weight >= 0 over a scalar denominator as the multiplier of
+    a `_digit_sum` piece: its digits by index in its grade, none spread yet."""
+    index = _grade(col.weight).index
+    return col, [(index[la], _poly(c)) for la, c in col.digits()], {}
 
 
 def _digit_sum(n: int, pieces: list[tuple[Digits, int, Exponents, MultColumn, Partition]]) -> Column:
@@ -552,17 +571,14 @@ class VertexKernel:
         """A_m as a Column: the coefficient of u**-m in exp(sum a_n p_n u**-n / n),
         by m A_m = sum_n a_n p_n A_(m-n) on digits."""
         if m == 0:
-            col = Column.from_digits(0, [((), 1)], 1)
-        else:
-            pieces = []
-            for n in range(1, m + 1):
-                a = self.a(n).poly_parts()
-                if a is None:
-                    raise ValueError(f"{self.name}: a_{n} is not a polynomial in t over an integer")
-                pieces.append((a[0], a[1] * m, (), self._mult_column(m - n), (n,)))
-            col = _digit_sum(m, pieces)
-        index = _grade(m).index
-        return col, [(index[la], _poly(c)) for la, c in col.digits()], {}
+            return _multiplier(Column.from_digits(0, [((), 1)], 1))
+        terms = []
+        for n in range(1, m + 1):
+            a = self.a(n).poly_parts()
+            if a is None:
+                raise ValueError(f"{self.name}: a_{n} is not a polynomial in t over an integer")
+            terms.append((a[0], a[1] * m, (), self._mult_column(m - n), (n,)))
+        return _multiplier(_digit_sum(m, terms))
 
     def _c_parts(self, v: int) -> tuple[Digits, int, int]:
         """c_v as (c, b, k), b > 0, of value c(t) / (b (1-t^v)**k)."""
@@ -664,18 +680,7 @@ class VertexKernel:
 
 def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
     """The coefficient of u**j in K(u) v."""
-    charge = v.charge + kernel.eps
-    pairs = []
-    for la, c in v.body.terms.items():
-        col = kernel.mode_on_basis(j, v.charge, la)
-        if not col.is_zero():
-            pairs.append((c, col))
-    if len(pairs) == 1:
-        c, col = pairs[0]
-        if c == RF_ONE:
-            # a basis vector: the cached column's view, built once
-            return FockVector(charge, col.kept_body())
-    return FockVector(charge, combine(pairs))
+    return apply(lambda m, la: pieces(kernel.mode_on_basis(j, m, la)), v.charge + kernel.eps, v)
 
 
 FERMION_PLUS = VertexKernel("fermion+", +1, lambda n: RF_ONE, lambda n: RF_MINUS_ONE)
@@ -717,25 +722,23 @@ def corrupted_kernel(base: VertexKernel) -> VertexKernel:
 
 
 def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, la: Partition) -> Column:
-    """outer[j1] inner[j2] p_la as one packed Column, for an inner kernel
-    whose modes have scalar denominators (fermion and twisted): one piece
-    per nonzero coefficient c_mu of the inner column, on the cached outer
-    column of p_mu.  An inner column over a (1-t^v) denominator raises
-    ValueError."""
+    """outer[j1] inner[j2] p_la as one packed Column: one piece per nonzero
+    coefficient c_mu of the inner column, on the cached outer column of
+    p_mu over the inner denominator (its (1-t^v) exponents added to the
+    outer column's)."""
     col = inner.mode_on_basis(j2, 0, la)
-    if col.ex:
-        raise ValueError(f"{inner.name}[{j2}] p_{list(la)} is over (1-t^v); composition needs a scalar den")
-    pieces = []
+    terms = []
     for mu, c in col.digits():
         out = outer.mode_on_basis(j1, inner.eps, mu)
         if out.enc:
-            pieces.append((c, col.den, out))
-    return _combine(weight(la) - j1 - j2 - 2 - outer.eps * inner.eps, pieces)
+            terms.append((c, col.den, out.over(col.ex) if col.ex else out))
+    return _combine(weight(la) - j1 - j2 - 2 - outer.eps * inner.eps, terms)
 
 
 def diagonal(k1: VertexKernel, k2: VertexKernel, d: int, la: Partition) -> tuple[Callable[[int], Column], ...]:
-    """X(a) = k1[a] k2[d-a] p_la and Y(b) = k2[b] k1[d-b] p_la, each built on
-    first use and dropped with the pair; Y is X when k1 is k2."""
+    """X(a) = k1[a] k2[d-a] p_la and Y(b) = k2[b] k1[d-b] p_la for any two
+    kernels, each built on first use and dropped with the pair; Y is X when
+    k1 is k2."""
     X = cache(lambda a: composition(k1, a, k2, d - a, la))
     return X, X if k1 is k2 else cache(lambda b: composition(k2, b, k1, d - b, la))
 
@@ -797,18 +800,16 @@ def _pair_ranges(k: int, deg: int, m: int) -> tuple[range, range]:
     return range(k - deg, m), range(m, deg)
 
 
-def bilinear_column(
-    k: int, m: int, la: Partition, weighted: bool, charges: Iterable[int] = (), both: bool = False
-) -> Column:
+def bilinear_column(k: int, m: int, la: Partition, weighted: bool, charges: Iterable[int] = ()) -> Column:
     """Mode k of L^0 (weighted) or alpha on z^m p_la, memoised per basis vector.
 
-    A miss builds it at m and at every charge in charges (a sweep's), and
-    with `both` the other of the two as well, from one set of compositions
-    (`_normal_ordered_pair`)."""
+    A miss builds it at m and at every charge in charges (a sweep's) from
+    one set of compositions (`_normal_ordered_pair`), and a miss on L^0
+    builds alpha from the same compositions too."""
     cache = _vir_cache if weighted else _heis_cache
     col = cache.get((k, m, la))
     if col is None:
-        _normal_ordered_pair(k, la, (m, *charges), (weighted, not weighted) if both else (weighted,))
+        _normal_ordered_pair(k, la, (m, *charges), (True, False) if weighted else (False,))
         col = cache[k, m, la]
     return col
 
@@ -818,30 +819,24 @@ def one_minus_t_pow_ex(k: int) -> Exponents:
     return (0,) * (k - 1) + (1,)
 
 
-def twisted_heisenberg_column(k: int, m: int, la: Partition, charges: Iterable[int] = ()) -> Column:
-    """h_k on z^m p_la: alpha_k's column, over (1-t^k) when k > 0."""
+def alpha(k: int, m: int, la: Partition, charges: Iterable[int] = ()) -> list[Piece]:
+    """alpha_k on z^m p_la as pieces, with alpha_{-n} = p_n, alpha_n = n d/dp_n
+    (n > 0) and alpha_0 = charge: the coefficient of u**(k-1) of the
+    normal-ordered product :fermion+(u) fermion-(u): (`bilinear_column`, whose
+    miss builds it at every charge in charges as well)."""
+    return pieces(bilinear_column(k, m, la, False, charges))
+
+
+def twisted_alpha(k: int, m: int, la: Partition, charges: Iterable[int] = ()) -> list[Piece]:
+    """h_k on z^m p_la as pieces: alpha_k for k <= 0 and alpha_k/(1 - t**k),
+    alpha's column over (1-t^k), for k > 0."""
     col = bilinear_column(k, m, la, False, charges)
-    return col.over(one_minus_t_pow_ex(k)) if k > 0 else col
+    return pieces(col.over(one_minus_t_pow_ex(k)) if k > 0 else col)
 
 
-def heisenberg_mode(k: int, v: FockVector) -> FockVector:
-    """alpha_k with alpha_{-n} = p_n, alpha_n = n d/dp_n (n > 0), alpha_0 = charge.
-
-    Realised as the coefficient of u**(k-1) of the normal-ordered product
-    :fermion+(u) fermion-(u): .
-    """
-    pairs = [(c, bilinear_column(k, v.charge, la, False)) for la, c in v.body.terms.items()]
-    return FockVector(v.charge, combine(pairs))
-
-
-def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
-    """h_k = alpha_k for k <= 0 and alpha_k/(1 - t**k) for k > 0."""
-    pairs = [(c, twisted_heisenberg_column(k, v.charge, la)) for la, c in v.body.terms.items()]
-    return FockVector(v.charge, combine(pairs))
-
-
-def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
-    """L^(beta)_k from the weighted fermion bilinear
+def virasoro(p: int, q: int, k: int, m: int, la: Partition, charges: Iterable[int] = ()) -> list[Piece]:
+    """L^(beta)_k on z^m p_la as pieces, beta = p/q (q > 0), from the
+    weighted fermion bilinear
     beta :dfermion+(u) fermion-(u): + (1-beta) :fermion+(u) dfermion-(u): .
 
     The derivative of the minus field is taken in the variable its modes
@@ -849,22 +844,36 @@ def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
     labelling fixed so the bracket closes with positive structure
     constants this makes the pair (a, b) with a + b = k - 1 enter with
     weight (1-beta)*b - beta*a = b - beta*(k-1), so L^(beta)_k =
-    L^0_k - beta (k-1) alpha_k: one packed sum over two beta-free cached
-    columns per basis vector, alpha_k's skipped when beta (k-1) = 0.  The
-    resulting modes satisfy
+    L^0_k - beta (k-1) alpha_k: two beta-free cached columns per basis
+    vector, built by one miss, with alpha's skipped when beta (k-1) = 0;
+    beta enters as the integers p and q, so no Fraction is built per piece.
+    The resulting modes satisfy
 
         [L_j, L_k] = (j - k) L_{j+k} + c/12 (j**3 - j) delta_{j,-k}
 
     with central charge c = -12 beta**2 + 12 beta - 2, and L_0 acts on
     the charge-m vacuum by m(m-1)/2 + beta*m.
     """
-    shift = Fraction(beta) * (1 - k)
-    pairs = []
-    for la, c in v.body.terms.items():
-        pairs.append((c, bilinear_column(k, v.charge, la, True)))
-        if shift:
-            pairs.append((c.scale(shift), bilinear_column(k, v.charge, la, False)))
-    return FockVector(v.charge, combine(pairs))
+    out = pieces(bilinear_column(k, m, la, True, charges))
+    if p and k != 1:
+        out += pieces(bilinear_column(k, m, la, False, charges), p * (1 - k), q)
+    return out
+
+
+def heisenberg_mode(k: int, v: FockVector) -> FockVector:
+    """alpha_k on a vector (`alpha`)."""
+    return apply(partial(alpha, k), v.charge, v)
+
+
+def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
+    """h_k on a vector (`twisted_alpha`)."""
+    return apply(partial(twisted_alpha, k), v.charge, v)
+
+
+def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
+    """L^(beta)_k on a vector (`virasoro`)."""
+    beta = Fraction(beta)
+    return apply(partial(virasoro, beta.numerator, beta.denominator, k), v.charge, v)
 
 
 # ---------------------------------------------------------------------------

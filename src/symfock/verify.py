@@ -15,18 +15,17 @@ is an error, never a vacuous "ok".  A `SweepOptions` field left None
 takes the suite's default, and a field given to a suite that never reads
 it is an error rather than ignored.
 
-The commutation and kernel-factorization suites state their two sides as
-plain functions on Fock vectors and go through `check_mode_identity`.  The
-bilinear suites (heisenberg, twisted-heisenberg, virasoro) state theirs as
-`_combine` pieces on the cached bilinear columns (`fock.bilinear_column`,
-`fock.twisted_heisenberg_column`) and go through `_check_packed`, one
-packed zero test (`_differ`) per basis vector; the brackets share one
+The commutation suite states its two sides as plain functions on Fock
+vectors and goes through `fock.check_mode_identity`.  Every Fock-kernel
+suite states its sides as pieces (c(t)/b times a packed column) on z^m p_la,
+read from `fock`'s one definition of each operator (the kernel modes,
+`alpha`, `twisted_alpha`, `virasoro`), and goes through `_check_packed`,
+one packed zero test (`_differ`) per basis vector.  The brackets share one
 builder, `_bracket`, which unpacks the inner mode's column once and puts
-each digit on the outer mode's column.  beta enters as an integer
-numerator and denominator, as L^beta_k = L^0_k - beta (k-1) alpha_k is
-read from two beta-free columns, so the betas share every column; the
-1/(1-t^k) of a twisted mode enters as the exponent vector of its column.
-A first miss of a bilinear column builds it at every charge of the sweep.
+each digit on the outer mode's column.  A first miss of a bilinear column
+builds it at every charge of the sweep.  kernel-factorization sums its
+h_s twisted+[a+s] side as one `fock._digit_sum` and rescales p_mu by
+prod_i (1-t^mu_i) digit by digit, so a passing item builds no SymFunc.
 
 The classical fermion suite is the t = 0 case of the twisted one: at
 t = 0 the twisted kernels are the classical ones, and both suites check,
@@ -75,23 +74,27 @@ from .fock import (
     Digits,
     Exponents,
     FockVector,
-    Operator,
+    Piece,
     Verdict,
     VertexKernel,
     _combine,
+    _digit_sum,
+    _lift,
+    _multiplier,
     _pmul,
     _unpack,
-    bilinear_column,
+    alpha,
     check_mode_identity,
     corrupted_kernel,
     diagonal,
-    mode_apply,
     one_minus_t_pow_ex,
-    twisted_heisenberg_column,
+    pieces,
+    twisted_alpha,
+    virasoro,
 )
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_pow
-from .symfunc import linear_combination, perp_apply, scalar_product, symfunc_to_json
+from .symfunc import perp_apply, scalar_product, symfunc_to_json
 from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
 # one corrupted copy per kernel, so its mode cache survives across items
@@ -142,11 +145,6 @@ Item = tuple  # (suite, params, opts)
 # item executors, one per suite
 
 
-def _check(suite: str, name: str, lhs: Operator, rhs: Operator, opts: SweepOptions) -> CheckResult:
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-    return CheckResult(suite, name, verdict.equal, verdict.witness_json())
-
-
 def _run_commutation(params, opts: SweepOptions) -> CheckResult:
     """low_a^perp up_b against up_b low_a^perp, with the lower pair (a-1, b-1)
     on the left for ee/hh and on the right for he/eh."""
@@ -168,7 +166,8 @@ def _run_commutation(params, opts: SweepOptions) -> CheckResult:
             body = body + u1 * perp_apply(d1, v.body)
         return FockVector(v.charge, body)
 
-    return _check("commutation", f"{rel}[a={a},b={b}]", lhs, rhs, opts)
+    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
+    return CheckResult("commutation", f"{rel}[a={a},b={b}]", verdict.equal, verdict.witness_json())
 
 
 def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
@@ -202,9 +201,9 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
                 a0, b0 = a + K1.eps * m, b + K2.eps * m
                 if (a0, b0, la) in passed:
                     continue
-                left = _pieces(X(a0)) + _pieces(Y(b0))
+                left = pieces(X(a0)) + pieces(Y(b0))
                 if t:
-                    left += _pieces(X(a0 + e), *minus_t) + _pieces(Y(b0 + e), *minus_t)
+                    left += pieces(X(a0 + e), *minus_t) + pieces(Y(b0 + e), *minus_t)
                 if _differ(left, right):
                     lhs = _vector(m + K1.eps + K2.eps, left)
                     witness = Verdict(False, m, la, lhs, _vector(m, right)).witness_json()
@@ -213,8 +212,6 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     return CheckResult(suite, name, True, None)
 
 
-# c(t)/b times a column: one piece of a packed sum (`fock._combine`)
-Piece = tuple[Digits, int, Column]
 # an operator by its modes on basis vectors: op(k, m, la) is mode k on z^m p_la as pieces
 ModeOp = Callable[[int, int, Partition], list[Piece]]
 
@@ -226,29 +223,30 @@ def _negated(c: Digits) -> Digits:
 def _differ(left: list[Piece], right: list[Piece]) -> bool:
     """The one packed zero test: whether left minus right, pieces all of one
     weight, is nonzero."""
-    pieces = left + [(_negated(c), b, col) for c, b, col in right]
-    return bool(pieces and _combine(pieces[0][2].weight, pieces).enc)
+    terms = left + [(_negated(c), b, col) for c, b, col in right]
+    return bool(terms and _combine(terms[0][2].weight, terms).enc)
 
 
-def _vector(m: int, pieces: list[Piece]) -> FockVector:
+def _vector(m: int, terms: list[Piece]) -> FockVector:
     """One side of a failure witness: its pieces, of one weight, summed packed
     and unpacked, at charge m."""
-    return FockVector(m, _unpack([_combine(pieces[0][2].weight, pieces)] if pieces else [], None))
+    return FockVector(m, _unpack([_combine(terms[0][2].weight, terms)] if terms else [], None))
 
 
 def _check_packed(
-    suite: str, name: str, sides: Callable[[int, Partition], tuple[list[Piece], list[Piece]]], opts: SweepOptions
+    suite: str, name: str, sides: Callable[[int, Partition], tuple[list[Piece], list[Piece]]], opts: SweepOptions, eps: int = 0
 ) -> CheckResult:
-    """`_check` on packed sides: sides(m, la) gives the pieces of the left and
-    right sides on z^m p_la, all of one weight, each side a vector of charge
-    m.  Each basis vector is one zero test of the packed left minus right;
-    only at the first vector where that fails are the two sides summed, each
-    on its own, and unpacked to SymFuncs for the witness."""
+    """`fock.check_mode_identity` on packed sides: sides(m, la) gives the
+    pieces of the left and right sides on z^m p_la, all of one weight, each
+    side a vector of charge m + eps (eps the charge shift of the operators,
+    0 for the bilinears).  Each basis vector is one zero test of the packed
+    left minus right; only at the first vector where that fails are the two
+    sides summed, each on its own, and unpacked to SymFuncs for the witness."""
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
             left, right = sides(m, la)
             if _differ(left, right):
-                witness = Verdict(False, m, la, _vector(m, left), _vector(m, right)).witness_json()
+                witness = Verdict(False, m, la, _vector(m + eps, left), _vector(m + eps, right)).witness_json()
                 return CheckResult(suite, name, False, witness)
     return CheckResult(suite, name, True)
 
@@ -272,24 +270,17 @@ def _bracket(op: ModeOp, j: int, k: int, m: int, la: Partition) -> list[Piece]:
     return out
 
 
-def _pieces(col: Column, c: Digits = 1, b: int = 1) -> list[Piece]:
-    """(c/b) col as pieces, none for a zero column."""
-    return [(c, b, col)] if col.enc else []
-
-
 def _unit(la: Partition, c: Digits, b: int = 1, ex: Exponents = ()) -> list[Piece]:
     """(c/b) p_la / prod_v (1-t^v)**ex[v-1] as pieces, none for c = 0."""
     return [(c, b, Column.from_digits(weight(la), [(la, 1)], 1, ex))] if c else []
 
 
 def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
-    def alpha(k: int, m: int, la: Partition) -> list[Piece]:
-        return _pieces(bilinear_column(k, m, la, False, opts.charges))
-
+    op = partial(alpha, charges=opts.charges)
     if params[0] == "comm":
         _, j, k = params
         c = j if j == -k else 0
-        sides = lambda m, la: (_bracket(alpha, j, k, m, la), _unit(la, c))
+        sides = lambda m, la: (_bracket(op, j, k, m, la), _unit(la, c))
         return _check_packed("heisenberg", f"comm[j={j},k={k}]", sides, opts)
     _, k = params
 
@@ -304,15 +295,12 @@ def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
         i = la.index(k)
         return _unit(la[:i] + la[i + 1 :], k * la.count(k))
 
-    return _check_packed("heisenberg", f"action[k={k}]", lambda m, la: (alpha(k, m, la), want(m, la)), opts)
+    return _check_packed("heisenberg", f"action[k={k}]", lambda m, la: (op(k, m, la), want(m, la)), opts)
 
 
 def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
     _, j, k = params
-
-    def h(k: int, m: int, la: Partition) -> list[Piece]:
-        return _pieces(twisted_heisenberg_column(k, m, la, opts.charges))
-
+    h = partial(twisted_alpha, charges=opts.charges)
     # j/(1 - t**|j|) on the diagonal j = -k
     c = j if j == -k else 0
     sides = lambda m, la: (_bracket(h, j, k, m, la), _unit(la, c, 1, one_minus_t_pow_ex(abs(j))))
@@ -323,14 +311,7 @@ def _run_virasoro(params, opts: SweepOptions) -> CheckResult:
     beta, j, k = params
     c_beta = -12 * beta * beta + 12 * beta - 2
     central = Fraction(j**3 - j) * c_beta / 12 if j == -k else Fraction(0)
-    p, q = beta.numerator, beta.denominator
-
-    def L(k: int, m: int, la: Partition) -> list[Piece]:
-        # L^beta_k = L^0_k - beta (k-1) alpha_k, both columns built by one miss
-        out = _pieces(bilinear_column(k, m, la, True, opts.charges, both=True))
-        if p and k != 1:
-            out += _pieces(bilinear_column(k, m, la, False, opts.charges, both=True), p * (1 - k), q)
-        return out
+    L = partial(virasoro, beta.numerator, beta.denominator, charges=opts.charges)
 
     def sides(m: int, la: Partition) -> tuple[list[Piece], list[Piece]]:
         right = [(c * (j - k), b, col) for c, b, col in L(j + k, m, la)] if j != k else []
@@ -339,40 +320,43 @@ def _run_virasoro(params, opts: SweepOptions) -> CheckResult:
     return _check_packed("virasoro", f"beta={beta}[j={j},k={k}]", sides, opts)
 
 
+def _deformation(la: Partition) -> Digits:
+    """The t-digits of prod_i (1 - t^la_i): p_la under p_n -> (1-t^n) p_n."""
+    return _lift(tuple(la.count(v) for v in range(1, la[0] + 1)) if la else (), ())
+
+
 def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:
+    """On z^m p_la: fermion+[a] = sum_s t^s h_s twisted+[a+s] (plus),
+    twisted-[a] = sum_s t^s h_s fermion-[a+s] (minus), and deformed±[a] as
+    fermion±[a] conjugated by p_n -> (1-t^n) p_n (conj±)."""
     kind, a = params
-    name = f"{kind}[a={a}]"
-    if kind == "conj+" or kind == "conj-":
-        deformed = DEFORMED_PLUS if kind == "conj+" else DEFORMED_MINUS
-        plain = FERMION_PLUS if kind == "conj+" else FERMION_MINUS
+    if kind.startswith("conj"):
+        deformed, plain = (DEFORMED_PLUS, FERMION_PLUS) if kind == "conj+" else (DEFORMED_MINUS, FERMION_MINUS)
 
-        def subst(v: FockVector) -> FockVector:
-            return FockVector(v.charge, v.body.scale_p(rf_one_minus_t_pow))
+        def sides(m: int, la: Partition) -> tuple[list[Piece], list[Piece]]:
+            col = plain.mode_on_basis(a, m, la)
+            right = Column.from_digits(
+                col.weight, [(mu, _pmul(c, _deformation(mu))) for mu, c in col.digits()], col.den, col.ex
+            )
+            return pieces(deformed.mode_on_basis(a, m, la), _deformation(la)), pieces(right)
 
-        lhs = lambda v: mode_apply(deformed, a, subst(v))
-        rhs = lambda v: subst(mode_apply(plain, a, v))
-        return _check("kernel-factorization", name, lhs, rhs, opts)
-    if kind == "plus":
-        # fermion+[a] = sum_s t^s h_s twisted+[a+s]
-        outer, inner = FERMION_PLUS, TWISTED_PLUS
-        s_max = opts.max_degree - min(opts.charges) - 1 - a
-    else:
-        # twisted-[a] = sum_s t^s h_s fermion-[a+s]
-        outer, inner = TWISTED_MINUS, FERMION_MINUS
-        s_max = opts.max_degree + max(opts.charges) - 1 - a
-    t_powers = [RF_ONE]
-    for _ in range(max(s_max, 0)):
-        t_powers.append(t_powers[-1] * RF_T)
+        return _check_packed("kernel-factorization", f"{kind}[a={a}]", sides, opts, plain.eps)
+    outer, inner = (FERMION_PLUS, TWISTED_PLUS) if kind == "plus" else (TWISTED_MINUS, FERMION_MINUS)
 
-    def factored(v: FockVector) -> FockVector:
-        pieces = []
-        for s, ts in enumerate(t_powers):
-            w = mode_apply(inner, a + s, v)
-            if not w.is_zero():
-                pieces.append((ts, complete_h(s) * w.body))
-        return FockVector(v.charge + inner.eps, linear_combination(pieces))
+    def factored(m: int, la: Partition) -> tuple[list[Piece], list[Piece]]:
+        # one digit sum over s and the terms c_mu p_mu of h_s of t^s c_mu p_mu inner[a+s] p_la
+        left = outer.mode_on_basis(a, m, la)
+        terms = []
+        for s in range(left.weight + 1):
+            col = inner.mode_on_basis(a + s, m, la)
+            if col.enc:
+                A = _multiplier(col)
+                for mu, c in complete_h(s).terms.items():
+                    c, b = c.poly_parts()
+                    terms.append(((0,) * s + (c,) if s else c, b, (), A, mu))
+        return pieces(left), pieces(_digit_sum(left.weight, terms))
 
-    return _check("kernel-factorization", name, lambda v: mode_apply(outer, a, v), factored, opts)
+    return _check_packed("kernel-factorization", f"{kind}[a={a}]", factored, opts, outer.eps)
 
 
 def _run_duality(params, opts: SweepOptions) -> CheckResult:

@@ -1,7 +1,8 @@
 """Source hygiene without a linter: every imported name is used, every
 function, class and method is referenced somewhere, guarded fields are
 written only where allowed, RatFun's packed fields are read only in
-`ratfun`, the finite-variable oracles stay an independent route, and
+`ratfun`, `verify` reads the Fock operators only through their packed
+definitions, the finite-variable oracles stay an independent route, and
 every memo is a functools cache."""
 
 import ast
@@ -102,6 +103,25 @@ def test_codec_internal_read_is_reported():
         "    return ratfun.poly_divmod(d, g), d >> ratfun.LIMB_BITS\n"
     )
     assert _names_read(source, CODEC_INTERNALS) == ["LIMB_BITS:7", "TPoly:6", "poly_divmod:7", "poly_gcd:6"]
+
+
+# every Fock-kernel suite reads `fock`'s operator definitions as pieces on
+# packed columns: verify reads neither the vector route (mode_apply and a
+# SymFunc sum) nor the bilinear caches beneath alpha, twisted_alpha and virasoro
+VECTOR_ROUTE = {"mode_apply", "linear_combination", "bilinear_column"}
+
+
+def test_verify_reads_only_the_fock_operator_definitions():
+    assert _names_read((SRC / "verify.py").read_text(), VECTOR_ROUTE) == []
+
+
+def test_vector_route_read_is_reported():
+    source = (
+        '"""Checked through mode_apply."""\nfrom . import symfunc\nfrom .fock import bilinear_column, mode_apply\n\n\n'
+        "def run(v):\n    col = bilinear_column(1, 0, (), False)  # not linear_combination\n"
+        "    return symfunc.linear_combination([(1, mode_apply(K, 0, v).body)]), col\n"
+    )
+    assert _names_read(source, VECTOR_ROUTE) == ["bilinear_column:7", "linear_combination:8", "mode_apply:8"]
 
 
 def test_imported_names_are_read():

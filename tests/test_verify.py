@@ -80,59 +80,64 @@ def _column_sum(*pieces):
 def _alpha_doubled_at(at):
     """bilinear_column with alpha_at doubled."""
 
-    def wrong(k, m, la, weighted, *rest, **kw):
-        col = _bilinear_column(k, m, la, weighted, *rest, **kw)
+    def wrong(k, m, la, weighted, *rest):
+        col = _bilinear_column(k, m, la, weighted, *rest)
         return _column_sum((2, col)) if k == at and not weighted and col.enc else col
 
     return wrong
 
 
-def _untwisted(k, m, la, *rest):
-    """twisted_heisenberg_column without the 1/(1 - t**k) of k > 0: alpha_k."""
-    return _bilinear_column(k, m, la, False, *rest)
+def _untwisted(k, m, la, *rest, **kw):
+    """twisted_alpha without the 1/(1 - t**k) of k > 0: alpha_k."""
+    return fock.alpha(k, m, la, *rest, **kw)
 
 
-def _virasoro_plus_alpha(k, m, la, weighted, *rest, **kw):
+def _virasoro_plus_alpha(k, m, la, weighted, *rest):
     """bilinear_column with L^0_k + alpha_k in place of L^0_k, so L^beta_k + alpha_k."""
-    col = _bilinear_column(k, m, la, weighted, *rest, **kw)
+    col = _bilinear_column(k, m, la, weighted, *rest)
     if not weighted:
         return col
-    alpha = _bilinear_column(k, m, la, False, *rest, **kw)
+    alpha = _bilinear_column(k, m, la, False, *rest)
     return _column_sum((1, col), (1, alpha)) if col.enc or alpha.enc else col
 
 
-# each control swaps one operator that symfock.verify reads for a wrong one
+# each control swaps one operator that symfock.verify reads, or that the
+# operators it reads from fock read, for a wrong one
 NEGATIVE_CONTROLS = [
-    pytest.param("commutation", ("ee", 1, 1), "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
+    pytest.param("commutation", ("ee", 1, 1), verify, "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
     # the lower pair h_1-perp e_1 on the right side of he
-    pytest.param("commutation", ("he", 2, 2), "complete_h", _doubled_at(complete_h, 1), id="commutation-he"),
-    # the bilinear suites read their mode columns through two hooks
-    pytest.param("heisenberg", ("comm", -1, 1), "bilinear_column", _alpha_doubled_at(1), id="heisenberg-comm"),
-    pytest.param("heisenberg", ("action", 1), "bilinear_column", _alpha_doubled_at(1), id="heisenberg-action"),
+    pytest.param("commutation", ("he", 2, 2), verify, "complete_h", _doubled_at(complete_h, 1), id="commutation-he"),
+    # fock.alpha and fock.virasoro read their mode columns through bilinear_column
+    pytest.param("heisenberg", ("comm", -1, 1), fock, "bilinear_column", _alpha_doubled_at(1), id="heisenberg-comm"),
+    pytest.param("heisenberg", ("action", 1), fock, "bilinear_column", _alpha_doubled_at(1), id="heisenberg-action"),
     # the untwisted modes, missing the 1/(1 - t**k) of the positive ones
-    pytest.param(
-        "twisted-heisenberg", ("comm", -1, 1), "twisted_heisenberg_column", _untwisted, id="twisted-heisenberg"
-    ),
+    pytest.param("twisted-heisenberg", ("comm", -1, 1), verify, "twisted_alpha", _untwisted, id="twisted-heisenberg"),
     # the bilinear weight (1-beta) b - beta a off by one: L_k + alpha_k
-    pytest.param("virasoro", (Fraction(1, 2), -1, 1), "bilinear_column", _virasoro_plus_alpha, id="virasoro"),
+    pytest.param("virasoro", (Fraction(1, 2), -1, 1), fock, "bilinear_column", _virasoro_plus_alpha, id="virasoro"),
     pytest.param(
-        "kernel-factorization", ("plus", 0), "complete_h", _doubled_at(complete_h, 1), id="kernel-factorization-plus"
+        "kernel-factorization", ("plus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
+        id="kernel-factorization-plus",
     ),
     pytest.param(
-        "kernel-factorization",
-        ("conj+", 0),
-        "DEFORMED_PLUS",
-        fock.corrupted_kernel(fock.DEFORMED_PLUS),
+        "kernel-factorization", ("minus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
+        id="kernel-factorization-minus",
+    ),
+    pytest.param(
+        "kernel-factorization", ("conj+", 0), verify, "DEFORMED_PLUS", fock.corrupted_kernel(fock.DEFORMED_PLUS),
         id="kernel-factorization-conj",
+    ),
+    pytest.param(
+        "kernel-factorization", ("conj-", 0), verify, "DEFORMED_MINUS", fock.corrupted_kernel(fock.DEFORMED_MINUS),
+        id="kernel-factorization-conj-minus",
     ),
 ]
 
 
-@pytest.mark.parametrize("suite, params, name, wrong", NEGATIVE_CONTROLS)
-def test_mode_identity_suites_can_fail(monkeypatch, suite, params, name, wrong):
+@pytest.mark.parametrize("suite, params, module, name, wrong", NEGATIVE_CONTROLS)
+def test_mode_identity_suites_can_fail(monkeypatch, suite, params, module, name, wrong):
     item = (suite, params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
-    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(module, name, wrong)
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["charge", "p", "lhs", "rhs"]
@@ -180,7 +185,7 @@ BILINEAR_WINDOW = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
 # the wrong operators of the bilinear controls, and the moved split
 BILINEAR_FAULTS = [
     pytest.param("heisenberg", "bilinear_column", _alpha_doubled_at(1), id="alpha-doubled"),
-    pytest.param("twisted-heisenberg", "twisted_heisenberg_column", _untwisted, id="untwisted"),
+    pytest.param("twisted-heisenberg", "twisted_alpha", _untwisted, id="untwisted"),
     pytest.param("virasoro", "bilinear_column", _virasoro_plus_alpha, id="virasoro-plus-alpha"),
     pytest.param("heisenberg", "_pair_ranges", _split_moved, id="heisenberg-split"),
     pytest.param("virasoro", "_pair_ranges", _split_moved, id="virasoro-split"),
@@ -264,6 +269,16 @@ def test_passing_packed_items_build_no_symfunc(monkeypatch):
                 patch.setattr(SymFunc, "__init__", refuse)
             results = [_execute_item((suite, params, BILINEAR_WINDOW)) for suite, params in items]
         assert all(r.ok for r in results)
+    # and a kernel-factorization item of each kind, run again on warm kernels
+    # and a warm h_s, builds neither a RatFun nor a SymFunc
+    items = [("kernel-factorization", (kind, 0), BILINEAR_WINDOW) for kind in ("plus", "minus", "conj+", "conj-")]
+    assert all(_execute_item(item).ok for item in items)
+    with monkeypatch.context() as patch:
+        patch.setattr(RatFun, "__init__", refuse)
+        patch.setattr(RatFun, "_raw", refuse)
+        patch.setattr(SymFunc, "__init__", refuse)
+        results = [_execute_item(item) for item in items]
+    assert all(r.ok for r in results)
 
 
 # one wrong operator per suite outside the mode identities; corollaries reads
@@ -370,6 +385,37 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params, sha256):
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
     assert result.witness["lhs"] != result.witness["rhs"]
     assert _witness_sha256(result) == sha256
+
+
+# sha256 of each kernel-factorization witness with h_1 doubled (plus, minus)
+# or the deformed kernel corrupted (conj+-), recorded on the SymFunc route
+# through check_mode_identity; the sides sit at charge m + eps
+KERNEL_FACTORIZATION_WITNESSES = {
+    ("plus", 0): "753948605f3af085f3f816021abc4baec72204636e79c1aed584bcb1112b19f1",
+    ("plus", -1): "619cb7bae139b7fcd2fa53b7ad10c3f1fe727e72eba36b500c8dfcdd73b4e934",
+    ("minus", 0): "41c5cc0f90956f36b151086622da97777e1f6d15c24d9277d7e1629555d634c5",
+    ("minus", -1): "6e5cf50102b2321ddf8a18a4d4de7f1df3a4d17dd6ad14c79db98d0d647cdeca",
+    ("conj+", 0): "fab9a115ac4f3241740f0a69f12b4105e2c49abb97ad88d1a4d8538271182ffc",
+    ("conj+", -1): "b96228e94032d5f6b9e192da3057c3919c8b76caf838eca6edc4c23805966de3",
+    ("conj-", 0): "1c13f387eb35e321297de450cddd2d42b63e2daf052e0d950bd4e0e25899cda9",
+    ("conj-", -1): "f60ec746dabadc75f8c66da4474ceb1a4eba7b18ed018be5155e816e5e300560",
+}
+
+
+@pytest.mark.parametrize("params", list(KERNEL_FACTORIZATION_WITNESSES), ids=lambda p: f"{p[0]}-a{p[1]}")
+def test_kernel_factorization_witnesses_are_pinned(monkeypatch, params):
+    kind = params[0]
+    if kind in ("plus", "minus"):
+        name, wrong = "complete_h", _doubled_at(complete_h, 1)
+    else:
+        name = "DEFORMED_PLUS" if kind == "conj+" else "DEFORMED_MINUS"
+        wrong = corrupted_kernel(getattr(fock, name))
+    item = ("kernel-factorization", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
+    assert _execute_item(item).ok
+    monkeypatch.setattr(verify, name, wrong)
+    result = _execute_item(item)
+    assert not result.ok
+    assert _witness_sha256(result) == KERNEL_FACTORIZATION_WITNESSES[params]
 
 
 def _products(K1, K2, e, a, b, m, la):
