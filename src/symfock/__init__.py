@@ -32,9 +32,6 @@ __all__ = [
     "hall_littlewood_oracle",
     "expand_in_variables",
     "mode_apply",
-    "heisenberg_mode",
-    "twisted_heisenberg_mode",
-    "virasoro_mode",
     "check_mode_identity",
     "basis_via_vertex",
     "generating_coefficient_direct",
@@ -81,10 +78,7 @@ _SOURCES = {
             "FockVector",
             "VertexKernel",
             "check_mode_identity",
-            "heisenberg_mode",
             "mode_apply",
-            "twisted_heisenberg_mode",
-            "virasoro_mode",
         ),
         "vertex": ("basis_via_vertex", "crosscheck_corollaries", "generating_coefficient_direct"),
         "kp": ("TensorState", "is_tau", "omega_apply", "search_negative_control"),

@@ -75,7 +75,7 @@ bilinear sums read each from `diagonal`; the Heisenberg and Virasoro
 modes of one (k, la) are built at every charge of a sweep from one such
 pair (`_normal_ordered_pair`).  Each operator is defined once, as pieces
 (c(t)/b times a column) on z^m p_la: the kernel modes, `alpha`,
-`twisted_alpha` and `virasoro`; `apply` sums such pieces over a vector.
+`twisted_alpha` and `virasoro`.
 
 Neither the width w nor the t-stride s is set by an option: both follow
 from bounds on the digits and t-degrees carried with each column (never
@@ -96,11 +96,10 @@ Vectors.  The identity is linear, so `translate` builds C_r f for a
 whole f = sum_la c_la p_la by the same digit sum (with A_0 = 1) from the
 tables of f's support, over M = prod_v (1-t^v)**(max_la k_v m_v(la)),
 and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
-those rows.  A coefficient with any other t-denominator (1/(1-t^k) from
-`twisted_heisenberg_mode`, a tau read from a file, or a body unpacked
-over (1-t^v) factors) is handled once per operation: the lcm Q of those
-denominators is pulled out in front (`ratfun.pull`), Q c is summed
-packed, and the result is divided by Q.
+those rows.  A coefficient with any other t-denominator (a tau read
+from a file, or a body unpacked over (1-t^v) factors) is handled once
+per operation: the lcm Q of those denominators is pulled out in front
+(`ratfun.pull`), Q c is summed packed, and the result is divided by Q.
 
 An identity side is a plain function on Fock vectors, composed from the
 mode actions above; `check_mode_identity` compares two sides on every
@@ -111,8 +110,7 @@ instead, with `_combine` as the zero test.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from itertools import zip_longest
 from math import comb, gcd
 from typing import Callable, Iterable, NamedTuple
@@ -467,16 +465,6 @@ def pieces(col: Column, c: Digits = 1, b: int = 1) -> list[Piece]:
     return [(c, b, col)] if col.enc else []
 
 
-def apply(op: Callable[[int, Partition], list[Piece]], charge: int, v: FockVector) -> FockVector:
-    """The operator whose pieces on z^m p_la are op(m, la), each with an
-    integer c, applied to v: a vector of the given charge, summed by `combine`."""
-    pairs = []
-    for la, r in v.body.terms.items():
-        for c, b, col in op(v.charge, la):
-            pairs.append((r if c == b == 1 else r.scale(Fraction(c, b)), col))
-    return FockVector(charge, combine(pairs))
-
-
 # A_k of a kernel as a Column, with its digits as (index in its grade, t-digits)
 # pairs and, by width w, those digits spread at t = 2**w
 MultColumn = tuple[Column, list[tuple[int, tuple[int, ...]]], dict[int, list[int]]]
@@ -679,8 +667,10 @@ class VertexKernel:
 
 
 def mode_apply(kernel: VertexKernel, j: int, v: FockVector) -> FockVector:
-    """The coefficient of u**j in K(u) v."""
-    return apply(lambda m, la: pieces(kernel.mode_on_basis(j, m, la)), v.charge + kernel.eps, v)
+    """The coefficient of u**j in K(u) v: the column K[j] z^m p_la of each
+    basis vector of v, summed by `combine`."""
+    m = v.charge
+    return FockVector(m + kernel.eps, combine((c, kernel.mode_on_basis(j, m, la)) for la, c in v.body.terms.items()))
 
 
 FERMION_PLUS = VertexKernel("fermion+", +1, lambda n: RF_ONE, lambda n: RF_MINUS_ONE)
@@ -858,22 +848,6 @@ def virasoro(p: int, q: int, k: int, m: int, la: Partition, charges: Iterable[in
     if p and k != 1:
         out += pieces(bilinear_column(k, m, la, False, charges), p * (1 - k), q)
     return out
-
-
-def heisenberg_mode(k: int, v: FockVector) -> FockVector:
-    """alpha_k on a vector (`alpha`)."""
-    return apply(partial(alpha, k), v.charge, v)
-
-
-def twisted_heisenberg_mode(k: int, v: FockVector) -> FockVector:
-    """h_k on a vector (`twisted_alpha`)."""
-    return apply(partial(twisted_alpha, k), v.charge, v)
-
-
-def virasoro_mode(beta: Fraction | int, k: int, v: FockVector) -> FockVector:
-    """L^(beta)_k on a vector (`virasoro`)."""
-    beta = Fraction(beta)
-    return apply(partial(virasoro, beta.numerator, beta.denominator, k), v.charge, v)
 
 
 # ---------------------------------------------------------------------------

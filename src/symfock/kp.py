@@ -46,13 +46,12 @@ PairKey = tuple[Partition, Partition]
 
 
 class TensorState:
-    """An element of B^(left) (x) B^(right), sparse over partition pairs."""
+    """An element of B^(1) (x) B^(-1), the charge sector of Omega, sparse
+    over partition pairs."""
 
-    __slots__ = ("left_charge", "right_charge", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, left_charge: int, right_charge: int, terms: dict[PairKey, RatFun] | None = None):
-        self.left_charge = left_charge
-        self.right_charge = right_charge
+    def __init__(self, terms: dict[PairKey, RatFun] | None = None):
         self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
 
     def is_zero(self) -> bool:
@@ -61,18 +60,12 @@ class TensorState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorState):
             return NotImplemented
-        if self.is_zero() and other.is_zero():
-            return True
-        if (self.left_charge, self.right_charge) != (other.left_charge, other.right_charge):
-            return False
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[k] == c for k, c in self.terms.items())
+        return self.terms == other.terms
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "TensorState(0)"
-        return f"TensorState({len(self.terms)} terms, charges ({self.left_charge},{self.right_charge}))"
+        return f"TensorState({len(self.terms)} terms, charges (1,-1))"
 
 
 def tensor_to_json(state: TensorState) -> dict:
@@ -85,8 +78,8 @@ def tensor_to_json(state: TensorState) -> dict:
         ),
     )
     return {
-        "left_charge": state.left_charge,
-        "right_charge": state.right_charge,
+        "left_charge": 1,
+        "right_charge": -1,
         "terms": [
             {"left": list(la), "right": list(mu), "coeff": rat_to_json(c)}
             for (la, mu), c in entries
@@ -99,7 +92,7 @@ def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorS
     plus, minus = (DEFORMED_PLUS, DEFORMED_MINUS) if deformed else (FERMION_PLUS, FERMION_MINUS)
     d1, d2 = tau1.degree(), tau2.degree()
     if d1 < 0 or d2 < 0:
-        return TensorState(+1, -1)
+        return TensorState()
     left, right = plus.translate(tau1), minus.translate(tau2)
     legs = []
     for a in range(-d2, d1):
@@ -108,7 +101,7 @@ def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorS
         if body1:
             legs.append((body1.terms, minus.mode_body(-a, right).terms))
     terms = (((la, mu), c, d, 1) for ls, rs in legs for la, c in ls.items() for mu, d in rs.items())
-    return TensorState(+1, -1, sum_products(terms))
+    return TensorState(sum_products(terms))
 
 
 def is_tau(tau: SymFunc, deformed: bool = False) -> bool:

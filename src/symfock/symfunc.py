@@ -189,9 +189,7 @@ class SymFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymFunc):
             return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(other.terms[la] == c for la, c in self.terms.items())
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset((la, hash(c)) for la, c in self.terms.items()))

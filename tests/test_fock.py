@@ -23,11 +23,11 @@ from symfock.fock import (
     check_mode_identity,
     combine,
     corrupted_kernel,
+    alpha,
     diagonal,
-    heisenberg_mode,
     mode_apply,
-    twisted_heisenberg_mode,
-    virasoro_mode,
+    twisted_alpha,
+    virasoro,
 )
 from symfock.partitions import multiplicities, partitions_of, partitions_up_to, weight
 from symfock.ratfun import (
@@ -212,12 +212,17 @@ def test_twisted_kernels_at_t0_are_the_classical_ones():
                     assert got.body.specialize_t(0) == want.body
 
 
+def _summed(m, pieces):
+    """z^m times the sum of an operator's pieces (c, b, col) on a basis vector
+    z^m p_la, each c/b times its column, summed by `combine`."""
+    return FockVector(m, combine((RatFun.from_ratio(c, b), col) for c, b, col in pieces))
+
+
 def test_heisenberg_action_examples():
-    v = FockVector(2, SymFunc.p(1))
-    assert heisenberg_mode(0, v) == v.scaled(2)
-    assert heisenberg_mode(-1, vac()) == FockVector(0, SymFunc.p(1))
-    assert heisenberg_mode(1, FockVector(0, SymFunc.p(1))) == FockVector(0, SymFunc.one())
-    assert heisenberg_mode(1, vac()).is_zero()
+    assert _summed(2, alpha(0, 2, (1,))) == FockVector(2, SymFunc.p(1)).scaled(2)
+    assert _summed(0, alpha(-1, 0, ())) == FockVector(0, SymFunc.p(1))
+    assert _summed(0, alpha(1, 0, (1,))) == FockVector(0, SymFunc.one())
+    assert _summed(0, alpha(1, 0, ())).is_zero()
 
 
 def test_heisenberg_matches_multiplication_and_derivation():
@@ -225,40 +230,18 @@ def test_heisenberg_matches_multiplication_and_derivation():
         for la in partitions_up_to(4):
             v = FockVector(m, SymFunc.monomial(la))
             for n in (1, 2, 3):
-                assert heisenberg_mode(-n, v) == FockVector(m, v.body.times_p(n))
+                assert _summed(m, alpha(-n, m, la)) == FockVector(m, v.body.times_p(n))
                 want = v.body.diff_p(n).scaled(Fraction(n))
-                assert heisenberg_mode(n, v) == FockVector(m, want)
-            assert heisenberg_mode(0, v) == v.scaled(Fraction(m))
+                assert _summed(m, alpha(n, m, la)) == FockVector(m, want)
+            assert _summed(m, alpha(0, m, la)) == v.scaled(Fraction(m))
 
 
 def test_twisted_heisenberg_examples():
-    assert twisted_heisenberg_mode(-2, vac()) == FockVector(0, SymFunc.p(2))
-    r = twisted_heisenberg_mode(2, FockVector(0, SymFunc.p(2)))
+    assert _summed(0, twisted_alpha(-2, 0, ())) == FockVector(0, SymFunc.p(2))
+    r = _summed(0, twisted_alpha(2, 0, (2,)))
     assert r.body == SymFunc.constant(rf_inv_one_minus_t_pow(2).scale(2))
-    assert twisted_heisenberg_mode(1, vac()).is_zero()
-
-
-def test_virasoro_bracket_examples():
-    # [L_1, L_-1] = 2 L_0, no central term at j = 1
-    beta = Fraction(1, 2)
-    v = FockVector(0, SymFunc.p(1))
-    comm = virasoro_mode(beta, 1, virasoro_mode(beta, -1, v)) - virasoro_mode(
-        beta, -1, virasoro_mode(beta, 1, v)
-    )
-    assert comm == virasoro_mode(beta, 0, v).scaled(2)
-
-
-@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2)])
-def test_virasoro_central_term(beta):
-    # [L_2, L_-2] = 4 L_0 + c/2 with c = -12 beta^2 + 12 beta - 2
-    c_beta = -12 * beta * beta + 12 * beta - 2
-    for m in (-1, 0, 1):
-        v = FockVector(m, SymFunc.one())
-        comm = virasoro_mode(beta, 2, virasoro_mode(beta, -2, v)) - virasoro_mode(
-            beta, -2, virasoro_mode(beta, 2, v)
-        )
-        want = virasoro_mode(beta, 0, v).scaled(4) + v.scaled(Fraction(c_beta, 2))
-        assert comm == want
+    assert _summed(1, twisted_alpha(1, 1, (1,))).body == SymFunc.constant(rf_inv_one_minus_t_pow(1))
+    assert _summed(0, twisted_alpha(1, 0, ())).is_zero()
 
 
 def _bilinear_reference(w, k, v):
@@ -282,13 +265,31 @@ def _virasoro_reference(beta, k, v):
     return _bilinear_reference(lambda a, b: (1 - beta) * b - beta * a, k, v)
 
 
+def test_virasoro_bracket_examples():
+    # [L_1, L_-1] = 2 L_0, no central term at j = 1
+    L = lambda k, v: _virasoro_reference(Fraction(1, 2), k, v)
+    v = FockVector(0, SymFunc.p(1))
+    assert L(1, L(-1, v)) - L(-1, L(1, v)) == L(0, v).scaled(2)
+
+
+@pytest.mark.parametrize("beta", [Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2)])
+def test_virasoro_central_term(beta):
+    # [L_2, L_-2] = 4 L_0 + c/2 with c = -12 beta^2 + 12 beta - 2
+    c_beta = -12 * beta * beta + 12 * beta - 2
+    L = lambda k, v: _virasoro_reference(beta, k, v)
+    for m in (-1, 0, 1):
+        v = FockVector(m, SymFunc.one())
+        assert L(2, L(-2, v)) - L(-2, L(2, v)) == L(0, v).scaled(4) + v.scaled(Fraction(c_beta, 2))
+
+
 @pytest.mark.parametrize("beta", [Fraction(-1, 3), Fraction(3, 2), Fraction(5)])
 def test_virasoro_matches_the_weighted_bilinear(beta):
+    p, q = beta.numerator, beta.denominator
     for m in (-1, 0, 1):
         for la in partitions_up_to(3):
             v = FockVector(m, SymFunc.monomial(la))
             for k in range(-3, 4):
-                assert virasoro_mode(beta, k, v) == _virasoro_reference(beta, k, v)
+                assert _summed(m, virasoro(p, q, k, m, la)) == _virasoro_reference(beta, k, v)
 
 
 def test_shared_bilinear_builder_matches_the_per_charge_sums(monkeypatch):
@@ -317,14 +318,17 @@ def test_virasoro_caches_are_beta_free(monkeypatch):
     # L^beta_k = L^0_k - beta (k-1) alpha_k: no column is built per beta
     monkeypatch.setattr(fock, "_vir_cache", {})
     monkeypatch.setattr(fock, "_heis_cache", {})
-    v = FockVector(1, SymFunc.monomial((2, 1)) + SymFunc.p(1))
-    virasoro_mode(Fraction(0), -2, v)
+    basis = ((2, 1), (1,))  # the vector z p_21 + z p_1
+    for la in basis:
+        virasoro(0, 1, -2, 1, la)
     built = len(fock._vir_cache)
     # no alpha term at beta = 0, but a miss on L^0 builds alpha from the same compositions
     assert built == 2 and len(fock._heis_cache) == 2
-    virasoro_mode(Fraction(2), -2, v)
+    for la in basis:
+        virasoro(2, 1, -2, 1, la)
     assert len(fock._vir_cache) == built and len(fock._heis_cache) == 2
-    virasoro_mode(Fraction(2), 1, v)  # no alpha term at k = 1
+    for la in basis:
+        virasoro(2, 1, 1, 1, la)  # no alpha term at k = 1
     assert len(fock._vir_cache) == built + 2 and len(fock._heis_cache) == 4
 
 
@@ -369,7 +373,7 @@ def test_commutation_relation_sample():
 
 
 def test_check_mode_identity_trivial_and_negative():
-    lhs = lambda v: heisenberg_mode(-1, v)
+    lhs = lambda v: FockVector(v.charge, v.body.times_p(1))
     assert check_mode_identity(lhs, lhs, 3, (-1, 0, 1)).equal
     rhs = lambda v: lhs(v).scaled(RatFun.from_int(-1))
     verdict = check_mode_identity(lhs, rhs, 3, (0,))

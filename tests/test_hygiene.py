@@ -2,10 +2,13 @@
 function, class and method is referenced somewhere, guarded fields are
 written only where allowed, RatFun's packed fields are read only in
 `ratfun`, `verify` reads the Fock operators only through their packed
-definitions, the finite-variable oracles stay an independent route, and
-every memo is a functools cache."""
+definitions, the finite-variable oracles stay an independent route,
+every memo is a functools cache, and no module reaches the token count at
+which the parser doubles its token array."""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 from typing import Iterator
 
@@ -470,3 +473,37 @@ def test_composition_reader_is_reported():
         "fock._normal_ordered_pair",
         "verify.diagonal",
     ]
+
+
+# CPython 3.11's parser holds a module's tokens in an array of 8,192 that it
+# doubles when full: fock.py padded from 8,162 to 8,202 tokens raised its
+# compile peak from 2.8 to 3.3 MB, and a draft at 8,573 tokens raised the
+# bilinear-pool bench's peak RSS by 0.6 MB, in every process that compiles it
+PARSER_TOKEN_ARRAY = 8192
+
+
+def _parser_tokens(source: str) -> int:
+    """The tokens of the source, without ENCODING, COMMENT and NL."""
+    skip = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL}
+    return sum(tok.type not in skip for tok in tokenize.tokenize(io.BytesIO(source.encode()).readline))
+
+
+def _past_the_token_array(sources: dict[str, str]) -> dict[str, int]:
+    """The token count of each source at or above PARSER_TOKEN_ARRAY."""
+    counts = {name: _parser_tokens(source) for name, source in sources.items()}
+    return {name: n for name, n in counts.items() if n >= PARSER_TOKEN_ARRAY}
+
+
+def test_modules_stay_below_the_parser_token_doubling():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _past_the_token_array(sources) == {}
+
+
+def test_parser_token_doubling_is_reported():
+    assert _parser_tokens("x = 1  # one\n\n") == 5  # NAME OP NUMBER NEWLINE ENDMARKER
+    below = "x\n" * 4095 + "# a comment\n\n"
+    at = "x\n" * 4094 + "x;\n"
+    assert _past_the_token_array({"below.py": below, "at.py": at, "past.py": below + "y\n"}) == {
+        "at.py": 8192,
+        "past.py": 8193,
+    }

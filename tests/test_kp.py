@@ -67,7 +67,7 @@ def test_omega_bilinear():
     f = schur((2, 1)) + SymFunc.p(1)
     g = schur((2,)) + SymFunc.one()
     whole = omega_apply(f + g, f + g)
-    acc = TensorState(1, -1)
+    acc = TensorState()
     for x in (f, g):
         for y in (f, g):
             part = omega_apply(x, y)
@@ -105,7 +105,7 @@ def test_deformed_equivariance():
         lhs = omega_apply(f.scale_p(sig), g.scale_p(sig), deformed=True)
         state = omega_apply(f, g, deformed=False)
         terms = {(la, mu): c * sigma(la) * sigma(mu) for (la, mu), c in state.terms.items()}
-        rhs = TensorState(state.left_charge, state.right_charge, terms)
+        rhs = TensorState(terms)
         assert not rhs.is_zero()
         assert lhs == rhs
 
