@@ -20,10 +20,10 @@ from symfock.fock import (
     KERNELS,
     Column,
     FockVector,
+    alpha,
     check_mode_identity,
     combine,
     corrupted_kernel,
-    alpha,
     diagonal,
     mode_apply,
     twisted_alpha,
