@@ -1,55 +1,12 @@
 """Exact Q(t) computer algebra for symmetric functions and fermionic vertex operators.
 
-Each public name is looked up in `_SOURCES`, the submodule that defines it,
-and that submodule is imported on the name's first access (PEP 562), so
-importing one submodule, such as `symfock.cli` or `symfock.ratfun`, compiles
-only what that submodule imports.
+Each public name is a key of `_SOURCES`, which maps it to the submodule
+that defines it, and that submodule is imported on the name's first access
+(PEP 562), so importing one submodule, such as `symfock.cli` or
+`symfock.ratfun`, compiles only what that submodule imports.
 """
 
 from importlib import import_module
-
-__all__ = [
-    "Partition",
-    "RatFun",
-    "SymFunc",
-    "FockVector",
-    "VertexKernel",
-    "TensorState",
-    "partitions_of",
-    "partitions_up_to",
-    "conjugate",
-    "multiplicities",
-    "z_factor",
-    "scalar_product",
-    "perp_apply",
-    "complete_h",
-    "elementary_e",
-    "q_coefficient",
-    "hall_littlewood_row",
-    "schur",
-    "dual_schur",
-    "schur_oracle",
-    "hall_littlewood_oracle",
-    "expand_in_variables",
-    "mode_apply",
-    "check_mode_identity",
-    "basis_via_vertex",
-    "generating_coefficient_direct",
-    "crosscheck_corollaries",
-    "omega_apply",
-    "is_tau",
-    "search_negative_control",
-    "rat_to_json",
-    "rat_from_json",
-    "symfunc_to_json",
-    "symfunc_from_json",
-    "FERMION_PLUS",
-    "FERMION_MINUS",
-    "TWISTED_PLUS",
-    "TWISTED_MINUS",
-    "DEFORMED_PLUS",
-    "DEFORMED_MINUS",
-]
 
 _SOURCES = {
     name: module
@@ -81,10 +38,12 @@ _SOURCES = {
             "mode_apply",
         ),
         "vertex": ("basis_via_vertex", "crosscheck_corollaries", "generating_coefficient_direct"),
-        "kp": ("TensorState", "is_tau", "omega_apply", "search_negative_control"),
+        "kp": ("is_tau", "omega_apply", "search_negative_control"),
     }.items()
     for name in names
 }
+
+__all__ = list(_SOURCES)
 
 
 def __getattr__(name: str):

@@ -33,13 +33,13 @@ compiles only those (where no bytecode is cached, each start compiles them
 from source).  Building the parser imports none; `expand` loads `bases`
 and `symfunc`, and `vertex` with `fock` only on the vertex and generating
 routes; `kp` and `kp-search` load `bases`, `fock` and `kp`; `verify` loads
-every module.  `verify -h` reads the suite names from `verify` only when
-it prints them.  `fock.Verdict` and `vertex.CorollaryVerdict` are named
-tuples, so that `kp` and `expand` never import `dataclasses` (and with it
-`inspect`).  `verify`'s `SweepOptions`, `CheckResult` and `Suite` stay
-dataclasses: options and suites are derived with `dataclasses.replace`
-(as the benchmark's tests do on `verify.DEFAULT_OPTIONS`), and a sweep
-runs long enough that the import is a small share of it.
+every module but `kp`.  `verify -h` reads the suite names from `verify`
+only when it prints them.  `kp` and `expand` never import `dataclasses`
+(and with it `inspect`).  `verify`'s `SweepOptions`, `CheckResult` and
+`Suite` are dataclasses: options and suites are derived with
+`dataclasses.replace` (as the benchmark's tests do on
+`verify.DEFAULT_OPTIONS`), and a sweep runs long enough that the import
+is a small share of it.
 """
 
 from __future__ import annotations
@@ -230,7 +230,7 @@ def _cmd_kp(args) -> int:
             raise UsageError(f"tau file {args.file} is zero, which is no point of the Sato Grassmannian")
         label = args.file
     state = omega_apply(tau, tau, deformed=args.deformed)
-    if state.is_zero():
+    if not state:
         _emit({"tau": True, "source": label, "deformed": args.deformed})
         _note("TAU")
         return 0

@@ -113,7 +113,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import zip_longest
 from math import comb, gcd
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
@@ -857,22 +857,9 @@ def virasoro(p: int, q: int, k: int, m: int, la: Partition, charges: Iterable[in
 Operator = Callable[[FockVector], FockVector]
 
 
-class Verdict(NamedTuple):
-    equal: bool
-    charge: int | None = None
-    partition: Partition | None = None
-    lhs: FockVector | None = None
-    rhs: FockVector | None = None
-
-    def witness_json(self) -> dict | None:
-        if self.equal:
-            return None
-        return {
-            "charge": self.charge,
-            "p": list(self.partition),
-            "lhs": fock_to_json(self.lhs),
-            "rhs": fock_to_json(self.rhs),
-        }
+def witness_json(m: int, la: Partition, lhs: FockVector, rhs: FockVector) -> dict:
+    """The JSON witness of an identity failing on z^m p_la: its two sides there."""
+    return {"charge": m, "p": list(la), "lhs": fock_to_json(lhs), "rhs": fock_to_json(rhs)}
 
 
 def check_mode_identity(
@@ -880,11 +867,12 @@ def check_mode_identity(
     rhs: Operator,
     max_degree: int,
     charges: Iterable[int],
-) -> Verdict:
+) -> dict | None:
     """Evaluate both sides on every z^m p_la with m in charges, |la| <= max_degree.
 
-    Returns the first discrepancy in the fixed enumeration order (charges
-    ascending, partitions by weight then revlex) or equality.
+    Returns None when they agree, else the witness (`witness_json`) of the
+    first discrepancy in the fixed enumeration order (charges ascending,
+    partitions by weight then revlex).
     """
     for m in sorted(charges):
         for la in partitions_up_to(max_degree):
@@ -892,6 +880,5 @@ def check_mode_identity(
             left = lhs(v)
             right = rhs(v)
             if left != right:
-                return Verdict(False, m, la, left, right)
-    return Verdict(True)
-
+                return witness_json(m, la, left, right)
+    return None

@@ -42,35 +42,14 @@ from .partitions import Partition, partitions_up_to, revlex_key, weight
 from .ratfun import RatFun, rat_to_json, sum_products
 from .symfunc import SymFunc
 
-PairKey = tuple[Partition, Partition]
+# Omega(tau1 (x) tau2) in B^(1) (x) B^(-1), the charge sector of Omega, by its
+# nonzero coefficients over partition pairs
+Terms = dict[tuple[Partition, Partition], RatFun]
 
 
-class TensorState:
-    """An element of B^(1) (x) B^(-1), the charge sector of Omega, sparse
-    over partition pairs."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[PairKey, RatFun] | None = None):
-        self.terms = {k: c for k, c in (terms or {}).items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "TensorState(0)"
-        return f"TensorState({len(self.terms)} terms, charges (1,-1))"
-
-
-def tensor_to_json(state: TensorState) -> dict:
+def tensor_to_json(terms: Terms) -> dict:
     entries = sorted(
-        state.terms.items(),
+        terms.items(),
         key=lambda kv: (
             weight(kv[0][0]) + weight(kv[0][1]),
             revlex_key(kv[0][0]),
@@ -87,12 +66,13 @@ def tensor_to_json(state: TensorState) -> dict:
     }
 
 
-def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorState:
-    """The bilinear pairing sum_a K+[a] tau1 (x) K-[-1-a] tau2, exactly."""
+def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> Terms:
+    """The bilinear pairing sum_a K+[a] tau1 (x) K-[-1-a] tau2, exactly, by its
+    nonzero terms: {} when it vanishes."""
     plus, minus = (DEFORMED_PLUS, DEFORMED_MINUS) if deformed else (FERMION_PLUS, FERMION_MINUS)
     d1, d2 = tau1.degree(), tau2.degree()
     if d1 < 0 or d2 < 0:
-        return TensorState()
+        return {}
     left, right = plus.translate(tau1), minus.translate(tau2)
     legs = []
     for a in range(-d2, d1):
@@ -101,27 +81,29 @@ def omega_apply(tau1: SymFunc, tau2: SymFunc, deformed: bool = False) -> TensorS
         if body1:
             legs.append((body1.terms, minus.mode_body(-a, right).terms))
     terms = (((la, mu), c, d, 1) for ls, rs in legs for la, c in ls.items() for mu, d in rs.items())
-    return TensorState(sum_products(terms))
+    return sum_products(terms)
 
 
 def is_tau(tau: SymFunc, deformed: bool = False) -> bool:
-    """True iff tau satisfies the bilinear identity (zero tau counts)."""
-    return omega_apply(tau, tau, deformed).is_zero()
+    """True iff tau satisfies the bilinear identity, that is Omega(tau (x) tau)
+    has no terms (zero tau counts)."""
+    return not omega_apply(tau, tau, deformed)
 
 
 def search_negative_control(degree_bound: int):
     """First small integer Schur combination violating the bilinear identity.
 
     Scans tau = s_la + s_mu over pairs of nonempty partitions of weight
-    <= degree_bound in a fixed order; returns (tau, witness), or None
-    when there is no pair.  For degree_bound >= 2 a witness always
-    exists: the Maya diagrams {1, -2, -3, ...} of (2) and {0, -1, -3, ...}
-    of (1,1) differ in two places, so s_2 + s_11 is not a tau-function.
+    <= degree_bound in a fixed order; returns (tau, terms), the terms of
+    Omega(tau (x) tau), or None when there is no pair.  For degree_bound
+    >= 2 a witness always exists: the Maya diagrams {1, -2, -3, ...} of (2)
+    and {0, -1, -3, ...} of (1,1) differ in two places, so s_2 + s_11 is
+    not a tau-function.
     """
     pool = [la for la in partitions_up_to(degree_bound) if la]
     for la, mu in combinations(pool, 2):
         tau = schur(la) + schur(mu)
-        state = omega_apply(tau, tau)
-        if not state.is_zero():
-            return tau, state
+        terms = omega_apply(tau, tau)
+        if terms:
+            return tau, terms
     return None

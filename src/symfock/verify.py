@@ -2,18 +2,18 @@
 
 Every suite expands into a deterministic list of independent items; an
 item checks one identity instance (one mode pair, one partition, ...)
-over the requested window of basis vectors and reports ok/fail with a
-JSON witness on failure.  Items are self-contained and picklable, so
-sweeps parallelise over processes; results are always reduced in the
-fixed submission order, making output independent of worker count.
-A suite is one `Suite` record in `SUITES`: its item builder, its item
-executor, its default window and, for the anticommutator suites, its
-kernels.  The fields a suite reads are derived from that record (those
-its default window sets, and `corrupt` when it has kernels).  `run_suite`
-validates the sweep before any item runs, so an empty or negative window
-is an error, never a vacuous "ok".  A `SweepOptions` field left None
-takes the suite's default, and a field given to a suite that never reads
-it is an error rather than ignored.
+over the requested window of basis vectors, and its result carries no
+witness when the identity holds and a JSON witness when it fails.  Items
+are self-contained and picklable, so sweeps parallelise over processes;
+results are always reduced in the fixed submission order, making output
+independent of worker count.  A suite is one `Suite` record in `SUITES`:
+its item builder, its item executor (an anticommutator suite's kernels
+bound into it) and its default window.  The fields a suite reads are
+those its default window sets.  `run_suite` validates the sweep before
+any item runs, so an empty or negative window is an error, never a
+vacuous "ok".  A `SweepOptions` field left None takes the suite's
+default, and a field given to a suite that never reads it is an error
+rather than ignored.
 
 The commutation suite states its two sides as plain functions on Fock
 vectors and goes through `fock.check_mode_identity`.  Every Fock-kernel
@@ -75,7 +75,6 @@ from .fock import (
     Exponents,
     FockVector,
     Piece,
-    Verdict,
     VertexKernel,
     _combine,
     _digit_sum,
@@ -91,6 +90,7 @@ from .fock import (
     pieces,
     twisted_alpha,
     virasoro,
+    witness_json,
 )
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_pow
@@ -118,24 +118,27 @@ class SweepOptions:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One item's verdict: `witness` is None when its identity holds, else the
+    JSON witness of the failure."""
+
     suite: str
     name: str
-    ok: bool
     witness: dict | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
 class Suite:
     """One suite: `build` lists the bare params of its items, `run(params,
-    opts)` checks one, `defaults` is its window (sized to keep a full run at
-    desk scale, setting exactly the window fields the suite reads), and
-    `kernels` is the (plus, minus, t) of an anticommutator suite, the only
-    kind that reads `corrupt`."""
+    opts)` checks one, and `defaults` is its window (sized to keep a full run
+    at desk scale), setting exactly the fields the suite reads."""
 
     build: Callable[[SweepOptions], list]
     run: Callable[[tuple, SweepOptions], CheckResult]
     defaults: SweepOptions
-    kernels: tuple[VertexKernel, VertexKernel, RatFun] | None = None
 
 
 Item = tuple  # (suite, params, opts)
@@ -166,13 +169,15 @@ def _run_commutation(params, opts: SweepOptions) -> CheckResult:
             body = body + u1 * perp_apply(d1, v.body)
         return FockVector(v.charge, body)
 
-    verdict = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
-    return CheckResult("commutation", f"{rel}[a={a},b={b}]", verdict.equal, verdict.witness_json())
+    witness = check_mode_identity(lhs, rhs, opts.max_degree, opts.charges)
+    return CheckResult("commutation", f"{rel}[a={a},b={b}]", witness)
 
 
-def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
+def _run_anticommutators(
+    suite: str, plus: VertexKernel, minus: VertexKernel, t: RatFun, params, opts: SweepOptions
+) -> CheckResult:
     """All anticommutators of one relation with a+b = d at once, on the
-    (plus, minus, t) of the suite's record.
+    suite's kernels (plus, minus) and parameter t.
 
     On z^m p_la the pair (a, b) is, in the charge-0 frame, the one at
     (a0, b0) = (a + K1.eps m, b + K2.eps m), on the diagonal d0 = a0 + b0.
@@ -182,7 +187,6 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
     build the X and Y they read, once per (m, la).
     """
     rel, d = params
-    plus, minus, t = SUITES[suite].kernels
     if opts.corrupt:
         plus = _corrupted(plus)
     K1, K2, e = {"pp": (plus, plus, -1), "mm": (minus, minus, -1), "pm": (plus, minus, 1)}[rel]
@@ -205,11 +209,10 @@ def _run_anticommutators(suite: str, params, opts: SweepOptions) -> CheckResult:
                 if t:
                     left += pieces(X(a0 + e), *minus_t) + pieces(Y(b0 + e), *minus_t)
                 if _differ(left, right):
-                    lhs = _vector(m + K1.eps + K2.eps, left)
-                    witness = Verdict(False, m, la, lhs, _vector(m, right)).witness_json()
-                    return CheckResult(suite, name, False, {"relation": rel, "a": a, "b": b, **witness})
+                    witness = witness_json(m, la, _vector(m + K1.eps + K2.eps, left), _vector(m, right))
+                    return CheckResult(suite, name, {"relation": rel, "a": a, "b": b, **witness})
                 passed.add((a0, b0, la))
-    return CheckResult(suite, name, True, None)
+    return CheckResult(suite, name)
 
 
 # an operator by its modes on basis vectors: op(k, m, la) is mode k on z^m p_la as pieces
@@ -246,9 +249,8 @@ def _check_packed(
         for la in partitions_up_to(opts.max_degree):
             left, right = sides(m, la)
             if _differ(left, right):
-                witness = Verdict(False, m, la, _vector(m + eps, left), _vector(m + eps, right)).witness_json()
-                return CheckResult(suite, name, False, witness)
-    return CheckResult(suite, name, True)
+                return CheckResult(suite, name, witness_json(m, la, _vector(m + eps, left), _vector(m + eps, right)))
+    return CheckResult(suite, name)
 
 
 def _bracket(op: ModeOp, j: int, k: int, m: int, la: Partition) -> list[Piece]:
@@ -364,7 +366,7 @@ def _run_duality(params, opts: SweepOptions) -> CheckResult:
     value = scalar_product(dual_schur(la), schur(mu), deformed=True)
     want = RatFun.from_int(1 if la == mu else 0)
     witness = None if value == want else {"la": list(la), "mu": list(mu), "value": rat_to_json(value)}
-    return CheckResult("duality", f"<S{list(la)},s{list(mu)}>_t", witness is None, witness)
+    return CheckResult("duality", f"<S{list(la)},s{list(mu)}>_t", witness)
 
 
 def _n(la: Partition) -> int:
@@ -406,14 +408,11 @@ def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
             witness = {route: symfunc_to_json(f) for route, f in values.items()}
         else:
             witness = {"la": list(la), "n": _n(la)} if kind.endswith("-oracle") else {"la": list(la)}
-    return CheckResult("bases-agreement", f"{kind}{list(la)}", witness is None, witness)
+    return CheckResult("bases-agreement", f"{kind}{list(la)}", witness)
 
 
 def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
-    (la,) = params
-    verdict = crosscheck_corollaries(la)
-    witness = None if verdict.equal else {"la": list(la), "hl_equal": verdict.hl_equal, "dual_equal": verdict.dual_equal}
-    return CheckResult("corollaries", f"products{list(la)}", verdict.equal, witness)
+    return CheckResult("corollaries", f"products{list(params[0])}", crosscheck_corollaries(params[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +472,12 @@ _CHARGES = (-2, -1, 0, 1, 2)
 SUITES: dict[str, Suite] = {
     "commutation": Suite(_items_commutation, _run_commutation, SweepOptions(max_degree=8, max_mode=8, charges=(0,))),
     "fermion": Suite(
-        _items_anticommutators, partial(_run_anticommutators, "fermion"),
-        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES), (FERMION_PLUS, FERMION_MINUS, RF_ZERO),
+        _items_anticommutators, partial(_run_anticommutators, "fermion", FERMION_PLUS, FERMION_MINUS, RF_ZERO),
+        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES, corrupt=False),
     ),
     "twisted-fermion": Suite(
-        _items_anticommutators, partial(_run_anticommutators, "twisted-fermion"),
-        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES), (TWISTED_PLUS, TWISTED_MINUS, RF_T),
+        _items_anticommutators, partial(_run_anticommutators, "twisted-fermion", TWISTED_PLUS, TWISTED_MINUS, RF_T),
+        SweepOptions(max_degree=6, max_mode=6, charges=_CHARGES, corrupt=False),
     ),
     "heisenberg": Suite(
         _items_heisenberg, _run_heisenberg, SweepOptions(max_degree=6, max_mode=6, charges=(-3, -2, -1, 0, 1, 2, 3))
@@ -542,8 +541,6 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
     given = {name: value for name, value in vars(opts or SweepOptions()).items() if value is not None}
     reads = {name for name, value in vars(record.defaults).items() if value is not None}
-    if record.kernels:
-        reads.add("corrupt")
     unread = [name for name in given if name not in reads]
     if unread:
         raise ValueError(f"suite {suite!r} does not read {', '.join(unread)}")

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bases import (
     complete_h,
@@ -180,7 +180,7 @@ def _convolved_pair_series_hl(k: int) -> RatFun:
     return acc
 
 
-def crosscheck_corollaries(la) -> "CorollaryVerdict":
+def crosscheck_corollaries(la) -> dict | None:
     """Verify, at the extracted-coefficient level, the two product relations
 
     (i)  the Hall-Littlewood product equals the Schur product multiplied by
@@ -191,20 +191,14 @@ def crosscheck_corollaries(la) -> "CorollaryVerdict":
     with E(u) = sum_s e_s u**s as in `bases` (the paper's E(-u_i/t)).
 
     The right-hand sides are assembled by explicit series convolution, the
-    left-hand sides by the closed-form data of the families.
+    left-hand sides by the closed-form data of the families.  Returns None
+    when both relations hold, else the witness {"la", "hl_equal",
+    "dual_equal"}.
     """
     la = as_partition(la)
     hl_direct = _extract_coefficient(la, _pair_series_hl, q_coefficient)
     hl_composed = _extract_coefficient(la, _convolved_pair_series_hl, _convolved_var_modes)
     dual_direct = _extract_coefficient(la, _pair_series_schur, q_coefficient)
     dual_composed = _extract_coefficient(la, _pair_series_schur, _convolved_var_modes)
-    return CorollaryVerdict(hl_direct == hl_composed, dual_direct == dual_composed)
-
-
-class CorollaryVerdict(NamedTuple):
-    hl_equal: bool
-    dual_equal: bool
-
-    @property
-    def equal(self) -> bool:
-        return self.hl_equal and self.dual_equal
+    hl_equal, dual_equal = hl_direct == hl_composed, dual_direct == dual_composed
+    return None if hl_equal and dual_equal else {"la": list(la), "hl_equal": hl_equal, "dual_equal": dual_equal}

@@ -343,7 +343,7 @@ def test_fermion_anticommutators_window():
         for b in range(-2, 3):
             lhs = lambda v: KK(P, a, M, b, v) + KK(M, b, P, a, v)
             c = 1 if a + b == -1 else 0
-            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)).equal
+            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)) is None
 
 
 def test_twisted_anticommutators_window():
@@ -360,7 +360,7 @@ def test_twisted_anticommutators_window():
                 )
 
             c = one_minus_t_sq if a + b == -1 else 0
-            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)).equal
+            assert check_mode_identity(lhs, lambda v: v.scaled(c), 3, (-1, 0, 1)) is None
 
 
 def test_commutation_relation_sample():
@@ -369,24 +369,21 @@ def test_commutation_relation_sample():
         v.charge, perp_apply(e(1), e(1) * v.body) - perp_apply(e(0), e(0) * v.body)
     )
     rhs = lambda v: FockVector(v.charge, e(1) * perp_apply(e(1), v.body))
-    assert check_mode_identity(lhs, rhs, 4, (0,)).equal
+    assert check_mode_identity(lhs, rhs, 4, (0,)) is None
 
 
 def test_check_mode_identity_trivial_and_negative():
     lhs = lambda v: FockVector(v.charge, v.body.times_p(1))
-    assert check_mode_identity(lhs, lhs, 3, (-1, 0, 1)).equal
+    assert check_mode_identity(lhs, lhs, 3, (-1, 0, 1)) is None
     rhs = lambda v: lhs(v).scaled(RatFun.from_int(-1))
-    verdict = check_mode_identity(lhs, rhs, 3, (0,))
-    assert not verdict.equal
-    w = verdict.witness_json()
+    w = check_mode_identity(lhs, rhs, 3, (0,))
     assert w is not None and w["charge"] == 0 and w["p"] == []
 
 
 def test_corrupted_kernel_breaks_relations():
     bad = corrupted_kernel(FERMION_PLUS)
     lhs = lambda v: KK(bad, 0, FERMION_MINUS, -1, v) + KK(FERMION_MINUS, -1, bad, 0, v)
-    verdict = check_mode_identity(lhs, lambda v: v, 3, (0,))
-    assert not verdict.equal
+    assert check_mode_identity(lhs, lambda v: v, 3, (0,)) is not None
 
 
 @pytest.mark.parametrize(
@@ -429,7 +426,7 @@ def test_kernel_factorization_sample():
             return out
 
         lhs = lambda v: mode_apply(FERMION_PLUS, a, v)
-        assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
+        assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)) is None
 
 
 def test_conjugation_by_substitution():
@@ -440,7 +437,7 @@ def test_conjugation_by_substitution():
         for deformed, plain in ((DEFORMED_PLUS, FERMION_PLUS), (DEFORMED_MINUS, FERMION_MINUS)):
             lhs = lambda v: mode_apply(deformed, a, subst(v))
             rhs = lambda v: subst(mode_apply(plain, a, v))
-            assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)).equal
+            assert check_mode_identity(lhs, rhs, 3, (-1, 0, 1)) is None
 
 
 def test_charge_mismatch_rejected():

@@ -156,8 +156,8 @@ FRESH = [
     (("expand", "schur", "3,2,1", "--route", "vertex"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
     (("expand", "hl", "3,2,1", "--route", "generating"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
     (("expand", "schur", "3,2,1", "--route", "oracle"), "1", NO_FOCK),
-    (("verify", "heisenberg", *WINDOW), "1", set()),
-    (("verify", "heisenberg", *WINDOW), "2", set()),
+    (("verify", "heisenberg", *WINDOW), "1", {"symfock.kp"}),
+    (("verify", "heisenberg", *WINDOW), "2", {"symfock.kp"}),
     (("kp", "--dualschur", "4,3,2,1", "--deformed"), "1", NO_VERTEX),
     (("kp-search", "--degree-bound", "4"), "1", NO_VERTEX),
 ]

@@ -19,13 +19,16 @@ TESTS = Path(__file__).resolve().parent
 
 
 def _exported(tree: ast.AST) -> set[str]:
-    """Names listed in __all__."""
+    """The public names: the string entries of the name tuples of the
+    `_SOURCES` table, from which `__all__` is built."""
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            isinstance(t, ast.Name) and t.id == "_SOURCES" for t in node.targets
         ):
-            names.update(ast.literal_eval(node.value))
+            for entry in ast.walk(node.value):
+                if isinstance(entry, ast.Tuple):
+                    names.update(c.value for c in entry.elts if isinstance(c, ast.Constant))
     return names
 
 
@@ -39,7 +42,7 @@ def _unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported[bound] = node.lineno
-    # names re-exported through __all__ count as used
+    # names re-exported through _SOURCES count as used
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
@@ -135,7 +138,7 @@ def test_imported_names_are_read():
 def _dead_definitions(sources: dict[str, str], referencing: list[str]) -> list[str]:
     """Top-level functions and classes, and their methods, of the modules in
     sources whose name is never read as a name or an attribute in any of the
-    referencing sources; dunders are exempt and __all__ entries count."""
+    referencing sources; dunders are exempt and _SOURCES entries count."""
     refs: set[str] = set()
     for source in referencing:
         tree = ast.parse(source)
@@ -171,19 +174,19 @@ def test_dead_definition_is_reported():
     source = (
         "class A:\n    def __init__(self):\n        pass\n\n    def used(self):\n        pass\n\n"
         "    def unused(self):\n        pass\n\n\ndef helper():\n    return A().used()\n\n\n"
-        "def exported():\n    pass\n\n\n__all__ = ['exported']\n"
+        "def exported():\n    pass\n\n\n"
+        "_SOURCES = {name: module for module, names in {'m': ('exported',)}.items() for name in names}\n"
     )
     assert _dead_definitions({"m": source}, [source]) == ["m.A.unused", "m.helper"]
 
 
 # a RatFun is a value: only its two constructors write the packed fields;
-# a SymFunc's terms are written once by its constructor (kp's TensorState
-# has a terms field of its own, also written only by its constructor), and
-# its perp plan only by the memo that perp_apply reads
+# a SymFunc's terms are written once by its constructor, and its perp plan
+# only by the memo that perp_apply reads
 PACKED_FIELDS = {"ne", "nd", "de", "dd"}
 FIELD_WRITERS = {
     **dict.fromkeys(PACKED_FIELDS, {"RatFun.__init__", "RatFun._raw"}),
-    "terms": {"SymFunc.__init__", "TensorState.__init__"},
+    "terms": {"SymFunc.__init__"},
     "_perp_plans": {"_perp_plan"},
 }
 

@@ -31,9 +31,14 @@ def test_public_name_is_its_defining_modules_object(name):
     assert getattr(symfock, name) is getattr(importlib.import_module(f"symfock.{module}"), name)
 
 
-def test_all_and_the_lookup_table_name_the_same_set():
-    assert len(set(symfock.__all__)) == len(symfock.__all__)
-    assert set(symfock._SOURCES) == set(symfock.__all__)
+def test_the_lookup_table_lists_each_name_once():
+    # a name listed under two modules would resolve silently to the last one
+    table = next(
+        node.value for node in ast.parse(INIT.read_text()).body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_SOURCES"
+    )
+    listed = [c for t in ast.walk(table) if isinstance(t, ast.Tuple) for c in t.elts if isinstance(c, ast.Constant)]
+    assert len(listed) == len(symfock._SOURCES)
 
 
 def test_dir_lists_every_public_name():

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 
 import pytest
@@ -100,46 +101,85 @@ def _virasoro_plus_alpha(k, m, la, weighted, *rest):
     return _column_sum((1, col), (1, alpha)) if col.enc or alpha.enc else col
 
 
+def _witness_sha256(result):
+    return hashlib.sha256(json.dumps(result.witness).encode()).hexdigest()
+
+
+# sha256 of each kernel-factorization witness with h_1 doubled (plus, minus)
+# or the deformed kernel corrupted (conj+-), recorded on the SymFunc route
+# through check_mode_identity; the sides sit at charge m + eps
+KERNEL_FACTORIZATION_WITNESSES = {
+    ("plus", 0): "753948605f3af085f3f816021abc4baec72204636e79c1aed584bcb1112b19f1",
+    ("plus", -1): "619cb7bae139b7fcd2fa53b7ad10c3f1fe727e72eba36b500c8dfcdd73b4e934",
+    ("minus", 0): "41c5cc0f90956f36b151086622da97777e1f6d15c24d9277d7e1629555d634c5",
+    ("minus", -1): "6e5cf50102b2321ddf8a18a4d4de7f1df3a4d17dd6ad14c79db98d0d647cdeca",
+    ("conj+", 0): "fab9a115ac4f3241740f0a69f12b4105e2c49abb97ad88d1a4d8538271182ffc",
+    ("conj+", -1): "b96228e94032d5f6b9e192da3057c3919c8b76caf838eca6edc4c23805966de3",
+    ("conj-", 0): "1c13f387eb35e321297de450cddd2d42b63e2daf052e0d950bd4e0e25899cda9",
+    ("conj-", -1): "f60ec746dabadc75f8c66da4474ceb1a4eba7b18ed018be5155e816e5e300560",
+}
+
+
 # each control swaps one operator that symfock.verify reads, or that the
-# operators it reads from fock read, for a wrong one
+# operators it reads from fock read, for a wrong one, and pins the sha256 of
+# the witness that follows
 NEGATIVE_CONTROLS = [
-    pytest.param("commutation", ("ee", 1, 1), verify, "elementary_e", _doubled_at(elementary_e, 1), id="commutation"),
+    pytest.param(
+        "commutation", ("ee", 1, 1), verify, "elementary_e", _doubled_at(elementary_e, 1),
+        "cfa3e3f48178ea8628b31db3d74eb9278abfa58e31c8cc6ef720fba9646fd359", id="commutation",
+    ),
     # the lower pair h_1-perp e_1 on the right side of he
-    pytest.param("commutation", ("he", 2, 2), verify, "complete_h", _doubled_at(complete_h, 1), id="commutation-he"),
+    pytest.param(
+        "commutation", ("he", 2, 2), verify, "complete_h", _doubled_at(complete_h, 1),
+        "780df333340760e44b3f349ee143e71c033e164394c8926e0bcdb064f62e9489", id="commutation-he",
+    ),
     # fock.alpha and fock.virasoro read their mode columns through bilinear_column
-    pytest.param("heisenberg", ("comm", -1, 1), fock, "bilinear_column", _alpha_doubled_at(1), id="heisenberg-comm"),
-    pytest.param("heisenberg", ("action", 1), fock, "bilinear_column", _alpha_doubled_at(1), id="heisenberg-action"),
+    pytest.param(
+        "heisenberg", ("comm", -1, 1), fock, "bilinear_column", _alpha_doubled_at(1),
+        "841801ae7f0120b4184eee14cfa33bcb73c3656a2928653089d11cb363038db7", id="heisenberg-comm",
+    ),
+    pytest.param(
+        "heisenberg", ("action", 1), fock, "bilinear_column", _alpha_doubled_at(1),
+        "9660d1ffe1c1b37705bc079c7eafd48ad54f153ec3f3c9a9e2862f094b7efd91", id="heisenberg-action",
+    ),
     # the untwisted modes, missing the 1/(1 - t**k) of the positive ones
-    pytest.param("twisted-heisenberg", ("comm", -1, 1), verify, "twisted_alpha", _untwisted, id="twisted-heisenberg"),
+    pytest.param(
+        "twisted-heisenberg", ("comm", -1, 1), verify, "twisted_alpha", _untwisted,
+        "3c659f4d17931c3dc0947398b7267fb8a3395a8f246a5c3eb60ad976a8009c4c", id="twisted-heisenberg",
+    ),
     # the bilinear weight (1-beta) b - beta a off by one: L_k + alpha_k
-    pytest.param("virasoro", (Fraction(1, 2), -1, 1), fock, "bilinear_column", _virasoro_plus_alpha, id="virasoro"),
+    pytest.param(
+        "virasoro", (Fraction(1, 2), -1, 1), fock, "bilinear_column", _virasoro_plus_alpha,
+        "d4dd76fba0ce3008dd5967939c1f43a25a2e69e63b94574d4665f96dd7302ae6", id="virasoro",
+    ),
     pytest.param(
         "kernel-factorization", ("plus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
-        id="kernel-factorization-plus",
+        KERNEL_FACTORIZATION_WITNESSES[("plus", 0)], id="kernel-factorization-plus",
     ),
     pytest.param(
         "kernel-factorization", ("minus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
-        id="kernel-factorization-minus",
+        KERNEL_FACTORIZATION_WITNESSES[("minus", 0)], id="kernel-factorization-minus",
     ),
     pytest.param(
         "kernel-factorization", ("conj+", 0), verify, "DEFORMED_PLUS", fock.corrupted_kernel(fock.DEFORMED_PLUS),
-        id="kernel-factorization-conj",
+        KERNEL_FACTORIZATION_WITNESSES[("conj+", 0)], id="kernel-factorization-conj",
     ),
     pytest.param(
         "kernel-factorization", ("conj-", 0), verify, "DEFORMED_MINUS", fock.corrupted_kernel(fock.DEFORMED_MINUS),
-        id="kernel-factorization-conj-minus",
+        KERNEL_FACTORIZATION_WITNESSES[("conj-", 0)], id="kernel-factorization-conj-minus",
     ),
 ]
 
 
-@pytest.mark.parametrize("suite, params, module, name, wrong", NEGATIVE_CONTROLS)
-def test_mode_identity_suites_can_fail(monkeypatch, suite, params, module, name, wrong):
+@pytest.mark.parametrize("suite, params, module, name, wrong, sha256", NEGATIVE_CONTROLS)
+def test_mode_identity_suites_can_fail(monkeypatch, suite, params, module, name, wrong, sha256):
     item = (suite, params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
     monkeypatch.setattr(module, name, wrong)
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["charge", "p", "lhs", "rhs"]
+    assert _witness_sha256(result) == sha256
 
 
 def _split_moved(k, deg, m):
@@ -262,11 +302,13 @@ def test_passing_packed_items_build_no_symfunc(monkeypatch):
     assert all(r.ok for r in results)
 
 
-# one wrong operator per suite outside the mode identities; corollaries reads
-# only crosscheck_corollaries, so its control corrupts the q_k that check reads
+# one wrong operator per suite outside the mode identities, with its witness's
+# keys and sha256; corollaries reads only crosscheck_corollaries, so its
+# control corrupts the q_k that check reads
 OTHER_CONTROLS = [
     pytest.param(
-        "duality", ((2, 1), (2, 1)), verify, "schur", _doubled_at(verify.schur, (2, 1)), ["la", "mu", "value"], id="duality"
+        "duality", ((2, 1), (2, 1)), verify, "schur", _doubled_at(verify.schur, (2, 1)), ["la", "mu", "value"],
+        "40bbab3555c5afe08d69a3d2e26f89f087a27e102fb2bc57fe5909ca55b27f85", id="duality",
     ),
     pytest.param(
         "bases-agreement",
@@ -275,6 +317,7 @@ OTHER_CONTROLS = [
         "basis_via_vertex",
         lambda kind, la: basis_via_vertex(kind, la).scaled(2),
         ["vertex", "generating", "det"],
+        "4033cba63152ede2fe31e81ab50f9cd36e24f3a16f57b4dc1cecf39d7b7b43d8",
         id="bases-agreement",
     ),
     # each finite-variable oracle swapped for the other: P_21 != s_21 in 3 variables
@@ -285,6 +328,7 @@ OTHER_CONTROLS = [
         "hall_littlewood_oracle",
         verify.schur_oracle,
         ["la", "n"],
+        "437456f73ac369a0f0d5b4b2a9eba6bf08e8b16fd03eabcca094a5ca8e9c3a6f",
         id="hl-oracle",
     ),
     pytest.param(
@@ -294,23 +338,25 @@ OTHER_CONTROLS = [
         "schur_oracle",
         verify.hall_littlewood_oracle,
         ["la", "n"],
+        "437456f73ac369a0f0d5b4b2a9eba6bf08e8b16fd03eabcca094a5ca8e9c3a6f",
         id="schur-oracle",
     ),
     pytest.param(
         "corollaries", ((2, 1),), vertex, "q_coefficient", _doubled_at(vertex.q_coefficient, 1), ["la", "hl_equal", "dual_equal"],
-        id="corollaries",
+        "7256941a5436b41c2898df5a75123c7d5210597682571294b952d58ddb142c2e", id="corollaries",
     ),
 ]
 
 
-@pytest.mark.parametrize("suite, params, module, name, wrong, keys", OTHER_CONTROLS)
-def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, keys):
+@pytest.mark.parametrize("suite, params, module, name, wrong, keys, sha256", OTHER_CONTROLS)
+def test_other_suites_can_fail(monkeypatch, suite, params, module, name, wrong, keys, sha256):
     item = (suite, params, SweepOptions(max_degree=3))
     assert _execute_item(item).ok
     monkeypatch.setattr(module, name, wrong)
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == keys
+    assert _witness_sha256(result) == sha256
 
 
 @pytest.mark.parametrize(
@@ -340,10 +386,6 @@ def test_corollaries_catch_a_corrupted_h_or_e(monkeypatch, name, wrong):
     assert list(result.witness) == ["la", "hl_equal", "dual_equal"]
 
 
-def _witness_sha256(result):
-    return hashlib.sha256(json.dumps(result.witness).encode()).hexdigest()
-
-
 @pytest.mark.parametrize(
     "params, sha256",
     [
@@ -358,29 +400,13 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params, sha256):
     # are pinned byte for byte, the delta term of pm's right side included
     item = ("twisted-fermion", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
-    record = verify.SUITES["twisted-fermion"]
-    plus, minus, t = record.kernels
-    monkeypatch.setitem(verify.SUITES, "twisted-fermion", replace(record, kernels=(plus, minus, t + t)))
+    run = partial(verify._run_anticommutators, "twisted-fermion", TWISTED_PLUS, TWISTED_MINUS, RF_T + RF_T)
+    monkeypatch.setitem(verify.SUITES, "twisted-fermion", replace(verify.SUITES["twisted-fermion"], run=run))
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
     assert result.witness["lhs"] != result.witness["rhs"]
     assert _witness_sha256(result) == sha256
-
-
-# sha256 of each kernel-factorization witness with h_1 doubled (plus, minus)
-# or the deformed kernel corrupted (conj+-), recorded on the SymFunc route
-# through check_mode_identity; the sides sit at charge m + eps
-KERNEL_FACTORIZATION_WITNESSES = {
-    ("plus", 0): "753948605f3af085f3f816021abc4baec72204636e79c1aed584bcb1112b19f1",
-    ("plus", -1): "619cb7bae139b7fcd2fa53b7ad10c3f1fe727e72eba36b500c8dfcdd73b4e934",
-    ("minus", 0): "41c5cc0f90956f36b151086622da97777e1f6d15c24d9277d7e1629555d634c5",
-    ("minus", -1): "6e5cf50102b2321ddf8a18a4d4de7f1df3a4d17dd6ad14c79db98d0d647cdeca",
-    ("conj+", 0): "fab9a115ac4f3241740f0a69f12b4105e2c49abb97ad88d1a4d8538271182ffc",
-    ("conj+", -1): "b96228e94032d5f6b9e192da3057c3919c8b76caf838eca6edc4c23805966de3",
-    ("conj-", 0): "1c13f387eb35e321297de450cddd2d42b63e2daf052e0d950bd4e0e25899cda9",
-    ("conj-", -1): "f60ec746dabadc75f8c66da4474ceb1a4eba7b18ed018be5155e816e5e300560",
-}
 
 
 @pytest.mark.parametrize("params", list(KERNEL_FACTORIZATION_WITNESSES), ids=lambda p: f"{p[0]}-a{p[1]}")
