@@ -33,13 +33,12 @@ compiles only those (where no bytecode is cached, each start compiles them
 from source).  Building the parser imports none; `expand` loads `bases`
 and `symfunc`, and `vertex` with `fock` only on the vertex and generating
 routes; `kp` and `kp-search` load `bases`, `fock` and `kp`; `verify` loads
-every module but `kp`.  `verify -h` reads the suite names from `verify`
-only when it prints them.  `kp` and `expand` never import `dataclasses`
-(and with it `inspect`).  `verify`'s `SweepOptions`, `CheckResult` and
-`Suite` are dataclasses: options and suites are derived with
-`dataclasses.replace` (as the benchmark's tests do on
-`verify.DEFAULT_OPTIONS`), and a sweep runs long enough that the import
-is a small share of it.
+`fock`, and `bases` and `vertex` only in the items of a suite that reads
+them (`commutation`, `kernel-factorization`, `duality`, `bases-agreement`
+and `corollaries`).  `verify -h` reads the suite names from `verify` only
+when it prints them.  `kp`, `expand` and `verify` never import
+`dataclasses` (and with it `inspect`): `verify`'s `SweepOptions`,
+`CheckResult` and `Suite` are `NamedTuple`s, derived with `_replace`.
 """
 
 from __future__ import annotations

@@ -24,8 +24,11 @@ exp(sum_n c_n d/dp_n u**n) sends p_n to p_n + c_n u**n, so
 and C_r p_la is a sum over the sub-multisets S of la of weight r: with
 k_v of the m_v parts equal to v taken into S, the term is
 prod_v binom(m_v, k_v) c_v**k_v times p_{la minus S}.  Each kernel keeps
-that table once per la, and memoises mode actions under the key
-(shift, la) with shift = j + eps*m + 1, the only way j and m enter.
+that table once per la for the translation of a vector (`translate`).  It
+memoises mode actions under the key (shift, la) with shift = j + eps*m + 1,
+the only way j and m enter, and builds them from the identity one part
+at a time: with v the largest part of la and la' the rest,
+exp(...) p_la = (p_v + c_v u**v) exp(...) p_la'.
 
 Kernel instances:
 
@@ -60,17 +63,21 @@ the numerator of the i-th partition of n (`partitions_of` order) as a
 balanced base-2**w digit, with the denominator (b, e), a bound on the
 digits' bit length and a bound d < s on their t-degree (Kronecker
 substitution on two levels: t = 2**w inside a slot, X = 2**(w*s)
-between partitions).  On a miss the body is built as one digit sum
-(`_digit_sum`) of A_(r-shift) C_r p_la over r, with A_k kept per kernel
-as a Column (m A_m = sum_n a_n p_n A_(m-n) on digits) and p_nu p_mu
-found through a per-weight index map; no SymFunc is built.  An operator
-applied to a vector sums c_i(t) * enc_i per weight over the common
-denominator (`combine`), one multiply per input term, and unpacks the
-sum to a SymFunc, one gcd per coefficient and every digit over a
-t-denominator checked against the limb bound of `ratfun`.  `composition`
-builds K1[j1] K2[j2] p_la the same way at charge 0, for any two kernels
-(an inner column's (1-t^v) exponents go on the outer columns); on z^m p_la
-that is the product at (j1 + eps1 m, j2 + eps2 m).  The fermion and
+between partitions).  On a miss the body is one `_combine` of two cached
+columns on la' (`mode_on_basis`): p_v times the body at the same shift,
+its slots moved through a per-weight index map of p_nu p_mu, and c_v
+times the body at shift - v; on p_() it is A_(-shift), kept per kernel
+as a Column (m A_m = sum_n a_n p_n A_(m-n), one digit sum, `_digit_sum`).
+No SymFunc is built.  A body is not content-normalised (its digits stay
+within the bounds it carries), and a deformed body's (1-t^v) exponents
+are at most m(la).  An operator applied to a vector sums c_i(t) * enc_i
+per weight over the common denominator (`combine`), one multiply per
+input term, and unpacks the sum to a SymFunc, one gcd per coefficient
+and every digit over a t-denominator checked against the limb bound of
+`ratfun`.  `composition` builds K1[j1] K2[j2] p_la the same way at
+charge 0, for any two kernels (an inner column's (1-t^v) exponents go on
+the outer columns); on z^m p_la that is the product at
+(j1 + eps1 m, j2 + eps2 m).  The fermion and
 bilinear sums read each from `diagonal`; the Heisenberg and Virasoro
 modes of one (k, la) are built at every charge of a sweep from one such
 pair (`_normal_ordered_pair`).  Each operator is defined once, as pieces
@@ -93,7 +100,7 @@ chooses only the slot layout and the width and stride each weight
 shares.
 
 Vectors.  The identity is linear, so `translate` builds C_r f for a
-whole f = sum_la c_la p_la by the same digit sum (with A_0 = 1) from the
+whole f = sum_la c_la p_la by one digit sum (with A_0 = 1) from the
 tables of f's support, over M = prod_v (1-t^v)**(max_la k_v m_v(la)),
 and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
 those rows.  A coefficient with any other t-denominator (a tau read
@@ -441,6 +448,21 @@ def _combine(n: int, pieces: list[Piece]) -> Column:
     return Column(n, enc, den, top, bits, deg, width, stride)
 
 
+def _times_part(col: Column, v: int) -> Column:
+    """p_v col: each slot moved to the partition that gains the part v
+    (`_Grade.times`), packed at the shared width and stride of the target
+    grade, so a `_combine` at that grade reads it without a repack; the
+    digits, their bounds and the denominator are unchanged."""
+    if not col.enc:
+        return Column.zero(col.weight + v)
+    source, grade = _grade(col.weight), _grade(col.weight + v)
+    into, old = source.times((v,)), col.stride
+    width, stride = grade.fit(col.bits, col.deg)
+    ds = _digits(col.enc, col.width, len(source.parts) * old)
+    enc = _pack([(into[s // old] * stride + s % old, d) for s, d in enumerate(ds) if d], width, len(grade.parts) * stride)
+    return Column(grade.weight, enc, col.den, col.ex, col.bits, col.deg, width, stride)
+
+
 def _unpack(cols: Iterable[Column], scale: RatFun | None) -> SymFunc:
     """The columns' bodies (of distinct weights) as one SymFunc, times scale."""
     terms: dict[Partition, RatFun] = {}
@@ -568,6 +590,7 @@ class VertexKernel:
             terms.append((a[0], a[1] * m, (), self._mult_column(m - n), (n,)))
         return _multiplier(_digit_sum(m, terms))
 
+    @cache
     def _c_parts(self, v: int) -> tuple[Digits, int, int]:
         """c_v as (c, b, k), b > 0, of value c(t) / (b (1-t^v)**k)."""
         out = self.c(v).poly_parts_over(v)
@@ -609,16 +632,6 @@ class VertexKernel:
             rows[r][0][3].append((rest, num))
         return rows
 
-    def _mode_sum(self, shift: int, rows: Rows) -> list[Column]:
-        """sum_{r >= shift} A_(r-shift) C_r f from the rows of C_r f, one digit sum per weight."""
-        groups: dict[int, list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
-        for r, row in rows.items():
-            if r >= shift:
-                a = self._mult_column(r - shift)
-                for n, den, ex, entries in row:
-                    groups.setdefault(n + r - shift, []).extend((c, den, ex, a, mu) for mu, c in entries)
-        return [_digit_sum(n, pieces) for n, pieces in groups.items()]
-
     def translate(self, f: SymFunc) -> Translations:
         """C_r f = sum_la c_la C_r p_la for every r, as the rows of Q f and 1/Q.
 
@@ -646,23 +659,44 @@ class VertexKernel:
         return out, scale
 
     def mode_body(self, shift: int, translations: Translations) -> SymFunc:
-        """sum_{r >= shift} A_(r-shift) C_r f, from the translation of f."""
+        """sum_{r >= shift} A_(r-shift) C_r f, from the translation of f: one
+        digit sum per weight of the rows of C_r f."""
         rows, scale = translations
-        return _unpack(self._mode_sum(shift, rows), scale)
+        groups: dict[int, list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
+        for r, row in rows.items():
+            if r >= shift:
+                a = self._mult_column(r - shift)
+                for n, den, ex, entries in row:
+                    groups.setdefault(n + r - shift, []).extend((c, den, ex, a, mu) for mu, c in entries)
+        return _unpack([_digit_sum(n, pieces) for n, pieces in groups.items()], scale)
 
     def mode_on_basis(self, j: int, m: int, la: Partition) -> Column:
         """K[j] z^m p_la = z^(m+eps) sum_r A_(r-shift) C_r p_la, shift = j + eps*m + 1.
 
-        The body has weight |la| - shift.  On a miss it is built by one
-        digit sum from la's table and the A_k (`_mode_sum`) straight into a
-        Column over D_la, for every kernel.
+        The body col_s(la) at shift s has weight |la| - s.  On a miss it is
+        built from la = (v) + la' by the translation identity on the one
+        part v, col_s(la) = p_v col_s(la') + c_v col_(s-v)(la'), both
+        columns read from this method at charge 0, down to col_s(()) = A_(-s):
+        one `_combine` of p_v col_s(la') (`_times_part`) and of
+        col_(s-v)(la') over c_v's (1-t^v)**k.
         """
         shift = j + self.eps * m + 1
         key = (shift, la)
         out = self._modes.get(key)
         if out is None:
-            cols = self._mode_sum(shift, self._digit_table(la))
-            out = self._modes[key] = cols[0] if cols else Column.zero(weight(la) - shift)
+            n = weight(la) - shift
+            if n < 0:
+                out = Column.zero(n)
+            elif not la:
+                out = self._mult_column(-shift)[0]
+            else:
+                v, rest = la[0], la[1:]
+                # both columns first, as building the second can widen the grade of p_v col
+                col, low = self.mode_on_basis(shift - 1, 0, rest), self.mode_on_basis(shift - v - 1, 0, rest)
+                c, b, k = self._c_parts(v)
+                terms = pieces(_times_part(col, v)) + pieces(low.over((0,) * (v - 1) + (k,)) if k else low, c, b)
+                out = _combine(n, terms)
+            self._modes[key] = out
         return out
 
 
@@ -727,10 +761,22 @@ def composition(outer: VertexKernel, j1: int, inner: VertexKernel, j2: int, la: 
 
 def diagonal(k1: VertexKernel, k2: VertexKernel, d: int, la: Partition) -> tuple[Callable[[int], Column], ...]:
     """X(a) = k1[a] k2[d-a] p_la and Y(b) = k2[b] k1[d-b] p_la for any two
-    kernels, each built on first use and dropped with the pair; Y is X when
-    k1 is k2."""
-    X = cache(lambda a: composition(k1, a, k2, d - a, la))
-    return X, X if k1 is k2 else cache(lambda b: composition(k2, b, k1, d - b, la))
+    kernels, each built on first use into a dict dropped with the pair; Y is
+    X when k1 is k2."""
+
+    def side(outer: VertexKernel, inner: VertexKernel) -> Callable[[int], Column]:
+        built: dict[int, Column] = {}
+
+        def read(a: int) -> Column:
+            col = built.get(a)
+            if col is None:
+                col = built[a] = composition(outer, a, inner, d - a, la)
+            return col
+
+        return read
+
+    X = side(k1, k2)
+    return X, X if k1 is k2 else side(k2, k1)
 
 
 # (k, charge, la) -> mode k of alpha (_heis_cache) or L^0 (_vir_cache) on z^charge p_la

@@ -40,29 +40,20 @@ are the classical anticommutators and the t-shifted terms are never built.
 A mode sees the charge m only through its shift j + eps m + 1, so the check
 at (a, b, m, la) is the one at (a + eps1 m, b + eps2 m, 0, la): its
 compositions are read in that charge-0 frame from `fock.diagonal`, and each
-process runs it once.  Each pair's two sides are stated as pieces, and the
-same packed zero test as the bilinear suites' (`_differ`) decides it; a
-SymFunc is built only for a failure witness.  Only passing keys are kept: a
-failure and its witness are never cached.
+process runs it once.  An item shares its compositions across its charges:
+it keeps one diagonal per (d0, la).  Each pair's two sides are stated as
+pieces, and the same packed zero test as the bilinear suites' (`_differ`)
+decides it; a SymFunc is built only for a failure witness.  Only passing
+keys are kept: a failure and its witness are never cached.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
-from .bases import (
-    complete_h,
-    dual_schur,
-    elementary_e,
-    expand_in_variables,
-    hall_littlewood_oracle,
-    schur,
-    schur_oracle,
-)
 from .fock import (
     FERMION_MINUS,
     FERMION_PLUS,
@@ -95,7 +86,6 @@ from .fock import (
 from .partitions import Partition, partitions_of, partitions_up_to, weight
 from .ratfun import RF_ONE, RF_T, RF_ZERO, RatFun, rat_to_json, rf_one_minus_t_pow
 from .symfunc import perp_apply, scalar_product, symfunc_to_json
-from .vertex import basis_via_vertex, crosscheck_corollaries, generating_coefficient_direct
 
 # one corrupted copy per kernel, so its mode cache survives across items
 _corrupted = cache(corrupted_kernel)
@@ -105,8 +95,7 @@ _corrupted = cache(corrupted_kernel)
 _passed: dict[tuple, set[tuple]] = {}
 
 
-@dataclass(frozen=True)
-class SweepOptions:
+class SweepOptions(NamedTuple):
     """A sweep window; `run_suite` fills every None field from the suite's defaults."""
 
     max_degree: int | None = None
@@ -116,8 +105,7 @@ class SweepOptions:
     corrupt: bool | None = None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One item's verdict: `witness` is None when its identity holds, else the
     JSON witness of the failure."""
 
@@ -130,8 +118,7 @@ class CheckResult:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class Suite:
+class Suite(NamedTuple):
     """One suite: `build` lists the bare params of its items, `run(params,
     opts)` checks one, and `defaults` is its window (sized to keep a full run
     at desk scale), setting exactly the fields the suite reads."""
@@ -151,8 +138,9 @@ Item = tuple  # (suite, params, opts)
 def _run_commutation(params, opts: SweepOptions) -> CheckResult:
     """low_a^perp up_b against up_b low_a^perp, with the lower pair (a-1, b-1)
     on the left for ee/hh and on the right for he/eh."""
+    from .bases import complete_h as h, elementary_e as e
+
     rel, a, b = params
-    h, e = complete_h, elementary_e
     low, up = {"ee": (e, e), "hh": (h, h), "he": (h, e), "eh": (e, h)}[rel]
     d, u, d1, u1 = low(a), up(b), low(a - 1), up(b - 1)
     lower = a >= 1 and b >= 1
@@ -184,7 +172,9 @@ def _run_anticommutators(
     With X, Y the two sides of `diagonal(K1, K2, d0, la)`, {K1[a], K2[b]}
     reads X(a0) + Y(b0) and its t-terms X(a0+e) + Y(b0+e).  A check whose
     key (a0, b0, la) is in this process's `_passed` is skipped; the others
-    build the X and Y they read, once per (m, la).
+    read X and Y from one diagonal per (d0, la), kept for the whole item, so
+    a composition one charge built is read, not rebuilt, at the next (pm
+    reads the one diagonal d0 = d at every charge).
     """
     rel, d = params
     if opts.corrupt:
@@ -197,9 +187,11 @@ def _run_anticommutators(
     minus_t = (-t).poly_parts()
     name = f"{rel}[a+b={d}]"
     passed = _passed.setdefault((K1, K2, t), set())
+    sides: dict[tuple[int, Partition], tuple] = {}
     for m in sorted(opts.charges):
         for la in partitions_up_to(opts.max_degree):
-            X, Y = diagonal(K1, K2, d + (K1.eps + K2.eps) * m, la)
+            key = (d + (K1.eps + K2.eps) * m, la)
+            X, Y = sides.get(key) or sides.setdefault(key, diagonal(K1, K2, *key))
             right = _unit(la, *delta)
             for a, b in pairs:
                 a0, b0 = a + K1.eps * m, b + K2.eps * m
@@ -331,6 +323,8 @@ def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:
     """On z^m p_la: fermion+[a] = sum_s t^s h_s twisted+[a+s] (plus),
     twisted-[a] = sum_s t^s h_s fermion-[a+s] (minus), and deformed±[a] as
     fermion±[a] conjugated by p_n -> (1-t^n) p_n (conj±)."""
+    from .bases import complete_h
+
     kind, a = params
     if kind.startswith("conj"):
         deformed, plain = (DEFORMED_PLUS, FERMION_PLUS) if kind == "conj+" else (DEFORMED_MINUS, FERMION_MINUS)
@@ -362,6 +356,8 @@ def _run_kernel_factorization(params, opts: SweepOptions) -> CheckResult:
 
 
 def _run_duality(params, opts: SweepOptions) -> CheckResult:
+    from .bases import dual_schur, schur
+
     la, mu = params
     value = scalar_product(dual_schur(la), schur(mu), deformed=True)
     want = RatFun.from_int(1 if la == mu else 0)
@@ -373,34 +369,34 @@ def _n(la: Partition) -> int:
     return max(weight(la), 1)
 
 
-def _routes(kind: str) -> dict[str, Callable]:
-    """The vertex-mode and generating-function routes to one family."""
-    return {"vertex": lambda la: basis_via_vertex(kind, la), "generating": lambda la: generating_coefficient_direct(kind, la)}
+def _agreement_routes(kind: str) -> dict[str, Callable]:
+    """The routes that must agree on la for one bases-agreement kind: the
+    vertex-mode and generating-function routes to a family, and its
+    determinants, oracles and specialisations."""
+    from .bases import dual_schur, expand_in_variables, hall_littlewood_oracle, schur, schur_oracle
+    from .vertex import basis_via_vertex, generating_coefficient_direct
 
+    def routes(family: str) -> dict[str, Callable]:
+        return {"vertex": lambda la: basis_via_vertex(family, la), "generating": lambda la: generating_coefficient_direct(family, la)}
 
-# kind -> the routes that must agree on la
-_AGREEMENT_ROUTES: dict[str, dict[str, Callable]] = {
-    "schur-routes": {**_routes("schur"), "det": lambda la: schur(la)},
-    "schur-oracle": {"det": lambda la: expand_in_variables(schur(la), _n(la)), "oracle": lambda la: schur_oracle(la, _n(la))},
-    "hl-routes": _routes("hall_littlewood"),
-    "hl-oracle": {
-        "vertex": lambda la: expand_in_variables(basis_via_vertex("hall_littlewood", la), _n(la)),
-        "oracle": lambda la: hall_littlewood_oracle(la, _n(la)),
-    },
-    "hl-t0": {"vertex": lambda la: basis_via_vertex("hall_littlewood", la).specialize_t(0), "det": lambda la: schur(la)},
-    "dual-routes": {
-        **_routes("dual_schur"),
-        "det": lambda la: dual_schur(la),
-        "subst": lambda la: schur(la).scale_p(rf_one_minus_t_pow),
-    },
-    "dual-t0": {"det": lambda la: dual_schur(la).specialize_t(0), "schur": lambda la: schur(la)},
-}
+    return {
+        "schur-routes": {**routes("schur"), "det": schur},
+        "schur-oracle": {"det": lambda la: expand_in_variables(schur(la), _n(la)), "oracle": lambda la: schur_oracle(la, _n(la))},
+        "hl-routes": routes("hall_littlewood"),
+        "hl-oracle": {
+            "vertex": lambda la: expand_in_variables(basis_via_vertex("hall_littlewood", la), _n(la)),
+            "oracle": lambda la: hall_littlewood_oracle(la, _n(la)),
+        },
+        "hl-t0": {"vertex": lambda la: basis_via_vertex("hall_littlewood", la).specialize_t(0), "det": schur},
+        "dual-routes": {**routes("dual_schur"), "det": dual_schur, "subst": lambda la: schur(la).scale_p(rf_one_minus_t_pow)},
+        "dual-t0": {"det": lambda la: dual_schur(la).specialize_t(0), "schur": schur},
+    }[kind]
 
 
 def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
     """A witness shows every expansion for the "-routes" kinds, else la (and n, for an oracle)."""
     kind, la = params
-    values = {route: fn(la) for route, fn in _AGREEMENT_ROUTES[kind].items()}
+    values = {route: fn(la) for route, fn in _agreement_routes(kind).items()}
     first, *rest = values.values()
     witness = None
     if any(value != first for value in rest):
@@ -412,6 +408,8 @@ def _run_bases_agreement(params, opts: SweepOptions) -> CheckResult:
 
 
 def _run_corollaries(params, opts: SweepOptions) -> CheckResult:
+    from .vertex import crosscheck_corollaries
+
     return CheckResult("corollaries", f"products{list(params[0])}", crosscheck_corollaries(params[0]))
 
 
@@ -500,9 +498,19 @@ SUITES: dict[str, Suite] = {
 }
 
 SUITE_NAMES = tuple(SUITES)
-# views of SUITES, kept because the bench harness (bench/test_run.py) imports them
-DEFAULT_OPTIONS = {name: suite.defaults for name, suite in SUITES.items()}
+# views of SUITES, kept because the bench harness (bench/test_run.py) imports
+# them; it derives windows from DEFAULT_OPTIONS with dataclasses.replace, so
+# that view is built on first read (`__getattr__`), as frozen dataclasses
 _BUILDERS = {name: suite.build for name, suite in SUITES.items()}
+
+
+def __getattr__(name: str):
+    if name != "DEFAULT_OPTIONS":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from dataclasses import make_dataclass
+
+    window = make_dataclass("SweepOptions", [(f, object, None) for f in SweepOptions._fields], frozen=True)
+    return {suite: window(*record.defaults) for suite, record in SUITES.items()}
 
 
 def _execute_item(item: Item) -> CheckResult:
@@ -539,12 +547,12 @@ def run_suite(suite: str, opts: SweepOptions | None = None, threads: int | None 
     record = SUITES.get(suite)
     if record is None:
         raise ValueError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)}")
-    given = {name: value for name, value in vars(opts or SweepOptions()).items() if value is not None}
-    reads = {name for name, value in vars(record.defaults).items() if value is not None}
+    given = {name: value for name, value in (opts or SweepOptions())._asdict().items() if value is not None}
+    reads = {name for name, value in record.defaults._asdict().items() if value is not None}
     unread = [name for name in given if name not in reads]
     if unread:
         raise ValueError(f"suite {suite!r} does not read {', '.join(unread)}")
-    opts = replace(record.defaults, **given)
+    opts = record.defaults._replace(**given)
     if opts.max_degree < 0 or (opts.max_mode or 0) < 0:
         raise ValueError("max_degree and max_mode must be nonnegative")
     if opts.charges == ():

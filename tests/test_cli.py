@@ -1,7 +1,6 @@
 """CLI behaviour: JSON output, round-trips, exit codes."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -224,7 +223,7 @@ def test_internal_error_exits_3(monkeypatch, capsys, error):
         raise error("injected")
 
     monkeypatch.setenv("SF_THREADS", "1")
-    monkeypatch.setitem(verify.SUITES, "corollaries", replace(verify.SUITES["corollaries"], run=broken))
+    monkeypatch.setitem(verify.SUITES, "corollaries", verify.SUITES["corollaries"]._replace(run=broken))
     code, out, err = run_cli(capsys, "verify", "corollaries", "--max-degree", "2")
     assert code == 3 and out == ""
     assert err.startswith("error:") and "injected" in err and err.count("\n") == 1

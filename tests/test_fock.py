@@ -2,6 +2,7 @@
 
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import zip_longest
 from math import gcd
 
 import pytest
@@ -139,18 +140,24 @@ def _exponents(la):
     return tuple(mults.get(v, 0) for v in range(1, max(la, default=0) + 1))
 
 
+def _at_most(ex, top):
+    """Whether the exponent vector ex is at most top at every v."""
+    return all(e <= t for e, t in zip_longest(ex, top, fillvalue=0))
+
+
 @pytest.mark.parametrize("kernel", [DEFORMED_PLUS, DEFORMED_MINUS], ids=lambda k: k.name)
 def test_deformed_denominators_stay_bounded(kernel):
     # one common denominator D_la = prod_v (1-t^v)^m_v per table, of degree |la|,
     # so assembling a mode body never multiplies denominators together: every
-    # row of la's table and every nonzero body on p_la has exponent vector m(la)
+    # row of la's table has exponent vector m(la), and every body on p_la one
+    # at most m(la) (the one-part recursion writes it over the lcm of its two
+    # pieces' denominators, which lacks (1-t^v) where a piece is zero)
     for la in partitions_up_to(6):
         table = kernel._digit_table(la)
         assert {ex for rows in table.values() for _, _, ex, _ in rows} == {_exponents(la)}, la
         for shift in range(-2, weight(la) + 2):
             col = kernel.mode_on_basis(shift - 1, 0, la)
-            if not col.is_zero():
-                assert col.ex == _exponents(la), (la, shift)
+            assert _at_most(col.ex, _exponents(la)), (la, shift)
             for c in col.body.terms.values():
                 assert len(_limbs(c.de)) - 1 <= weight(la), (la, shift)
 
@@ -657,14 +664,14 @@ def test_stride_grows_mid_run():
 @pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=lambda k: k.name)
 def test_mode_bodies_are_columns(kernel):
     # every kernel's bodies are cached as columns: over a scalar denominator
-    # for fermion+- and twisted+-, over D_la = prod_v (1-t^v)^m_v for deformed+-
+    # for fermion+- and twisted+-, over a divisor of D_la = prod_v (1-t^v)^m_v
+    # for deformed+-
     deformed = kernel.name.startswith("deformed")
     for la in partitions_up_to(5):
         for shift in range(-2, weight(la) + 1):
             col = kernel.mode_on_basis(shift - 1, 0, la)
             assert type(col) is Column, (la, shift)
-            if not col.is_zero():
-                assert col.ex == (_exponents(la) if deformed else ()), (la, shift)
+            assert _at_most(col.ex, _exponents(la)) if deformed else col.ex == (), (la, shift)
 
 
 def _fresh(kernel):
@@ -686,9 +693,11 @@ def _reference_mode(kernel, shift, la):
 
 @pytest.mark.parametrize("kernel", _ALL_KERNELS, ids=lambda k: k.name)
 def test_digit_sum_modes_match_mode_body(kernel):
-    # the column built on a miss from la's table is the body mode_body reads
-    # from the translation of p_la and the SymFunc reference, over its least
-    # scalar denominator
+    # the column built on a miss by the one-part recursion is the body
+    # mode_body reads from la's translation table and the SymFunc reference,
+    # three independent constructions; its digits and t-degrees stay within
+    # the bounds it carries, which its width and stride exceed, so no digit
+    # carries into its neighbour
     kernel = _fresh(kernel)
     for la in partitions_up_to(6):
         translations = kernel.translate(SymFunc.monomial(la))
@@ -696,8 +705,46 @@ def test_digit_sum_modes_match_mode_body(kernel):
             col = kernel.mode_on_basis(shift - 1, 0, la)
             assert type(col) is Column, (la, shift)
             assert col.body == kernel.mode_body(shift, translations) == _reference_mode(kernel, shift, la), (la, shift)
-            flat = [d for _, c in col.digits() for d in ((c,) if type(c) is int else c)]
-            assert gcd(col.den, *flat) == 1, (la, shift)
+            for _, c in col.digits():
+                c = (c,) if type(c) is int else c
+                assert max(map(abs, c)) < 1 << col.bits and len(c) - 1 <= col.deg, (la, shift)
+            assert not col.enc or (col.width > col.bits and col.stride > col.deg), (la, shift)
+
+
+@pytest.mark.parametrize("kernel", [FERMION_PLUS, TWISTED_MINUS, DEFORMED_PLUS], ids=lambda k: k.name)
+def test_part_times_column_is_packed_for_its_grade(monkeypatch, kernel):
+    # p_v col on a miss is packed at the shared width and stride of its target
+    # grade, so the _combine that sums it repacks it only where that sum
+    # widens the grade or gives a Q column t-digits; packed at the source
+    # column's width instead, it is repacked on most misses
+    kernel = _fresh(kernel)
+    times_part, combine_, repack = fock._times_part, fock._combine, Column.repack
+    moved, repacked = {}, []  # moved holds its columns, so no id is reused
+
+    def spy_times(col, v):
+        out = times_part(col, v)
+        grade = fock._grade(out.weight)
+        assert out.body == col.body.times_p(v)
+        assert not out.enc or (out.width, out.stride) == (grade.width, grade.stride if out.deg else 1)
+        moved[id(out)] = out
+        return out
+
+    def spy_combine(n, terms):
+        grade = fock._grade(n)
+        before = (grade.width, grade.stride)
+        repacked.clear()
+        out = combine_(n, terms)
+        if (grade.width, grade.stride) == before:
+            assert not [c for c in repacked if id(c) in moved and (c.deg or not out.deg)], n
+        return out
+
+    monkeypatch.setattr(fock, "_times_part", spy_times)
+    monkeypatch.setattr(fock, "_combine", spy_combine)
+    monkeypatch.setattr(Column, "repack", lambda col, width, stride: repacked.append(col) or repack(col, width, stride))
+    for la in partitions_up_to(6):
+        for shift in range(-3, weight(la) + 1):
+            kernel.mode_on_basis(shift - 1, 0, la)
+    assert moved
 
 
 @pytest.mark.parametrize("kernel", list(KERNELS.values()), ids=lambda k: k.name)

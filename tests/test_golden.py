@@ -150,14 +150,18 @@ sys.exit(code)
 SRC = Path(verify.__file__).resolve().parent.parent
 NO_VERTEX = {"symfock.verify", "symfock.vertex", "dataclasses"}
 NO_FOCK = NO_VERTEX | {"symfock.fock", "symfock.kp"}
+# a Fock-kernel suite reads neither bases nor vertex
+KERNEL_SUITE = {"symfock.kp", "symfock.bases", "symfock.vertex", "dataclasses"}
 FRESH = [
     ((), "1", NO_FOCK | {"symfock.bases", "symfock.symfunc"}),
     (("expand", "schur", "3,2,1", "--route", "det"), "1", NO_FOCK),
     (("expand", "schur", "3,2,1", "--route", "vertex"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
     (("expand", "hl", "3,2,1", "--route", "generating"), "1", {"symfock.verify", "symfock.kp", "dataclasses"}),
     (("expand", "schur", "3,2,1", "--route", "oracle"), "1", NO_FOCK),
-    (("verify", "heisenberg", *WINDOW), "1", {"symfock.kp"}),
-    (("verify", "heisenberg", *WINDOW), "2", {"symfock.kp"}),
+    (("verify", "heisenberg", *WINDOW), "1", KERNEL_SUITE),
+    (("verify", "heisenberg", *WINDOW), "2", KERNEL_SUITE),
+    (("verify", "fermion", *WINDOW), "1", KERNEL_SUITE),
+    (("verify", "fermion", *WINDOW), "2", KERNEL_SUITE),
     (("kp", "--dualschur", "4,3,2,1", "--deformed"), "1", NO_VERTEX),
     (("kp-search", "--degree-bound", "4"), "1", NO_VERTEX),
 ]

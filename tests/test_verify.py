@@ -4,7 +4,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -122,15 +121,18 @@ KERNEL_FACTORIZATION_WITNESSES = {
 
 # each control swaps one operator that symfock.verify reads, or that the
 # operators it reads from fock read, for a wrong one, and pins the sha256 of
-# the witness that follows
+# the witness that follows.  verify imports h_k and e_k from bases when an
+# item runs, so those are swapped in bases, after the passing run has cached
+# every h_k and e_k the item reads (the originals recurse through the module
+# name, so only k = 1 or 2 is wrong)
 NEGATIVE_CONTROLS = [
     pytest.param(
-        "commutation", ("ee", 1, 1), verify, "elementary_e", _doubled_at(elementary_e, 1),
+        "commutation", ("ee", 1, 1), bases, "elementary_e", _doubled_at(elementary_e, 1),
         "cfa3e3f48178ea8628b31db3d74eb9278abfa58e31c8cc6ef720fba9646fd359", id="commutation",
     ),
     # the lower pair h_1-perp e_1 on the right side of he
     pytest.param(
-        "commutation", ("he", 2, 2), verify, "complete_h", _doubled_at(complete_h, 1),
+        "commutation", ("he", 2, 2), bases, "complete_h", _doubled_at(complete_h, 1),
         "780df333340760e44b3f349ee143e71c033e164394c8926e0bcdb064f62e9489", id="commutation-he",
     ),
     # fock.alpha and fock.virasoro read their mode columns through bilinear_column
@@ -153,11 +155,11 @@ NEGATIVE_CONTROLS = [
         "d4dd76fba0ce3008dd5967939c1f43a25a2e69e63b94574d4665f96dd7302ae6", id="virasoro",
     ),
     pytest.param(
-        "kernel-factorization", ("plus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
+        "kernel-factorization", ("plus", 0), bases, "complete_h", _doubled_at(complete_h, 1),
         KERNEL_FACTORIZATION_WITNESSES[("plus", 0)], id="kernel-factorization-plus",
     ),
     pytest.param(
-        "kernel-factorization", ("minus", 0), verify, "complete_h", _doubled_at(complete_h, 1),
+        "kernel-factorization", ("minus", 0), bases, "complete_h", _doubled_at(complete_h, 1),
         KERNEL_FACTORIZATION_WITNESSES[("minus", 0)], id="kernel-factorization-minus",
     ),
     pytest.param(
@@ -228,9 +230,9 @@ def _patch_fault(monkeypatch, name, wrong):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("suite, name, wrong, sha256", BILINEAR_FAULTS)
 def test_packed_witness_is_the_symfunc_witness(monkeypatch, threads, suite, name, wrong, sha256):
-    opts = replace(verify.SUITES[suite].defaults, **vars(BILINEAR_WINDOW))
+    opts = verify.SUITES[suite].defaults._replace(**BILINEAR_WINDOW._asdict())
     if suite == "virasoro":
-        opts = replace(opts, betas=(Fraction(1, 2),))
+        opts = opts._replace(betas=(Fraction(1, 2),))
     _patch_fault(monkeypatch, name, wrong)
     failed = [[r.name, r.witness] for r in run_suite(suite, opts, threads=threads) if not r.ok]
     assert failed
@@ -307,13 +309,13 @@ def test_passing_packed_items_build_no_symfunc(monkeypatch):
 # control corrupts the q_k that check reads
 OTHER_CONTROLS = [
     pytest.param(
-        "duality", ((2, 1), (2, 1)), verify, "schur", _doubled_at(verify.schur, (2, 1)), ["la", "mu", "value"],
+        "duality", ((2, 1), (2, 1)), bases, "schur", _doubled_at(bases.schur, (2, 1)), ["la", "mu", "value"],
         "40bbab3555c5afe08d69a3d2e26f89f087a27e102fb2bc57fe5909ca55b27f85", id="duality",
     ),
     pytest.param(
         "bases-agreement",
         ("schur-routes", (2, 1)),
-        verify,
+        vertex,
         "basis_via_vertex",
         lambda kind, la: basis_via_vertex(kind, la).scaled(2),
         ["vertex", "generating", "det"],
@@ -324,9 +326,9 @@ OTHER_CONTROLS = [
     pytest.param(
         "bases-agreement",
         ("hl-oracle", (2, 1)),
-        verify,
+        bases,
         "hall_littlewood_oracle",
-        verify.schur_oracle,
+        bases.schur_oracle,
         ["la", "n"],
         "437456f73ac369a0f0d5b4b2a9eba6bf08e8b16fd03eabcca094a5ca8e9c3a6f",
         id="hl-oracle",
@@ -334,9 +336,9 @@ OTHER_CONTROLS = [
     pytest.param(
         "bases-agreement",
         ("schur-oracle", (2, 1)),
-        verify,
+        bases,
         "schur_oracle",
-        verify.hall_littlewood_oracle,
+        bases.hall_littlewood_oracle,
         ["la", "n"],
         "437456f73ac369a0f0d5b4b2a9eba6bf08e8b16fd03eabcca094a5ca8e9c3a6f",
         id="schur-oracle",
@@ -401,7 +403,7 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params, sha256):
     item = ("twisted-fermion", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
     run = partial(verify._run_anticommutators, "twisted-fermion", TWISTED_PLUS, TWISTED_MINUS, RF_T + RF_T)
-    monkeypatch.setitem(verify.SUITES, "twisted-fermion", replace(verify.SUITES["twisted-fermion"], run=run))
+    monkeypatch.setitem(verify.SUITES, "twisted-fermion", verify.SUITES["twisted-fermion"]._replace(run=run))
     result = _execute_item(item)
     assert not result.ok
     assert list(result.witness) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
@@ -413,13 +415,13 @@ def test_twisted_fermion_fails_with_t_doubled(monkeypatch, params, sha256):
 def test_kernel_factorization_witnesses_are_pinned(monkeypatch, params):
     kind = params[0]
     if kind in ("plus", "minus"):
-        name, wrong = "complete_h", _doubled_at(complete_h, 1)
+        module, name, wrong = bases, "complete_h", _doubled_at(complete_h, 1)
     else:
         name = "DEFORMED_PLUS" if kind == "conj+" else "DEFORMED_MINUS"
-        wrong = corrupted_kernel(getattr(fock, name))
+        module, wrong = verify, corrupted_kernel(getattr(fock, name))
     item = ("kernel-factorization", params, SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1)))
     assert _execute_item(item).ok
-    monkeypatch.setattr(verify, name, wrong)
+    monkeypatch.setattr(module, name, wrong)
     result = _execute_item(item)
     assert not result.ok
     assert _witness_sha256(result) == KERNEL_FACTORIZATION_WITNESSES[params]
@@ -480,11 +482,32 @@ def test_each_relabelled_check_runs_once(monkeypatch):
     assert len(calls) == len(keys) == sum(map(len, verify._passed.values())) < checks
 
 
+def test_an_item_builds_each_composition_once(monkeypatch):
+    # an item keeps one diagonal per (d0, la), shared by its charges, so the
+    # t-neighbour compositions one charge built are read, not rebuilt, at the next
+    opts = SweepOptions(max_degree=3, max_mode=2)
+    monkeypatch.setattr(verify, "_passed", {})
+    built = []
+    composition = fock.composition
+
+    def counted(k1, j1, k2, j2, la):
+        built.append((k1, j1, k2, j2, la))
+        return composition(k1, j1, k2, j2, la)
+
+    monkeypatch.setattr(fock, "composition", counted)
+    total = 0
+    for result in run_suite("twisted-fermion", opts, threads=1):
+        assert result.ok and len(set(built)) == len(built), result.name
+        total += len(built)
+        built.clear()
+    assert total
+
+
 def test_passing_keys_do_not_hide_a_corrupted_kernel():
     # the corrupted copy is its own kernel object, so its keys are its own
     opts = SweepOptions(max_degree=3, max_mode=2, charges=(-1, 0, 1))
     assert _execute_item(("fermion", ("pm", -1), opts)).ok
-    result = _execute_item(("fermion", ("pm", -1), replace(opts, corrupt=True)))
+    result = _execute_item(("fermion", ("pm", -1), opts._replace(corrupt=True)))
     assert not result.ok and result.witness["relation"] == "pm"
     # the item is the delta diagonal, so the witness's right side carries the
     # (1-t)**2 p_la term (p_la at t = 0); it is pinned byte for byte
