@@ -19,16 +19,14 @@ and K[j] v = 0 exactly when j + eps*m + 1 > deg f.
 The derivation exponential is a translation (the translation identity):
 exp(sum_n c_n d/dp_n u**n) sends p_n to p_n + c_n u**n, so
 
-    exp(...) p_la = prod_i (p_{la_i} + c_{la_i} u**la_i),
+    exp(...) p_la = prod_i (p_{la_i} + c_{la_i} u**la_i).
 
-and C_r p_la is a sum over the sub-multisets S of la of weight r: with
-k_v of the m_v parts equal to v taken into S, the term is
-prod_v binom(m_v, k_v) c_v**k_v times p_{la minus S}.  Each kernel keeps
-that table once per la for the translation of a vector (`translate`).  It
-memoises mode actions under the key (shift, la) with shift = j + eps*m + 1,
-the only way j and m enter, and builds them from the identity one part
-at a time: with v the largest part of la and la' the rest,
-exp(...) p_la = (p_v + c_v u**v) exp(...) p_la'.
+Each kernel memoises mode actions under the key (shift, la) with
+shift = j + eps*m + 1, the only way j and m enter, and builds them from
+the identity one part at a time: with v the largest part of la and la'
+the rest, exp(...) p_la = (p_v + c_v u**v) exp(...) p_la'.  C_r p_la
+itself is the body at shift r of the kernel with the same c and a = 0,
+whose A_k are delta_(k,0) (`translate`).
 
 Kernel instances:
 
@@ -38,7 +36,7 @@ Kernel instances:
   generating Hall-Littlewood data;
 * deformed+ / deformed- (1-t^n, -1/(1-t^n)) and (t^n-1, 1/(1-t^n)): the
   images of the classical fermions under p_n -> (1-t^n) p_n, built from
-  these tables of their own (the `conj+-` items of kernel-factorization
+  their own a_n and c_n (the `conj+-` items of kernel-factorization
   check the conjugation against the classical kernels).
 
 Half-integer mode labels used in the vertex-algebra literature map to
@@ -50,9 +48,7 @@ every mode sum terminates on each vector.
 Denominators.  The kernels' a_n lie in Z[t]/b and their c_v in
 Z[t]/(b (1-t^v)**k); data of any other form raises ValueError when it is
 first read.  So every denominator here is b * prod_v (1-t^v)**e_v, b a
-positive integer and e an exponent vector (empty for b alone), and la's
-table shares one, D_la = prod_v b_v**m_v (1-t^v)**(k_v m_v): its exponent
-vector is m(la) for the deformed kernels and empty for the others.  A sum
+positive integer and e an exponent vector (empty for b alone).  A sum
 of pieces over several such denominators is written over the lcm of the
 b's times prod_v (1-t^v)**(max e_v), each piece's numerator multiplied
 by its exact quotient, so denominators are never multiplied together.
@@ -100,10 +96,10 @@ chooses only the slot layout and the width and stride each weight
 shares.
 
 Vectors.  The identity is linear, so `translate` builds C_r f for a
-whole f = sum_la c_la p_la by one digit sum (with A_0 = 1) from the
-tables of f's support, over M = prod_v (1-t^v)**(max_la k_v m_v(la)),
-and `mode_body` reads any mode sum_{r >= shift} A_(r-shift) C_r f from
-those rows.  A coefficient with any other t-denominator (a tau read
+whole f = sum_la c_la p_la by one `_combine` per (r, weight) of the
+cached columns C_r p_la of f's support, and `mode_body` reads any mode
+sum_{r >= shift} A_(r-shift) C_r f from those columns by one digit sum
+per weight.  A coefficient with any other t-denominator (a tau read
 from a file, or a body unpacked over (1-t^v) factors) is handled once
 per operation: the lcm Q of those denominators is pulled out in front
 (`ratfun.pull`), Q c is summed packed, and the result is divided by Q.
@@ -119,11 +115,11 @@ from __future__ import annotations
 
 from functools import cache
 from itertools import zip_longest
-from math import comb, gcd
+from math import gcd
 from typing import Callable, Iterable
 
-from .partitions import Partition, multiplicities, partitions_of, partitions_up_to, weight
-from .ratfun import RF_ONE, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
+from .partitions import Partition, partitions_of, partitions_up_to, weight
+from .ratfun import RF_ONE, RF_ZERO, Digits, RatFun, _digits, _pack, _spread, _unspread, _width
 from .ratfun import pull, rf_inv_one_minus_t_pow, rf_one_minus_t_pow
 from .symfunc import SymFunc, symfunc_to_json
 
@@ -551,12 +547,9 @@ def _digit_sum(n: int, pieces: list[tuple[Digits, int, Exponents, MultColumn, Pa
     return Column.from_digits(n, [(la, _unspread(v, width)) for la, v in zip(parts, acc) if v], den, top)
 
 
-# {r: C_r f as one row per weight}, a row (n, den, ex, [(mu, c)]) holding
-# sum c(t) p_mu / (den prod_v (1-t^v)**ex[v-1]), |mu| = n: a translation
-# table, or the rows of Q f
-Rows = dict[int, list[tuple[int, int, Exponents, list[tuple[Partition, Digits]]]]]
-# the rows of Q f and 1/Q (None for Q = 1): the translation of a vector f
-Translations = tuple[Rows, RatFun | None]
+# {r: C_r (Q f) as one column per weight} and 1/Q (None for Q = 1): the
+# translation of a vector f
+Translations = tuple[dict[int, list[Column]], RatFun | None]
 
 
 class VertexKernel:
@@ -599,75 +592,44 @@ class VertexKernel:
         return out
 
     @cache
-    def _digit_table(self, la: Partition) -> Rows:
-        """C_r p_la for every r, as {r: [row]} over the one denominator D_la.
-
-        Taking j of the m parts equal to v contributes binom(m, j) c_v**j
-        to the coefficient and v*j to r.  With c_v = c/(b (1-t^v)**k)
-        every coefficient is written over D_la = prod_v b**m (1-t^v)**(k m),
-        as c_v**j = c**j b**(m-j) (1-t^v)**(k (m-j)) / (b (1-t^v)**k)**m.
-        """
-        terms: list[tuple[int, Digits, Partition]] = [(0, 1, ())]
-        den = 1
-        ex = [0] * (la[0] if la else 0)
-        for v, mult in multiplicities(la).items():
-            c, b, k = self._c_parts(v)
-            lead = (0,) * (v - 1)
-            power = 1  # c**j
-            out = []
-            for j in range(mult + 1):
-                f = _pmul(comb(mult, j) * b ** (mult - j), _pmul(power, _lift(lead + (k * (mult - j),), ())))
-                out += [(r + v * j, _pmul(num, f), rest + (v,) * (mult - j)) for r, num, rest in terms]
-                power = _pmul(power, c)
-            terms = out
-            den *= b**mult
-            ex[v - 1] = k * mult
-        while ex and not ex[-1]:
-            ex.pop()
-        rows: Rows = {}
-        n = weight(la)
-        for r, num, rest in terms:
-            if r not in rows:
-                rows[r] = [(n - r, den, tuple(ex), [])]
-            rows[r][0][3].append((rest, num))
-        return rows
+    def _translation(self) -> "VertexKernel":
+        """The kernel with this one's c and a = 0 (under this one's name, so its
+        errors name this kernel): its A_k are delta_(k,0), so its mode body at
+        shift r on p_la is C_r p_la."""
+        return VertexKernel(self.name, self.eps, lambda n: RF_ZERO, self.c)
 
     def translate(self, f: SymFunc) -> Translations:
-        """C_r f = sum_la c_la C_r p_la for every r, as the rows of Q f and 1/Q.
+        """C_r f = sum_la c_la C_r p_la for every r, as the columns of Q f and 1/Q.
 
-        Each row is one digit sum (`_digit_sum` with A_0 = 1) of the tables
-        of f's support, each table rescaled from its D_la by the exact
-        quotient M / D_la, M = prod_v (1-t^v)**(max_la k_v m_v(la)): every
-        row shares the exponent vector of M.
+        Each C_r p_la is the translation kernel's cached mode body at shift r
+        (`mode_on_basis`), and each column one `_combine` of those of one
+        (r, weight).
         """
-        parts, scale = pull([(c, self._digit_table(la)) for la, c in f.terms.items()])
-        top: Exponents = ()
-        for _, _, rows in parts:
-            top = _top(top, rows[0][0][2])
-        one = self._mult_column(0)
-        groups: dict[tuple[int, int], list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
-        for c, b, rows in parts:
-            c = _pmul(c, _lift(top, rows[0][0][2]))
-            for r, row in rows.items():
-                for n, den, _, entries in row:
-                    groups.setdefault((r, n), []).extend((_pmul(c, d), b * den, top, one, mu) for mu, d in entries)
-        out: Rows = {}
-        for (r, n), pieces in groups.items():
-            col = _digit_sum(n, pieces)
-            if not col.is_zero():
-                out.setdefault(r, []).append((n, col.den, col.ex, col.digits()))
+        parts, scale = pull([(c, la) for la, c in f.terms.items()])
+        C = self._translation()
+        groups: dict[tuple[int, int], list[Piece]] = {}
+        for c, b, la in parts:
+            for r in range(weight(la) + 1):
+                col = C.mode_on_basis(r - 1, 0, la)
+                if col.enc:
+                    groups.setdefault((r, col.weight), []).append((c, b, col))
+        out: dict[int, list[Column]] = {}
+        for (r, n), group in groups.items():
+            col = _combine(n, group)
+            if col.enc:
+                out.setdefault(r, []).append(col)
         return out, scale
 
     def mode_body(self, shift: int, translations: Translations) -> SymFunc:
         """sum_{r >= shift} A_(r-shift) C_r f, from the translation of f: one
-        digit sum per weight of the rows of C_r f."""
-        rows, scale = translations
+        digit sum per weight of the digits of the columns of C_r f."""
+        cols, scale = translations
         groups: dict[int, list[tuple[Digits, int, Exponents, MultColumn, Partition]]] = {}
-        for r, row in rows.items():
+        for r, row in cols.items():
             if r >= shift:
                 a = self._mult_column(r - shift)
-                for n, den, ex, entries in row:
-                    groups.setdefault(n + r - shift, []).extend((c, den, ex, a, mu) for mu, c in entries)
+                for col in row:
+                    groups.setdefault(col.weight + r - shift, []).extend((c, col.den, col.ex, a, mu) for mu, c in col.digits())
         return _unpack([_digit_sum(n, pieces) for n, pieces in groups.items()], scale)
 
     def mode_on_basis(self, j: int, m: int, la: Partition) -> Column:

@@ -19,20 +19,20 @@ kernels the same pairing tests the t-deformed hierarchy.
 Each leg is translated once.  A charge-0 mode is
 K[a] tau = sum_{r >= s} A_(r-s) C_r tau, with s = a + 1 for the plus
 leg and s = -a for minus[-1-a], so the whole diagonal is read from the
-digit rows {r: C_r tau} (`VertexKernel.translate`) by one digit sum per
-mode (`mode_body`).  With the deformed kernels the
-rows are written over the one denominator
-M = prod_v (1-t^v)**(max_la m_v(la)), and a tau whose coefficients have
-t-denominators has their lcm pulled out in front, so no sum multiplies
-the denominators of different la together.  Nothing is cached per basis
-vector: a body K[a] p_la of one tau's support is used exactly once, and
-in the sum over la almost all of its terms cancel (a fermion mode sends
-a Schur function to 0 or to one Schur function, up to sign), so reading
-the modes from C_r tau costs far less than building one body per
-(shift, la), as `mode_apply` does: read through `mode_apply`, `kp --schur
-5,4,2,1` took 0.94 s instead of 0.18 s, and `kp --dualschur 4,3,2,1
---deformed` 1.50 s and 48.4 MB instead of 0.19 s and 21.7 MB (whole
-processes at one worker, on a shared 2-vCPU host).
+columns {r: C_r tau} (`VertexKernel.translate`) by one digit sum per
+mode (`mode_body`).  Each C_r p_la of tau's support is a column in the
+mode cache of the kernel's translation kernel (its c with a = 0), and a
+tau whose coefficients have t-denominators has their lcm pulled out in
+front, so no sum multiplies the denominators of different la together.
+No body K[a] p_la is built: one of tau's support would be used exactly
+once, and in the sum over la almost all of its terms cancel (a fermion
+mode sends a Schur function to 0 or to one Schur function, up to sign),
+so reading the modes from C_r tau costs far less than building one body
+per (shift, la), as `mode_apply` does: read through `mode_apply`, `kp
+--schur 5,4,2,1` took 0.61 s of CPU instead of 0.11 s, and `kp
+--dualschur 4,3,2,1 --deformed` 1.55 s and 47.3 MB instead of 0.08 s and
+18.4 MB (in-process CPU and peak RSS, min of 5 fresh processes at one
+worker, on a shared 2-vCPU host).
 """
 
 from __future__ import annotations

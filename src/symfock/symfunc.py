@@ -210,8 +210,8 @@ def linear_combination(pairs: Iterable[tuple[RatFun, SymFunc]]) -> SymFunc:
 
     The one accumulator of Lambda[t]: it serves the Newton recurrences of
     h_k and e_k and the Jacobi-Trudi minors in `bases`, the
-    generating-function extraction and the h.e convolution in `vertex`, the
-    kernel-factorization items of `verify`, and is the tests' reference.
+    generating-function extraction and the h.e convolution in `vertex`, and
+    is the tests' reference.
     Fock operators sum packed columns instead (`fock.combine`).  Its bucket
     sum `ratfun.sum_products` has four more users, `SymFunc.__mul__`,
     `perp_apply`, `bases.expand_in_variables` and `kp.omega_apply`.

@@ -77,7 +77,6 @@ from .fock import (
     check_mode_identity,
     corrupted_kernel,
     diagonal,
-    one_minus_t_pow_ex,
     pieces,
     twisted_alpha,
     virasoro,
@@ -295,9 +294,11 @@ def _run_heisenberg(params, opts: SweepOptions) -> CheckResult:
 def _run_twisted_heisenberg(params, opts: SweepOptions) -> CheckResult:
     _, j, k = params
     h = partial(twisted_alpha, charges=opts.charges)
-    # j/(1 - t**|j|) on the diagonal j = -k
+    # j/(1 - t**|j|) on the diagonal j = -k, its exponent vector written out
+    # here rather than read from the function twisted_alpha divides by
     c = j if j == -k else 0
-    sides = lambda m, la: (_bracket(h, j, k, m, la), _unit(la, c, 1, one_minus_t_pow_ex(abs(j))))
+    ex = (0,) * (abs(j) - 1) + (1,)
+    sides = lambda m, la: (_bracket(h, j, k, m, la), _unit(la, c, 1, ex))
     return _check_packed("twisted-heisenberg", f"comm[j={j},k={k}]", sides, opts)
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from symfock import verify
+from symfock import fock, verify
 from symfock.bases import schur
 from symfock.cli import main
 from symfock.symfunc import symfunc_from_json, symfunc_to_json
@@ -128,6 +128,18 @@ def test_verify_twisted_corrupt_negative_control(capsys):
     last = json.loads(out.strip().splitlines()[-1])
     assert last["status"] == "fail"
     assert list(last["witness"]) == ["relation", "a", "b", "charge", "p", "lhs", "rhs"]
+
+
+def test_verify_twisted_heisenberg_sees_a_wrong_denominator(monkeypatch, capsys):
+    # the expected j/(1 - t**|j|) is built in verify, not read from the
+    # (1-t^k) that twisted_alpha divides by, so squaring that factor fails
+    window = ("verify", "twisted-heisenberg", "--max-degree", "2", "--max-mode", "1")
+    monkeypatch.setenv("SF_THREADS", "1")
+    assert run_cli(capsys, *window)[0] == 0
+    monkeypatch.setattr(fock, "one_minus_t_pow_ex", lambda k: (0,) * (k - 1) + (2,))
+    code, out, _ = run_cli(capsys, *window)
+    assert code == 1
+    assert json.loads(out.strip().splitlines()[-1])["status"] == "fail"
 
 
 def test_verify_corrupt_rejected_where_it_does_not_apply(capsys):
